@@ -26,8 +26,7 @@ from .experiments import (
     Experiment,
     run_fosc_growth,
     run_kernel_audit,
-    run_scaling_first_order_box,
-    run_scaling_first_order_torus,
+    run_scaling_first_order,
     run_scaling_second_order,
     run_sobolev_growth,
     run_y_vs_u,
@@ -117,10 +116,8 @@ def cmd_scaling(args) -> int:
         return EXIT_CONFIG
     emit_svg = cfg.get_bool("run", "emit_svg")
     experiment = plan.experiment
-    if experiment is Experiment.SCALING1_TORUS:
-        report = run_scaling_first_order_torus(plan)
-    elif experiment is Experiment.SCALING1_BOX:
-        report = run_scaling_first_order_box(plan)
+    if experiment in (Experiment.SCALING1_TORUS, Experiment.SCALING1_BOX):
+        report = run_scaling_first_order(plan)
     elif experiment is Experiment.SCALING2_TORUS:
         report, contrast = run_scaling_second_order(plan)
         _write_scaling(contrast, out_dir, "scaling_first_order_contrast", emit_svg)

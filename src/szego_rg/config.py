@@ -210,6 +210,13 @@ def emit_config(cfg: RunConfig) -> str:
 # builders
 
 
+def _seed(cfg: RunConfig) -> int:
+    """[run] seed; an empty value would leave seeded data unreproducible."""
+    if not cfg.get("run", "seed").strip():
+        raise ConfigError("key 'seed' in section [run] must not be empty")
+    return cfg.get_int("run", "seed")
+
+
 def _parse_amplitudes(cfg: RunConfig) -> tuple[complex, ...]:
     raw = cfg.get("initial_data", "amplitudes")
     try:
@@ -233,7 +240,7 @@ def initial_data_from_config(cfg: RunConfig) -> InitialDataSpec:
         kind=kind,
         modes=modes,
         amplitudes=_parse_amplitudes(cfg),
-        seed=cfg.get_int("run", "seed"),
+        seed=_seed(cfg),
         decay=cfg.get_float("initial_data", "decay"),
         normalization=cfg.get_float("initial_data", "normalization", default=None),
         scale=cfg.get_float("initial_data", "scale"),
@@ -280,7 +287,7 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
         plan = dc_replace(plan, initial_data=initial_data_from_config(cfg))
     else:
         plan = dc_replace(
-            plan, initial_data=dc_replace(plan.initial_data, seed=cfg.get_int("run", "seed"))
+            plan, initial_data=dc_replace(plan.initial_data, seed=_seed(cfg))
         )
 
     overrides = {}
@@ -306,7 +313,7 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
         overrides["growth_t_max"] = v
     overrides["growth_points"] = cfg.get_int("experiment", "growth_points")
     overrides["audit_fields"] = cfg.get_int("experiment", "audit_fields")
-    overrides["audit_seed"] = cfg.get_int("run", "seed")
+    overrides["audit_seed"] = _seed(cfg)
     overrides["negative_control"] = cfg.get_bool("experiment", "negative_control")
     if (v := cfg.get_int("grid", "n_max")) is not None:
         overrides["n_max"] = v

@@ -24,20 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-from .resonance import (
-    dF_osc,
-    f_full,
-    f_res_closed,
-    F_osc,
-    F_osc_torus,
-    r2_closed_hardy,
-    require_hardy,
-)
+from .resonance import f_res_closed, F_osc_torus, r2_closed_hardy, require_hardy
 from .spectral import (
     Domain,
     FrequencyGrid,
     SpectralField,
-    apply_abs_D,
     cubic_product,
     free_flow,
     project_plus,
@@ -117,26 +108,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
-
-
-def rhs_full_nlw(v: SpectralField) -> SpectralField:
-    """dv/dt = -i|D|v - i|v|^2 v with the cubic product dealiased."""
-    return SpectralField(
-        v.grid, -1j * apply_abs_D(v).coeff - 1j * cubic_product(v).coeff
-    )
-
-
-def rhs_first_order(w: SpectralField, eps: float) -> SpectralField:
-    """dW/dt = eps^2 f_res(W); reduces to the Szego flow for Hardy data."""
-    return SpectralField(w.grid, eps**2 * f_res_closed(w).coeff)
-
-
-def rhs_second_order(w: SpectralField, eps: float) -> SpectralField:
-    """dW/dt = -i eps^2 P+(|W|^2 W) + eps^4 r2(W), Hardy torus data only."""
-    require_hardy(w)
-    cubic = f_res_closed(w)  # Hardy: equals -i P+(|W|^2 W) with exact zeros below 0
-    return SpectralField(w.grid, eps**2 * cubic.coeff + eps**4 * r2_closed_hardy(w).coeff)
+# right-hand side and integrator
 
 
 def _nonlinear_term(spec: FlowSpec, hardy: bool) -> Callable[[np.ndarray], np.ndarray]:
@@ -226,7 +198,7 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# approximation ansatz constructors and the first-order residual
+# approximation ansatz constructors
 
 
 def first_order_ansatz(w_traj: Trajectory) -> Callable[[float], SpectralField]:
@@ -257,18 +229,3 @@ def second_order_ansatz(w_traj: Trajectory) -> Callable[[float], SpectralField]:
         return free_flow(scaled + F_osc_torus(scaled, t), t)
 
     return ansatz
-
-
-def residual_first_order(w: SpectralField, t: float, eps: float) -> SpectralField:
-    """Remainder driving the first-order error at state W:
-
-        R_eps(W, t) = eps^2 (f(W,t) - f(u_app,t)) + eps^4 dF_osc(W,t).f_res(W)
-
-    with u_app = W + eps^2 F_osc(W, t) in the grid's native convention.
-    """
-    u_app = w + eps**2 * F_osc(w, t)
-    drive = dF_osc(w, t, f_res_closed(w))
-    return SpectralField(
-        w.grid,
-        eps**2 * (f_full(w, t).coeff - f_full(u_app, t).coeff) + eps**4 * drive.coeff,
-    )

@@ -4,16 +4,12 @@ conservation audits, oscillatory-primitive growth laws, the qualitative
 Sobolev-growth study, and the kernel oracle audit.
 
 Every experiment is a pure function of its plan; identical plans produce
-identical reports.  Independent sweep rows may run concurrently (capped by
-the SZEGO_RG_THREADS environment variable); assembly order is fixed, so
-results do not depend on scheduling.
+identical reports.  Sweep rows run one after another in eps order.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,27 +31,13 @@ from .spectral import (
     conserved_series,
     make_grid,
     mass,
-    momentum,
     negative_mode_mass,
+    random_field,
     sobolev_norm,
 )
 
 TWO_PI = 2.0 * np.pi
 ERROR_FLOOR = 1e-15
-
-
-def worker_count() -> int:
-    """Worker cap for concurrent sweep rows.
-
-    SZEGO_RG_THREADS caps the pool (defaulting to the hardware count), but
-    desk-scale sweep rows are dominated by small-array numpy calls that hold
-    the GIL, and measured throughput degrades when threaded; the runner
-    therefore stays serial unless parallelism is requested explicitly.
-    """
-    env = os.environ.get("SZEGO_RG_THREADS", "")
-    if env.strip():
-        return min(max(1, int(env)), os.cpu_count() or 1)
-    return 1
 
 
 class Experiment(enum.Enum):
@@ -321,19 +303,15 @@ def fit_loglog(xs, ys) -> tuple[float, float, bool]:
     return float(slope), resid, floored
 
 
-def _map_rows(fn, items):
-    workers = min(worker_count(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # scaling experiments
 
 
-def _flow_spec(plan: ExperimentPlan, flow: Flow, grid, eps: float, t_end: float) -> FlowSpec:
+def _flow_spec(
+    plan: ExperimentPlan, flow: Flow, grid, eps: float, t_end: float, snapshots: int | None = None
+) -> FlowSpec:
+    """FlowSpec of one trajectory of the plan; snapshots defaults to
+    plan.snapshots_per_run."""
     return FlowSpec(
         flow=flow,
         grid=grid,
@@ -341,7 +319,7 @@ def _flow_spec(plan: ExperimentPlan, flow: Flow, grid, eps: float, t_end: float)
         dt=plan.dt,
         t_end=t_end,
         s=plan.s,
-        snapshot_stride=t_end / plan.snapshots_per_run,
+        snapshot_stride=t_end / (plan.snapshots_per_run if snapshots is None else snapshots),
         slow_time_cap=max(plan.slow_time_cap, t_end * eps**2 + 1.0),
     )
 
@@ -380,37 +358,17 @@ def _finish_scaling(plan, rows, caveats=(), companion=None, slope_min=0.0, resid
     )
 
 
-def run_scaling_first_order_torus(plan: ExperimentPlan) -> ScalingReport:
+def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
     """Sweep eps: integrate the full flow and the resonant flow from eps*W0,
     record sup_t ||v(t) - exp(-i|D|t) eps W(t)||_{H^s}, fit the log-log slope.
+
+    On the big box the report carries the line-approximation caveat plus the
+    size of the resonant terms the two-term kernel drops.
     """
-    grid = plan.grid()
-    w0 = plan.initial_data.build(grid)
-    w0_norm = sobolev_norm(w0, plan.s)
-
-    def row(eps: float) -> ScalingRow:
-        t_end = plan.horizon(eps)
-        sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end)
-        v_traj = integrate(sp(Flow.FULL_NLW), eps * w0)
-        w_traj = integrate(sp(Flow.FIRST_ORDER_RG), w0)
-        if v_traj.blown_up or w_traj.blown_up:
-            return ScalingRow(eps, t_end, float("nan"), float("nan"), True, failed=True)
-        sup = _sup_error(v_traj, first_order_ansatz(w_traj), plan.s)
-        sup_w, flagged = _hypothesis_flag(plan, eps, w_traj, w0_norm)
-        return ScalingRow(eps, t_end, sup, sup_w, flagged)
-
-    rows = _map_rows(row, plan.eps_list)
-    slope_min = 2.7 if plan.slope_threshold is None else plan.slope_threshold
-    residual_max = 0.15 if plan.residual_max is None else plan.residual_max
-    return _finish_scaling(plan, rows, slope_min=slope_min, residual_max=residual_max)
-
-
-def run_scaling_first_order_box(plan: ExperimentPlan) -> ScalingReport:
-    """Box variant of the first-order sweep; carries the line-approximation
-    caveat plus the size of the resonant terms the two-term kernel drops."""
-    if plan.domain is not Domain.BIGBOX:
+    box = plan.domain is Domain.BIGBOX
+    if plan.experiment is Experiment.SCALING1_BOX and not box:
         raise ValueError("box scaling requires a big-box plan")
-    if plan.length < 64.0 * np.pi:
+    if box and plan.length < 64.0 * np.pi:
         raise ValueError("box scaling expects length >= 64*pi")
     grid = plan.grid()
     w0 = plan.initial_data.build(grid)
@@ -427,7 +385,11 @@ def run_scaling_first_order_box(plan: ExperimentPlan) -> ScalingReport:
         sup_w, flagged = _hypothesis_flag(plan, eps, w_traj, w0_norm)
         return ScalingRow(eps, t_end, sup, sup_w, flagged)
 
-    rows = _map_rows(row, plan.eps_list)
+    rows = [row(eps) for eps in plan.eps_list]
+    if not box:
+        slope_min = 2.7 if plan.slope_threshold is None else plan.slope_threshold
+        residual_max = 0.15 if plan.residual_max is None else plan.residual_max
+        return _finish_scaling(plan, rows, slope_min=slope_min, residual_max=residual_max)
     # the dropped measure-zero terms are evaluated on a small companion grid:
     # their relative size is the discrete-leftover diagnostic
     probe = make_grid(8, Domain.BIGBOX, plan.length)
@@ -476,7 +438,7 @@ def run_scaling_second_order(plan: ExperimentPlan) -> tuple[ScalingReport, Scali
             ScalingRow(eps, t_end, sup1, sup_w, flagged),
         )
 
-    pairs = _map_rows(row, plan.eps_list)
+    pairs = [row(eps) for eps in plan.eps_list]
     rows2 = [p[0] for p in pairs]
     rows1 = [p[1] for p in pairs]
     first = _finish_scaling(plan, rows1, slope_min=0.0)
@@ -512,7 +474,7 @@ def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
         sup_w, flagged = _hypothesis_flag(plan, eps, u_traj, w0_norm)
         return ScalingRow(eps, t_end, sup, sup_w, flagged)
 
-    rows = _map_rows(row, plan.eps_list)
+    rows = [row(eps) for eps in plan.eps_list]
     slope_min = 1.7 if plan.slope_threshold is None else plan.slope_threshold
     return _finish_scaling(plan, rows, slope_min=slope_min)
 
@@ -522,7 +484,8 @@ def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
 
 
 def run_conservation(plan: ExperimentPlan) -> ConservedReport:
-    """Time series of the invariants along one integrated flow.
+    """Time series of the invariants along one integrated flow, plus the
+    largest negative-mode mass (Hardy defect) along it.
 
     For Hardy effective flows the reported h_half series is sqrt(Q + M),
     which equals the (1+|k|)-weighted half-derivative norm on Hardy fields
@@ -533,43 +496,11 @@ def run_conservation(plan: ExperimentPlan) -> ConservedReport:
     eps = plan.eps_list[0]
     w0 = plan.initial_data.build(grid)
     v0 = eps * w0 if plan.flow is Flow.FULL_NLW else w0
-    spec = FlowSpec(
-        flow=plan.flow,
-        grid=grid,
-        eps=eps,
-        dt=plan.dt,
-        t_end=plan.t_end,
-        s=plan.s,
-        snapshot_stride=plan.t_end / plan.snapshots_per_run,
-        slow_time_cap=max(plan.slow_time_cap, plan.t_end * eps**2 + 1.0),
-    )
-    traj = integrate(spec, v0)
+    traj = integrate(_flow_spec(plan, plan.flow, grid, eps, plan.t_end), v0)
     report = conserved_series(traj.times, traj.states)
     if plan.flow is not Flow.FULL_NLW:
-        h_half = np.sqrt(report.mass + report.momentum)
-        report = ConservedReport(
-            report.times, report.energy, report.mass, report.momentum, h_half
-        )
-    return report
-
-
-def max_negative_mode_mass(plan: ExperimentPlan) -> float:
-    """Largest Hardy defect along the plan's flow (for Hardy-invariance gates)."""
-    grid = plan.grid()
-    eps = plan.eps_list[0]
-    w0 = plan.initial_data.build(grid)
-    spec = FlowSpec(
-        flow=plan.flow,
-        grid=grid,
-        eps=eps,
-        dt=plan.dt,
-        t_end=plan.t_end,
-        s=plan.s,
-        snapshot_stride=plan.t_end / plan.snapshots_per_run,
-        slow_time_cap=max(plan.slow_time_cap, plan.t_end * eps**2 + 1.0),
-    )
-    traj = integrate(spec, w0)
-    return max(negative_mode_mass(f) for f in traj.states)
+        report = replace(report, h_half=np.sqrt(report.mass + report.momentum))
+    return replace(report, hardy_defect=max(negative_mode_mass(f) for f in traj.states))
 
 
 # ---------------------------------------------------------------------------
@@ -631,17 +562,8 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
         raise ValueError("the Sobolev growth study runs on the big box")
     grid = plan.grid()
     w0 = plan.initial_data.build(grid)
-    spec = FlowSpec(
-        flow=Flow.FIRST_ORDER_RG,
-        grid=grid,
-        eps=1.0,
-        dt=plan.dt,
-        t_end=plan.t_end,
-        s=plan.s,
-        snapshot_stride=plan.t_end / max(plan.growth_points * 2, 40),
-        slow_time_cap=max(plan.slow_time_cap, plan.t_end + 1.0),
-    )
-    traj = integrate(spec, w0)
+    snapshots = max(plan.growth_points * 2, 40)
+    traj = integrate(_flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 1.0, plan.t_end, snapshots), w0)
     ts = traj.times
     norms = np.array([sobolev_norm(f, plan.s) for f in traj.states])
     band = np.abs(grid.modes) >= grid.n_max - max(grid.n_max // 64, 8)
@@ -687,13 +609,6 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
     gb = make_grid(n, Domain.BIGBOX, 16.0 * np.pi)
     rows: list[AuditRow] = []
 
-    def random_field(grid, hardy=False):
-        z = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-        c = z * (1.0 + np.abs(grid.modes)) ** (-1.0)
-        if hardy:
-            c = np.where(grid.modes < 0, 0.0, c)
-        return SpectralField(grid, c)
-
     def max_diff(a: SpectralField, b: SpectralField) -> float:
         return float(np.max(np.abs(a.coeff - b.coeff)))
 
@@ -701,7 +616,7 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
 
     err = 0.0
     for _ in range(plan.audit_fields):
-        u = random_field(gt)
+        u = random_field(gt, rng)
         closed = rs.f_res_closed_torus(u)
         if corrupt:
             closed = SpectralField(gt, closed.coeff + corrupt)
@@ -710,7 +625,7 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
 
     err = 0.0
     for _ in range(plan.audit_fields):
-        u = random_field(gb)
+        u = random_field(gb, rng)
         err = max(
             err,
             max_diff(rs.f_res_closed_line(u), rs.f_res_bruteforce(u, sign_uniform_only=True)),
@@ -719,7 +634,7 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
 
     err = 0.0
     for _ in range(plan.audit_fields):
-        w = random_field(gt, hardy=True)
+        w = random_field(gt, rng, hardy=True)
         err = max(err, max_diff(rs.r2_closed_hardy(w), rs.r2_bruteforce(w)))
     rows.append(AuditRow("r2_closed_hardy_vs_bruteforce", err, 1e-10, err <= 1e-10))
 
@@ -741,7 +656,7 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
     # split consistency f_full = f_res + f_osc
     err = 0.0
     for t in (0.0, 0.1, 1.0, 10.0):
-        u = random_field(gt)
+        u = random_field(gt, rng)
         split = SpectralField(gt, rs.f_res_bruteforce(u).coeff + rs.f_osc(u, t).coeff)
         err = max(err, max_diff(rs.f_full(u, t), split))
     rows.append(AuditRow("f_full_equals_f_res_plus_f_osc", err, 1e-10, err <= 1e-10))
@@ -749,7 +664,7 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
     # box primitive closed form vs the generic phase-weighted sum
     err = 0.0
     for t in (0.7, 2.3):
-        w = random_field(gb, hardy=True)
+        w = random_field(gb, rng, hardy=True)
         err = max(
             err,
             max_diff(rs.F_osc_line(w, t), rs.osc_primitive_bruteforce(w, t, from_zero=True)),
@@ -757,21 +672,8 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
     rows.append(AuditRow("F_osc_line_vs_quadruple_sum", err, 1e-10, err <= 1e-10))
 
     # r2 via discrete time averaging of f'(W,t).F_osc(W,t)
-    w = random_field(make_grid(6, Domain.TORUS), hardy=True)
+    w = random_field(make_grid(6, Domain.TORUS), rng, hardy=True)
     err = max_diff(rs.r2_bruteforce(w), rs.r2_time_average(w))
     rows.append(AuditRow("r2_time_average_oracle", err, 1e-8, err <= 1e-8))
 
     return AuditReport(tuple(rows))
-
-
-def run_scaling(plan: ExperimentPlan) -> ScalingReport:
-    """Dispatch a scaling-type experiment by plan.experiment."""
-    if plan.experiment is Experiment.SCALING1_TORUS:
-        return run_scaling_first_order_torus(plan)
-    if plan.experiment is Experiment.SCALING1_BOX:
-        return run_scaling_first_order_box(plan)
-    if plan.experiment is Experiment.SCALING2_TORUS:
-        return run_scaling_second_order(plan)[0]
-    if plan.experiment is Experiment.Y_VS_U:
-        return run_y_vs_u(plan)
-    raise ValueError(f"{plan.experiment} is not a scaling experiment")

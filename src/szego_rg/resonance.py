@@ -10,7 +10,7 @@ the momentum constraint k - l + m - j = 0, with the combination
     phi = |k| - |l| + |m| - |j|
 
 acting as the oscillation frequency of each summand: the factor exp(i*t*phi)
-carries the whole time dependence.  Quadruples with phi = 0 form the resonant
+carries the whole time dependence.  The quadruples with phi = 0 form the resonant
 set; their contribution f_res(u) is time independent and drives the effective
 dynamics.  The rest is the oscillatory part f_osc(u, t), whose antiderivative
 in t is F_osc.
@@ -33,7 +33,6 @@ In brute-force sums the inner mode indices are confined to the grid range
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -77,35 +76,6 @@ def phase(grid, k: int, l: int, m: int, j: int) -> float:
     return (
         abs(grid.freq(k)) - abs(grid.freq(l)) + abs(grid.freq(m)) - abs(grid.freq(j))
     )
-
-
-@dataclass(frozen=True)
-class Quadruple:
-    """Mode quadruple (k; l, m, j) subject to k - l + m - j = 0.
-
-    k is the output mode; l and j enter the cubic sum holomorphically and m
-    through a conjugate factor.
-    """
-
-    k: int
-    l: int
-    m: int
-    j: int
-
-    def __post_init__(self):
-        _check_momentum(self.k, self.l, self.m, self.j)
-
-    def phase(self, grid) -> float:
-        return phase(grid, self.k, self.l, self.m, self.j)
-
-    def phase_index(self) -> int:
-        """Integer phase |k| - |l| + |m| - |j| on mode indices."""
-        return abs(self.k) - abs(self.l) + abs(self.m) - abs(self.j)
-
-    def is_resonant(self, grid) -> bool:
-        if grid.domain is Domain.TORUS:
-            return is_resonant_torus(self.k, self.l, self.m, self.j)
-        return is_resonant_line(grid, self.k, self.l, self.m, self.j)
 
 
 def _check_momentum(k: int, l: int, m: int, j: int):
@@ -417,13 +387,6 @@ def F_osc_line(w_field: SpectralField, t: float) -> SpectralField:
     return SpectralField(grid, out)
 
 
-def F_osc(u: SpectralField, t: float) -> SpectralField:
-    """Antiderivative of f_osc in the grid's native convention."""
-    if u.grid.domain is Domain.TORUS:
-        return F_osc_torus(u, t)
-    return osc_primitive_bruteforce(u, t, from_zero=True)
-
-
 def dF_osc(u: SpectralField, t: float, h: SpectralField) -> SpectralField:
     """Directional derivative of F_osc at u in direction h.
 
@@ -679,45 +642,3 @@ def n2_rhs(w_field: SpectralField, t: float) -> SpectralField:
     b = r2_bruteforce(w_field)
     c = dF_osc(w_field, t, f_res_closed_torus(w_field))
     return SpectralField(w_field.grid, a.coeff - b.coeff - c.coeff)
-
-
-# ---------------------------------------------------------------------------
-# kernel-term view (inspection and small-grid cross-checks)
-
-
-@dataclass(frozen=True)
-class KernelTerm:
-    """One summand of a phase-weighted kernel sum.
-
-    input_modes lists (mode, conjugated) pairs; phase is in frequency units;
-    the summand is weight * exp(i t phase) * prod of coefficients.
-    """
-
-    output_mode: int
-    input_modes: tuple[tuple[int, bool], ...]
-    phase: float
-    weight: complex
-
-
-def cubic_kernel_terms(grid, resonant: bool | None = None):
-    """Enumerate the cubic kernel terms of f(u, t) in lexicographic (l, m)
-    order per output mode; resonant=True/False filters by phase."""
-    n = grid.n_max
-    unit = grid.freq_unit
-    for k in grid.modes:
-        for l in grid.modes:
-            for m in grid.modes:
-                j = k - l + m
-                if abs(j) > n:
-                    continue
-                phi = abs(k) - abs(l) + abs(m) - abs(j)
-                if resonant is True and phi != 0:
-                    continue
-                if resonant is False and phi == 0:
-                    continue
-                yield KernelTerm(
-                    output_mode=k,
-                    input_modes=((j, False), (l, False), (m, True)),
-                    phase=phi * unit,
-                    weight=-1j,
-                )

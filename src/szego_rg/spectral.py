@@ -344,13 +344,18 @@ def energy(f: SpectralField) -> float:
 
 @dataclass(frozen=True)
 class ConservedReport:
-    """Time series of conserved quantities with relative drift statistics."""
+    """Time series of conserved quantities with relative drift statistics.
+
+    hardy_defect, when recorded, is the largest negative-mode mass along the
+    series.
+    """
 
     times: np.ndarray
     energy: np.ndarray
     mass: np.ndarray
     momentum: np.ndarray
     h_half: np.ndarray | None = None
+    hardy_defect: float | None = None
 
     def __post_init__(self):
         n = len(self.times)

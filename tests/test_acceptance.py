@@ -22,12 +22,10 @@ from szego_rg.dynamics import Flow, FlowSpec, first_order_ansatz, integrate
 from szego_rg.experiments import (
     Experiment,
     default_plan,
-    max_negative_mode_mass,
     run_conservation,
     run_fosc_growth,
     run_kernel_audit,
-    run_scaling_first_order_box,
-    run_scaling_first_order_torus,
+    run_scaling_first_order,
     run_scaling_second_order,
     run_sobolev_growth,
     run_y_vs_u,
@@ -105,7 +103,7 @@ def test_03_conservation():
         nlw = run_conservation(plan)
         rg_plan = replace(plan, flow=Flow.FIRST_ORDER_RG)
         rg = run_conservation(rg_plan)
-        neg_mass = max_negative_mode_mass(rg_plan)
+    neg_mass = rg.hardy_defect
     drifts = nlw.drifts()
     ok_nlw = all(drifts[q] <= 1e-6 for q in ("energy", "mass", "momentum"))
     ok_rg = rg.max_rel_drift("mass") <= 1e-8 and rg.max_rel_drift("momentum") <= 1e-8
@@ -123,7 +121,7 @@ def test_03_conservation():
 
 def test_04_first_order_scaling_torus():
     with Stopwatch() as sw:
-        rep = run_scaling_first_order_torus(default_plan(Experiment.SCALING1_TORUS))
+        rep = run_scaling_first_order(default_plan(Experiment.SCALING1_TORUS))
     ok = (
         rep.fitted_slope >= 2.7
         and rep.fit_residual <= 0.15
@@ -162,7 +160,7 @@ def test_06_first_order_scaling_box():
     plan = default_plan(Experiment.SCALING1_BOX)
     assert plan.length == pytest.approx(64.0 * np.pi)
     with Stopwatch() as sw:
-        rep = run_scaling_first_order_box(plan)
+        rep = run_scaling_first_order(plan)
     ok = (
         rep.fitted_slope >= 1.7
         and rep.passed

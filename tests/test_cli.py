@@ -43,6 +43,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="eps"):
             cfg.get_float("flow", "eps")
 
+    def test_empty_seed_exits_one(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "s.cfg",
+            "[run]\nexperiment = y_vs_u\nseed =\n\n"
+            "[initial_data]\nkind = seeded_random_hardy\n",
+        )
+        assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
+        assert "Traceback" not in err
+
     def test_plan_defaults_preserved(self):
         cfg = default_config().with_value("run", "experiment", "sobolev_growth")
         plan = plan_from_config(cfg)
@@ -146,6 +158,13 @@ class TestScaling:
         assert lines[-1].startswith("slope=")
         assert "passed=true" in lines[-1]
         ET.parse(os.path.join(out, "scaling.svg"))  # valid XML
+
+    def test_thread_variable_ignored(self, tmp_path, monkeypatch):
+        # sweep rows run serially and no thread-count variable is read, so a
+        # stray non-integer value must not break the run
+        monkeypatch.setenv("SZEGO_RG_THREADS", "abc")
+        cfg = write(tmp_path, "s.cfg", SCALING_CFG)
+        assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
     def test_short_sweep_exits_one(self, tmp_path):
         cfg = write(

@@ -22,12 +22,9 @@ from szego_rg.dynamics import (
     Flow,
     FlowSpec,
     Trajectory,
+    _nonlinear_term,
     first_order_ansatz,
     integrate,
-    residual_first_order,
-    rhs_first_order,
-    rhs_full_nlw,
-    rhs_second_order,
     second_order_ansatz,
 )
 from szego_rg.spectral import cubic_product
@@ -61,62 +58,69 @@ class TestFlowSpec:
             spec(Flow.SECOND_ORDER_AVERAGED, box8, eps=0.1, dt=0.1, t_end=1.0)
 
 
+def nonlinear(flow, grid, eps, hardy):
+    """The nonlinearity integrate() steps for this flow (linear part excluded)."""
+    return _nonlinear_term(spec(flow, grid, eps, 0.1, 1.0), hardy)
+
+
 class TestRightHandSides:
     def test_full_nlw_zero(self, torus8):
-        assert np.all(rhs_full_nlw(zero_field(torus8)).coeff == 0.0)
+        nl = nonlinear(Flow.FULL_NLW, torus8, 0.1, hardy=False)
+        assert np.all(nl(zero_field(torus8).coeff) == 0.0)
 
     def test_full_nlw_single_mode(self, torus8):
         eps = 0.1
         v = field_from_modes(torus8, {1: eps})
-        r = rhs_full_nlw(v)
-        assert r[1] == pytest.approx(-1j * eps - 1j * eps**3)
+        r = nonlinear(Flow.FULL_NLW, torus8, eps, hardy=False)(v.coeff)
+        assert r[torus8.index(1)] == pytest.approx(-1j * eps**3)
 
-    def test_full_nlw_gauge_covariant(self, rand_torus8, coeff_diff):
+    def test_full_nlw_gauge_covariant(self, rand_torus8):
         theta = 1.3
-        a = rhs_full_nlw(SpectralField(rand_torus8.grid, np.exp(1j * theta) * rand_torus8.coeff))
-        b = SpectralField(rand_torus8.grid, np.exp(1j * theta) * rhs_full_nlw(rand_torus8).coeff)
-        assert coeff_diff(a, b) <= 1e-12
+        nl = nonlinear(Flow.FULL_NLW, rand_torus8.grid, 0.1, hardy=False)
+        a = nl(np.exp(1j * theta) * rand_torus8.coeff)
+        b = np.exp(1j * theta) * nl(rand_torus8.coeff)
+        assert np.max(np.abs(a - b)) <= 1e-12
 
-    def test_first_order_hardy_is_szego(self, torus8, rng, coeff_diff):
+    def test_first_order_hardy_is_szego(self, torus8, rng):
         w = random_field(torus8, rng, hardy=True)
         eps = 0.2
-        expected = SpectralField(
-            torus8, -1j * eps**2 * project_plus(cubic_product(w)).coeff
-        )
-        assert coeff_diff(rhs_first_order(w, eps), expected) <= 1e-14
+        expected = -1j * eps**2 * project_plus(cubic_product(w)).coeff
+        for hardy in (True, False):  # the Hardy shortcut and the full closed form
+            got = nonlinear(Flow.FIRST_ORDER_RG, torus8, eps, hardy)(w.coeff)
+            assert np.max(np.abs(got - expected)) <= 1e-14
 
-    def test_first_order_general_uses_closed_form(self, rand_torus8, coeff_diff):
+    def test_first_order_general_uses_closed_form(self, rand_torus8):
         eps = 0.2
-        expected = SpectralField(
-            rand_torus8.grid, eps**2 * rs.f_res_closed_torus(rand_torus8).coeff
-        )
-        assert coeff_diff(rhs_first_order(rand_torus8, eps), expected) == 0.0
+        expected = eps**2 * rs.f_res_closed_torus(rand_torus8).coeff
+        got = nonlinear(Flow.FIRST_ORDER_RG, rand_torus8.grid, eps, hardy=False)(rand_torus8.coeff)
+        assert np.max(np.abs(got - expected)) == 0.0
 
     def test_second_order_single_mode_reduces(self, torus8):
         w = field_from_modes(torus8, {1: 1.0})
         eps = 0.2
-        a = rhs_second_order(w, eps)
-        b = rhs_first_order(w, eps)
-        assert np.max(np.abs(a.coeff - b.coeff)) <= 1e-14
+        a = nonlinear(Flow.SECOND_ORDER_AVERAGED, torus8, eps, hardy=True)(w.coeff)
+        b = nonlinear(Flow.FIRST_ORDER_RG, torus8, eps, hardy=True)(w.coeff)
+        assert np.max(np.abs(a - b)) <= 1e-14
 
-    def test_second_order_matches_bruteforce_quintic(self, rng, coeff_diff):
+    def test_second_order_matches_bruteforce_quintic(self, rng):
         g = make_grid(6, Domain.TORUS)
         w = random_field(g, rng, hardy=True)
         eps = 0.3
-        expected = SpectralField(
-            g,
-            rhs_first_order(w, eps).coeff + eps**4 * rs.r2_bruteforce(w).coeff,
-        )
-        assert coeff_diff(rhs_second_order(w, eps), expected) <= 1e-10
+        first = nonlinear(Flow.FIRST_ORDER_RG, g, eps, hardy=True)(w.coeff)
+        expected = first + eps**4 * rs.r2_bruteforce(w).coeff
+        got = nonlinear(Flow.SECOND_ORDER_AVERAGED, g, eps, hardy=True)(w.coeff)
+        assert np.max(np.abs(got - expected)) <= 1e-10
 
     def test_second_order_output_is_hardy(self, torus8, rng):
         w = random_field(torus8, rng, hardy=True)
-        out = rhs_second_order(w, 0.2)
-        assert negative_mode_mass(out) == 0.0
+        out = nonlinear(Flow.SECOND_ORDER_AVERAGED, torus8, 0.2, hardy=True)(w.coeff)
+        assert negative_mode_mass(SpectralField(torus8, out)) == 0.0
 
     def test_second_order_rejects_non_hardy(self, rand_torus8):
         with pytest.raises(ValueError):
-            rhs_second_order(rand_torus8, 0.2)
+            integrate(
+                spec(Flow.SECOND_ORDER_AVERAGED, rand_torus8.grid, 0.2, 0.1, 1.0), rand_torus8
+            )
 
 
 class TestIntegrator:
@@ -294,18 +298,6 @@ class TestAnsatz:
 
 
 class TestResidual:
-    def test_zero_field(self, torus8):
-        assert np.all(residual_first_order(zero_field(torus8), 0.5, 0.1).coeff == 0.0)
-
-    def test_leading_quintic_scaling(self, torus8, rng):
-        w = random_field(torus8, rng, hardy=True)
-        eps, t = 0.1, 0.4
-        norms = [
-            float(np.linalg.norm(residual_first_order(lam * w, t, eps).coeff))
-            for lam in (0.1, 0.05)
-        ]
-        assert 28.0 <= norms[0] / norms[1] <= 36.0  # lambda^5 gives 32
-
     def test_box_derivative_bound(self, rng):
         # |eps^4 dF_osc . f_res| <= C (sqrt(t) + |W|^5) on Hardy box data
         g = make_grid(24, Domain.BIGBOX, 128.0 * np.pi)

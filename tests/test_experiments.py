@@ -16,7 +16,7 @@ from szego_rg.experiments import (
     run_conservation,
     run_fosc_growth,
     run_kernel_audit,
-    run_scaling_first_order_torus,
+    run_scaling_first_order,
     run_y_vs_u,
 )
 from dataclasses import replace
@@ -125,23 +125,34 @@ def _fast_torus_plan(**kw):
 
 class TestScalingRuns:
     def test_first_order_smoke(self):
-        report = run_scaling_first_order_torus(_fast_torus_plan())
+        report = run_scaling_first_order(_fast_torus_plan())
         assert len(report.rows) == 3
         assert all(np.isfinite(r.sup_error) and r.sup_error > 0 for r in report.rows)
         assert 2.0 <= report.fitted_slope <= 4.0
         assert report.passed
+        assert report.caveats == ()  # line-approximation caveats are box-only
 
     def test_rows_ordered_and_deterministic(self):
         plan = _fast_torus_plan()
-        a = run_scaling_first_order_torus(plan)
-        b = run_scaling_first_order_torus(plan)
+        a = run_scaling_first_order(plan)
+        b = run_scaling_first_order(plan)
         assert [r.eps for r in a.rows] == list(plan.eps_list)
         for x, y in zip(a.rows, b.rows):
             assert x == y  # bitwise-identical rows
 
+    def test_box_plan_too_short_rejected(self):
+        plan = replace(default_plan(Experiment.SCALING1_BOX), length=16.0 * np.pi)
+        with pytest.raises(ValueError, match="64"):
+            run_scaling_first_order(plan)
+
+    def test_box_experiment_needs_box_domain(self):
+        plan = replace(default_plan(Experiment.SCALING1_BOX), domain=Domain.TORUS, length=TWO_PI)
+        with pytest.raises(ValueError, match="big-box"):
+            run_scaling_first_order(plan)
+
     def test_horizon_recorded_exactly(self):
         plan = _fast_torus_plan()
-        report = run_scaling_first_order_torus(plan)
+        report = run_scaling_first_order(plan)
         for r in report.rows:
             assert r.horizon == plan.horizon(r.eps)
 
@@ -179,6 +190,7 @@ class TestConservationRun:
         )
         report = run_conservation(plan)
         assert report.h_half is not None
+        assert report.hardy_defect <= 1e-12
         assert report.max_rel_drift("h_half") <= 1e-9  # sqrt(Q+M) on Hardy data
 
     def test_linear_only_zero_drift(self):

@@ -416,39 +416,3 @@ class TestTimeAverageIdentity:
             acc += rs.f_full(rand_torus8, 2.0 * np.pi * r / r_nodes).coeff
         avg = SpectralField(rand_torus8.grid, acc / r_nodes)
         assert coeff_diff(avg, rs.f_res_bruteforce(rand_torus8)) <= 1e-10
-
-
-class TestKernelTerms:
-    def test_resonant_terms_sum_to_f_res(self):
-        g = make_grid(4, Domain.TORUS)
-        rng = np.random.default_rng(9)
-        u = random_field(g, rng)
-        acc = np.zeros(g.size, dtype=complex)
-        for term in rs.cubic_kernel_terms(g, resonant=True):
-            prod = term.weight
-            for mode, conj in term.input_modes:
-                c = u.coeff[g.index(mode)]
-                prod *= np.conj(c) if conj else c
-            acc[g.index(term.output_mode)] += prod
-        assert np.max(np.abs(acc - rs.f_res_bruteforce(u).coeff)) <= 1e-12
-
-    def test_phase_field(self):
-        g = make_grid(4, Domain.TORUS)
-        terms = list(rs.cubic_kernel_terms(g, resonant=False))
-        assert all(t.phase != 0 for t in terms)
-        assert all(len(t.input_modes) == 3 for t in terms)
-
-
-class TestQuadruple:
-    def test_momentum_enforced(self):
-        with pytest.raises(ValueError):
-            rs.Quadruple(1, 0, 0, 2)
-
-    def test_phase_and_resonance(self, torus8, box8):
-        q = rs.Quadruple(0, 1, 0, -1)
-        assert q.phase_index() == -2
-        assert q.phase(torus8) == -2.0
-        assert q.phase(box8) == pytest.approx(-2.0 * box8.freq_unit)
-        assert not q.is_resonant(torus8)
-        assert rs.Quadruple(1, 1, -3, -3).is_resonant(torus8)
-        assert rs.Quadruple(2, 1, 1, 2).is_resonant(box8)
