@@ -40,7 +40,7 @@ EXIT_GUARD = 2
 EXIT_AUDIT = 3
 
 
-def _prepare(args) -> tuple[RunConfig, str]:
+def _prepare(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.out:
         cfg = cfg.with_value("run", "output_dir", args.out)
@@ -48,18 +48,26 @@ def _prepare(args) -> tuple[RunConfig, str]:
         cfg = cfg.with_value("run", "seed", str(args.seed))
     if args.svg:
         cfg = cfg.with_value("run", "emit_svg", "true")
-    out_dir = cfg.get("run", "output_dir")
+    return cfg
+
+
+def _start(command: str, cfg: RunConfig) -> RunMetadata:
+    """Create the run directory and echo the configuration into it; called
+    once the command has accepted its configuration, so a rejected run leaves
+    no echo behind."""
+    out_dir = cfg.value("run", "output_dir")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_resolved.cfg"), "w", encoding="utf-8") as fh:
         fh.write(emit_config(cfg))
-    return cfg, out_dir
+    return RunMetadata(command, out_dir)
 
 
 def cmd_simulate(args) -> int:
-    cfg, out_dir = _prepare(args)
-    meta = RunMetadata("simulate", out_dir)
+    cfg = _prepare(args)
     spec, data = flow_spec_from_config(cfg)
     v0 = data.build(spec.grid)
+    meta = _start("simulate", cfg)
+    out_dir = meta.out_dir
     if spec.flow.value == "full_nlw":
         v0 = spec.eps * v0
     traj = integrate(spec, v0)
@@ -107,25 +115,38 @@ def _write_scaling(report, out_dir, name, emit_svg):
         )
 
 
+def _require(plan, command: str, *experiments: Experiment) -> None:
+    """Reject a plan whose experiment the command does not run."""
+    if plan.experiment not in experiments:
+        raise ConfigError(
+            f"key 'experiment' in section [run]: '{plan.experiment.value}' is not a "
+            f"{command} experiment"
+        )
+
+
 def cmd_scaling(args) -> int:
-    cfg, out_dir = _prepare(args)
-    meta = RunMetadata("scaling", out_dir)
+    cfg = _prepare(args)
     plan = plan_from_config(cfg)
-    if len(plan.eps_list) < 3:
-        print("config error: scaling sweeps need at least 3 eps values (log-log fit)")
-        return EXIT_CONFIG
-    emit_svg = cfg.get_bool("run", "emit_svg")
     experiment = plan.experiment
-    if experiment in (Experiment.SCALING1_TORUS, Experiment.SCALING1_BOX):
-        report = run_scaling_first_order(plan)
-    elif experiment is Experiment.SCALING2_TORUS:
+    _require(
+        plan, "scaling", Experiment.SCALING1_TORUS, Experiment.SCALING1_BOX,
+        Experiment.SCALING2_TORUS, Experiment.Y_VS_U,
+    )
+    if len(plan.eps_list) < 3:
+        raise ConfigError(
+            "key 'eps_list' in section [experiment]: scaling sweeps need at least 3 eps "
+            "values (log-log fit)"
+        )
+    meta = _start("scaling", cfg)
+    out_dir = meta.out_dir
+    emit_svg = cfg.value("run", "emit_svg")
+    if experiment is Experiment.SCALING2_TORUS:
         report, contrast = run_scaling_second_order(plan)
         _write_scaling(contrast, out_dir, "scaling_first_order_contrast", emit_svg)
     elif experiment is Experiment.Y_VS_U:
         report = run_y_vs_u(plan)
     else:
-        print(f"config error: '{experiment.value}' is not a scaling experiment")
-        return EXIT_CONFIG
+        report = run_scaling_first_order(plan)
     _write_scaling(report, out_dir, "scaling", emit_svg)
     meta.write([f"caveat = {c}" for c in report.caveats])
     print(
@@ -138,10 +159,10 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg, out_dir = _prepare(args)
-    meta = RunMetadata("audit", out_dir)
-    cfg = cfg.with_value("run", "experiment", Experiment.KERNEL_AUDIT.value)
-    plan = plan_from_config(cfg)
+    cfg = _prepare(args)
+    plan = plan_from_config(cfg.with_value("run", "experiment", Experiment.KERNEL_AUDIT.value))
+    meta = _start("audit", cfg)
+    out_dir = meta.out_dir
     if plan.n_max > 8:
         print(f"warning: kernel audit at n_max={plan.n_max} is slow (quintic brute force)")
     report = run_kernel_audit(plan)
@@ -154,16 +175,15 @@ def cmd_audit(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    cfg, out_dir = _prepare(args)
-    meta = RunMetadata("growth", out_dir)
+    cfg = _prepare(args)
     plan = plan_from_config(cfg)
+    _require(plan, "growth", Experiment.FOSC_GROWTH, Experiment.SOBOLEV_GROWTH)
+    meta = _start("growth", cfg)
+    out_dir = meta.out_dir
     if plan.experiment is Experiment.FOSC_GROWTH:
         report = run_fosc_growth(plan)
-    elif plan.experiment is Experiment.SOBOLEV_GROWTH:
-        report = run_sobolev_growth(plan)
     else:
-        print(f"config error: '{plan.experiment.value}' is not a growth experiment")
-        return EXIT_CONFIG
+        report = run_sobolev_growth(plan)
     rows = list(zip(report.times, report.norms, report.in_window))
     footer = [
         f"exponent={fmt_float(report.exponent)} window_lo={fmt_float(report.window[0])} "
@@ -171,7 +191,7 @@ def cmd_growth(args) -> int:
         f"qualitative={'true' if report.qualitative else 'false'}"
     ]
     write_csv(os.path.join(out_dir, "growth.csv"), ["t", "norm", "window_flag"], rows, footer)
-    if cfg.get_bool("run", "emit_svg"):
+    if cfg.value("run", "emit_svg"):
         svg_loglog(
             os.path.join(out_dir, "growth.svg"),
             report.times[report.in_window],

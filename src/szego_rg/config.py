@@ -1,8 +1,15 @@
 """Plain-text configuration: key = value lines under [section] headers.
 
-Unknown sections or keys are rejected with the offending name; every key has
-a documented default; parse(emit(cfg)) == cfg.  Empty values mean "use the
-experiment's tuned default" for the keys where that applies.
+SCHEMA holds one typed Key per configuration key: its default, its parser and
+its documentation.  Unknown sections or keys are rejected with the offending
+name; parse(emit(cfg)) == cfg.  RunConfig.value applies one rule to every key:
+an empty value is None only for an optional key, whose documentation says what
+empty means ("empty = ..."); any other empty value, and any value that does
+not parse, is a ConfigError naming the key.
+
+Every [flow], [initial_data], [grid] and [experiment] key is named after the
+field of FlowSpec, InitialDataSpec or ExperimentPlan that it fills, so the
+builders pass whole sections on as keyword arguments.
 """
 
 from __future__ import annotations
@@ -10,8 +17,7 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, replace as dc_replace
-
-import numpy as np
+from typing import Any, Callable
 
 from .dynamics import Flow, FlowSpec
 from .experiments import (
@@ -22,76 +28,95 @@ from .experiments import (
     InitialDataSpec,
     default_plan,
 )
-from .spectral import Domain, make_grid
+from .spectral import TWO_PI, Domain, make_grid
 
 
 class ConfigError(Exception):
     """Invalid configuration: unknown key, bad value, or broken invariant."""
 
 
-# section -> key -> (default string, documentation)
-SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes", "on"):
+        return True
+    if raw.lower() in ("false", "0", "no", "off"):
+        return False
+    raise ValueError("boolean expected")
+
+
+def _list(conv: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """Parser of a comma-separated list of conv values."""
+    return lambda raw: tuple(conv(x) for x in raw.split(",") if x.strip())
+
+
+@dataclass(frozen=True)
+class Key:
+    """One configuration key: default string, parser, documentation, and
+    whether an empty value is allowed (it then reads as None)."""
+
+    default: str
+    parse: Callable[[str], Any]
+    doc: str
+    optional: bool = False
+
+
+EMPTY = "empty = experiment default"
+
+SCHEMA: dict[str, dict[str, Key]] = {
     "run": {
-        "experiment": (
-            "scaling_first_order_torus",
+        "experiment": Key(
+            "scaling_first_order_torus", Experiment,
             "experiment name for the scaling/growth/audit commands",
         ),
-        "seed": ("20240", "seed for seeded random initial data"),
-        "output_dir": ("out", "run directory (flag --out overrides)"),
-        "emit_svg": ("false", "also write SVG plots (flag --svg overrides)"),
+        "seed": Key("20240", int, "seed for seeded random initial data"),
+        "output_dir": Key("out", str, "run directory (flag --out overrides)"),
+        "emit_svg": Key("false", _bool, "also write SVG plots (flag --svg overrides)"),
     },
     "grid": {
-        "n_max": ("", "modes k = -n_max..n_max; empty = experiment default"),
-        "domain": ("", "torus | bigbox; empty = experiment default"),
-        "length": ("", "box length L; ignored on the torus (2*pi)"),
+        "n_max": Key("", int, f"modes k = -n_max..n_max; {EMPTY}", True),
+        "domain": Key("", Domain, f"torus | bigbox; {EMPTY}", True),
+        "length": Key("", float, f"box length L; ignored on the torus (2*pi); {EMPTY}", True),
     },
     "flow": {
-        "flow": ("full_nlw", "full_nlw | first_order_rg | second_order_averaged"),
-        "eps": ("0.1", "coupling amplitude, in (0, 1]"),
-        "dt": ("0.05", "time step"),
-        "t_end": ("1000.0", "integration horizon"),
-        "s": ("1.0", "diagnostic Sobolev index"),
-        "snapshot_stride": ("", "fast-time between snapshots; empty = 0.05/eps^2"),
-        "slow_time_cap": ("100.0", "bound on eps^2 * t_end"),
-        "nonlinear": ("true", "false integrates the free flow only (test hook)"),
+        "flow": Key("full_nlw", Flow, "full_nlw | first_order_rg | second_order_averaged"),
+        "eps": Key("0.1", float, "coupling amplitude, in (0, 1]"),
+        "dt": Key("0.05", float, "time step"),
+        "t_end": Key("1000.0", float, "integration horizon"),
+        "s": Key("1.0", float, "diagnostic Sobolev index"),
+        "snapshot_stride": Key("", float, "fast-time between snapshots; empty = 0.05/eps^2", True),
+        "slow_time_cap": Key("100.0", float, "bound on eps^2 * t_end"),
+        "nonlinear": Key("true", _bool, "false integrates the free flow only (test hook)"),
     },
     "initial_data": {
-        "kind": (
-            "hardy_polynomial",
+        "kind": Key(
+            "hardy_polynomial", DataKind,
             "hardy_polynomial | rational_nongeneric | seeded_random_hardy",
         ),
-        "modes": ("1,2,3", "mode list for hardy_polynomial"),
-        "amplitudes": ("2.0,1.0,0.5", "complex amplitudes for hardy_polynomial"),
-        "decay": ("1.5", "spectral decay exponent for seeded_random_hardy"),
-        "normalization": ("1.0", "target L2 norm; empty keeps raw amplitudes"),
-        "scale": ("1.0", "multiplier applied after normalization"),
+        "modes": Key("1,2,3", _list(int), "mode list for hardy_polynomial"),
+        "amplitudes": Key("2.0,1.0,0.5", _list(complex), "complex amplitudes for hardy_polynomial"),
+        "decay": Key("1.5", float, "spectral decay exponent for seeded_random_hardy"),
+        "normalization": Key("1.0", float, "target L2 norm; empty = keep raw amplitudes", True),
+        "scale": Key("1.0", float, "multiplier applied after normalization"),
     },
     "experiment": {
-        "eps_list": ("", "decreasing sweep values; empty = experiment default"),
-        "s": ("1.0", "Sobolev index of the measured error"),
-        "alpha": ("", "horizon log-power parameter in [0, 1/2]; empty = default"),
-        "delta": ("0.1", "horizon log argument parameter"),
-        "horizon_mode": ("log_corrected", "log_corrected | fixed_slow_time"),
-        "slow_time_cap": ("2.0", "slow-time horizon for fixed_slow_time mode"),
-        "dt": ("", "time step; empty = experiment default"),
-        "snapshots_per_run": ("150", "snapshots per trajectory"),
-        "slope_threshold": ("", "pass threshold override for the fitted slope"),
-        "residual_max": ("", "pass threshold override for the fit residual"),
-        "hypothesis_factor": ("3.0", "flag rows where sup|W| exceeds this factor"),
-        "t_end": ("", "horizon for conservation/growth runs; empty = default"),
-        "growth_t_min": ("", "lower end of the growth fit window"),
-        "growth_t_max": ("", "upper end of the growth fit window"),
-        "growth_points": ("25", "points on the logarithmic t grid"),
-        "audit_fields": ("20", "random fields per kernel-audit check"),
-        "negative_control": ("false", "corrupt one closed form; audit must fail"),
+        "eps_list": Key("", _list(float), f"decreasing sweep values; {EMPTY}", True),
+        "s": Key("1.0", float, "Sobolev index of the measured error"),
+        "alpha": Key("", float, f"horizon log-power parameter in [0, 1/2]; {EMPTY}", True),
+        "delta": Key("0.1", float, "horizon log argument parameter"),
+        "horizon_mode": Key("log_corrected", HorizonMode, "log_corrected | fixed_slow_time"),
+        "slow_time_cap": Key("2.0", float, "slow-time horizon for fixed_slow_time mode"),
+        "dt": Key("", float, f"time step, in (0, 0.5]; {EMPTY}", True),
+        "snapshots_per_run": Key("150", int, "snapshots per trajectory"),
+        "slope_threshold": Key("", float, f"pass threshold for the fitted slope; {EMPTY}", True),
+        "residual_max": Key("", float, f"pass threshold for the fit residual; {EMPTY}", True),
+        "hypothesis_factor": Key("3.0", float, "flag rows where sup|W| exceeds this factor"),
+        "t_end": Key("", float, f"horizon for conservation/growth runs; {EMPTY}", True),
+        "growth_t_min": Key("", float, f"lower end of the growth fit window; {EMPTY}", True),
+        "growth_t_max": Key("", float, f"upper end of the growth fit window; {EMPTY}", True),
+        "growth_points": Key("25", int, "points on the logarithmic t grid"),
+        "audit_fields": Key("20", int, "random fields per kernel-audit check"),
+        "negative_control": Key("false", _bool, "corrupt one closed form; audit must fail"),
     },
 }
-
-_EXPERIMENT_NAMES = {e.value: e for e in Experiment}
-_FLOW_NAMES = {f.value: f for f in Flow}
-_DOMAIN_NAMES = {d.value: d for d in Domain}
-_KIND_NAMES = {k.value: k for k in DataKind}
-_HORIZON_NAMES = {h.value: h for h in HorizonMode}
 
 
 @dataclass(frozen=True)
@@ -114,59 +139,30 @@ class RunConfig:
         )
         return RunConfig(vals)
 
-    # typed accessors -------------------------------------------------------
-
-    def _parse(self, section, key, conv, what):
-        raw = self.get(section, key)
+    def value(self, section: str, key: str) -> Any:
+        """Typed value of one key; None for an empty optional key."""
+        spec = SCHEMA[section][key]
+        raw = self.get(section, key).strip()
+        if not raw:
+            if spec.optional:
+                return None
+            raise ConfigError(f"key '{key}' in section [{section}] must not be empty")
         try:
-            return conv(raw)
-        except (ValueError, KeyError):
+            return spec.parse(raw)
+        except ValueError as exc:
             raise ConfigError(
-                f"bad value '{raw}' for key '{key}' in section [{section}] ({what})"
+                f"bad value '{raw}' for key '{key}' in section [{section}]: {exc}"
             ) from None
 
-    def get_int(self, section, key, default=None):
-        raw = self.get(section, key).strip()
-        if raw == "":
-            return default
-        return self._parse(section, key, int, "integer expected")
-
-    def get_float(self, section, key, default=None):
-        raw = self.get(section, key).strip()
-        if raw == "":
-            return default
-        return self._parse(section, key, float, "number expected")
-
-    def get_bool(self, section, key):
-        raw = self.get(section, key).strip().lower()
-        if raw in ("true", "1", "yes", "on"):
-            return True
-        if raw in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"bad value '{raw}' for key '{key}' in section [{section}] (boolean expected)")
-
-    def get_enum(self, section, key, names, default=None):
-        raw = self.get(section, key).strip()
-        if raw == "":
-            return default
-        return self._parse(section, key, lambda r: names[r], f"one of {sorted(names)}")
-
-    def get_floats(self, section, key, default=None):
-        raw = self.get(section, key).strip()
-        if raw == "":
-            return default
-        return self._parse(
-            section, key, lambda r: tuple(float(x) for x in r.split(",") if x.strip()),
-            "comma-separated numbers",
-        )
+    def section(self, section: str) -> dict[str, Any]:
+        """Typed values of every key of one section."""
+        return {key: self.value(section, key) for key in SCHEMA[section]}
 
 
 def default_config() -> RunConfig:
-    vals = []
-    for section, keys in SCHEMA.items():
-        for key, (default, _doc) in keys.items():
-            vals.append((section, key, default))
-    return RunConfig(tuple(vals))
+    return RunConfig(
+        tuple((s, k, key.default) for s, keys in SCHEMA.items() for k, key in keys.items())
+    )
 
 
 def parse_config(text: str) -> RunConfig:
@@ -210,122 +206,42 @@ def emit_config(cfg: RunConfig) -> str:
 # builders
 
 
-def _seed(cfg: RunConfig) -> int:
-    """[run] seed; an empty value would leave seeded data unreproducible."""
-    if not cfg.get("run", "seed").strip():
-        raise ConfigError("key 'seed' in section [run] must not be empty")
-    return cfg.get_int("run", "seed")
-
-
-def _parse_amplitudes(cfg: RunConfig) -> tuple[complex, ...]:
-    raw = cfg.get("initial_data", "amplitudes")
-    try:
-        return tuple(complex(x) for x in raw.split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(
-            f"bad value '{raw}' for key 'amplitudes' in section [initial_data]"
-        ) from None
+def _set(values: dict[str, Any]) -> dict[str, Any]:
+    """The entries of a section that are not empty."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def initial_data_from_config(cfg: RunConfig) -> InitialDataSpec:
-    kind = cfg.get_enum("initial_data", "kind", _KIND_NAMES)
-    modes_raw = cfg.get("initial_data", "modes")
-    try:
-        modes = tuple(int(x) for x in modes_raw.split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(
-            f"bad value '{modes_raw}' for key 'modes' in section [initial_data]"
-        ) from None
-    return InitialDataSpec(
-        kind=kind,
-        modes=modes,
-        amplitudes=_parse_amplitudes(cfg),
-        seed=_seed(cfg),
-        decay=cfg.get_float("initial_data", "decay"),
-        normalization=cfg.get_float("initial_data", "normalization", default=None),
-        scale=cfg.get_float("initial_data", "scale"),
-    )
+    return InitialDataSpec(seed=cfg.value("run", "seed"), **cfg.section("initial_data"))
 
 
 def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
-    n_max = cfg.get_int("grid", "n_max", default=32)
-    domain = cfg.get_enum("grid", "domain", _DOMAIN_NAMES, default=Domain.TORUS)
-    length = cfg.get_float("grid", "length", default=None)
+    grid = {"n_max": 32, "domain": Domain.TORUS, "length": None, **_set(cfg.section("grid"))}
     try:
-        grid = make_grid(n_max, domain, length)
-        spec = FlowSpec(
-            flow=cfg.get_enum("flow", "flow", _FLOW_NAMES),
-            grid=grid,
-            eps=cfg.get_float("flow", "eps"),
-            dt=cfg.get_float("flow", "dt"),
-            t_end=cfg.get_float("flow", "t_end"),
-            s=cfg.get_float("flow", "s"),
-            snapshot_stride=cfg.get_float("flow", "snapshot_stride", default=None),
-            slow_time_cap=cfg.get_float("flow", "slow_time_cap"),
-            nonlinear=cfg.get_bool("flow", "nonlinear"),
-        )
+        spec = FlowSpec(grid=make_grid(**grid), **cfg.section("flow"))
+        return spec, initial_data_from_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return spec, initial_data_from_config(cfg)
-
-
-_DATA_KEYS_DEFAULT = ("kind", "modes", "amplitudes", "decay", "normalization", "scale")
 
 
 def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
-    """Experiment plan: tuned per-experiment defaults, overridden by any
-    explicitly-set (non-empty / non-default) config values."""
-    experiment = cfg.get_enum("run", "experiment", _EXPERIMENT_NAMES)
-    plan = default_plan(experiment)
-
-    base = default_config()
-    data_overridden = any(
-        cfg.get("initial_data", k) != base.get("initial_data", k)
-        for k in _DATA_KEYS_DEFAULT
-    )
-    if data_overridden:
-        plan = dc_replace(plan, initial_data=initial_data_from_config(cfg))
-    else:
-        plan = dc_replace(
-            plan, initial_data=dc_replace(plan.initial_data, seed=_seed(cfg))
-        )
-
-    overrides = {}
-    if (v := cfg.get_floats("experiment", "eps_list")) is not None:
-        overrides["eps_list"] = v
-    overrides["s"] = cfg.get_float("experiment", "s")
-    if (v := cfg.get_float("experiment", "alpha")) is not None:
-        overrides["alpha"] = v
-    overrides["delta"] = cfg.get_float("experiment", "delta")
-    overrides["horizon_mode"] = cfg.get_enum("experiment", "horizon_mode", _HORIZON_NAMES)
-    overrides["slow_time_cap"] = cfg.get_float("experiment", "slow_time_cap")
-    if (v := cfg.get_float("experiment", "dt")) is not None:
-        overrides["dt"] = v
-    overrides["snapshots_per_run"] = cfg.get_int("experiment", "snapshots_per_run")
-    overrides["slope_threshold"] = cfg.get_float("experiment", "slope_threshold", default=None)
-    overrides["residual_max"] = cfg.get_float("experiment", "residual_max", default=None)
-    overrides["hypothesis_factor"] = cfg.get_float("experiment", "hypothesis_factor")
-    if (v := cfg.get_float("experiment", "t_end")) is not None:
-        overrides["t_end"] = v
-    if (v := cfg.get_float("experiment", "growth_t_min")) is not None:
-        overrides["growth_t_min"] = v
-    if (v := cfg.get_float("experiment", "growth_t_max")) is not None:
-        overrides["growth_t_max"] = v
-    overrides["growth_points"] = cfg.get_int("experiment", "growth_points")
-    overrides["audit_fields"] = cfg.get_int("experiment", "audit_fields")
-    overrides["audit_seed"] = _seed(cfg)
-    overrides["negative_control"] = cfg.get_bool("experiment", "negative_control")
-    if (v := cfg.get_int("grid", "n_max")) is not None:
-        overrides["n_max"] = v
-    if (v := cfg.get_enum("grid", "domain", _DOMAIN_NAMES)) is not None:
-        overrides["domain"] = v
-    if (v := cfg.get_float("grid", "length")) is not None:
-        overrides["length"] = v
-    if overrides.get("domain") is Domain.TORUS:
-        overrides["length"] = 2.0 * np.pi
-
+    """Experiment plan: the experiment's tuned defaults, overridden by every
+    non-empty [experiment] and [grid] value, and by the whole [initial_data]
+    section once any of its values differs from the schema default."""
+    plan = default_plan(cfg.value("run", "experiment"))
+    seed = cfg.value("run", "seed")
+    grid = _set(cfg.section("grid"))
+    if grid.get("domain") is Domain.TORUS:
+        grid["length"] = TWO_PI
     try:
-        plan = dc_replace(plan, **overrides)
+        data_keys = SCHEMA["initial_data"].items()
+        if any(cfg.get("initial_data", k) != key.default for k, key in data_keys):
+            data = initial_data_from_config(cfg)
+        else:
+            data = dc_replace(plan.initial_data, seed=seed)
+        plan = dc_replace(
+            plan, initial_data=data, audit_seed=seed, **_set(cfg.section("experiment")), **grid
+        )
         plan.grid()  # validate grid parameters eagerly
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import resonance as rs
 from .dynamics import (
+    MAX_DT,
     Flow,
     FlowSpec,
     Trajectory,
@@ -62,6 +63,17 @@ class HorizonMode(enum.Enum):
     FIXED_SLOW_TIME = "fixed_slow_time"
 
 
+# the domain an experiment is defined on; the others run on either
+_REQUIRED_DOMAIN = {
+    Experiment.SCALING1_BOX: Domain.BIGBOX,
+    Experiment.SCALING2_TORUS: Domain.TORUS,
+    Experiment.Y_VS_U: Domain.TORUS,
+    Experiment.SOBOLEV_GROWTH: Domain.BIGBOX,
+}
+# first-order sweeps, which get the box checks on the big box
+_FIRST_ORDER = (Experiment.SCALING1_TORUS, Experiment.SCALING1_BOX)
+
+
 @dataclass(frozen=True)
 class InitialDataSpec:
     """Hardy initial data: a mode polynomial, the two-pole rational profile
@@ -80,12 +92,16 @@ class InitialDataSpec:
     normalization: float | None = 1.0
     scale: float = 1.0
 
+    def __post_init__(self):
+        if len(self.modes) != len(self.amplitudes):
+            raise ValueError(f"{len(self.modes)} modes but {len(self.amplitudes)} amplitudes given")
+        if any(k < 0 for k in self.modes):
+            raise ValueError("Hardy polynomial data requires modes k >= 0")
+
     def build(self, grid: FrequencyGrid) -> SpectralField:
         if self.kind is DataKind.HARDY_POLYNOMIAL:
             c = np.zeros(grid.size, dtype=np.complex128)
-            for k, a in zip(self.modes, self.amplitudes, strict=True):
-                if k < 0:
-                    raise ValueError("Hardy polynomial data requires modes k >= 0")
+            for k, a in zip(self.modes, self.amplitudes):
                 c[grid.index(k)] = a
         elif self.kind is DataKind.RATIONAL_NONGENERIC:
             # coefficients (1/L) * F(W0)(xi_k) of the periodized profile;
@@ -157,6 +173,14 @@ class ExperimentPlan:
             raise ValueError("alpha must lie in [0, 1/2]")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        if not 0.0 < self.dt <= MAX_DT:
+            raise ValueError(f"dt must lie in (0, {MAX_DT}], got {self.dt}")
+        required = _REQUIRED_DOMAIN.get(self.experiment)
+        if required is not None and self.domain is not required:
+            raise ValueError(f"{self.experiment.value} requires domain = {required.value}")
+        box = self.domain is Domain.BIGBOX
+        if self.experiment in _FIRST_ORDER and box and self.length < 64.0 * np.pi:
+            raise ValueError("box scaling expects length >= 64*pi")
 
     def grid(self) -> FrequencyGrid:
         return make_grid(self.n_max, self.domain, self.length)
@@ -171,19 +195,17 @@ class ExperimentPlan:
 
 
 def default_plan(experiment: Experiment) -> ExperimentPlan:
-    """Tuned defaults per experiment (all overridable via the config layer)."""
-    base = ExperimentPlan(experiment=experiment)
-    if experiment is Experiment.SCALING1_TORUS:
-        return base
+    """Tuned defaults per experiment (all overridable via the config layer);
+    each plan is built in one step, so its domain rules see it whole."""
     if experiment is Experiment.SCALING2_TORUS:
-        return replace(base, eps_list=(0.2, 0.14, 0.1, 0.07))
+        return ExperimentPlan(experiment, eps_list=(0.2, 0.14, 0.1, 0.07))
     if experiment is Experiment.Y_VS_U:
         # alpha = 1/2 removes the log factor from the horizon; the Y-U gap is
         # purely secular, so any log factor would contaminate the fitted slope
-        return replace(base, eps_list=(0.2, 0.1, 0.05), alpha=0.5)
+        return ExperimentPlan(experiment, eps_list=(0.2, 0.1, 0.05), alpha=0.5)
     if experiment is Experiment.SCALING1_BOX:
-        return replace(
-            base,
+        return ExperimentPlan(
+            experiment,
             eps_list=(0.2, 0.1, 0.05),
             alpha=0.5,
             domain=Domain.BIGBOX,
@@ -196,23 +218,23 @@ def default_plan(experiment: Experiment) -> ExperimentPlan:
         # pinned (n_max=32, dt=0.05, t=1e3) gate; at roughly twice this norm
         # the truncation cascade reaches marginally-resolved modes and the
         # fixed-step quadrature error dominates the drift
-        return replace(
-            base,
+        return ExperimentPlan(
+            experiment,
             eps_list=(0.1,),
             initial_data=InitialDataSpec(normalization=0.4),
             t_end=1000.0,
         )
     if experiment is Experiment.FOSC_GROWTH:
-        return replace(
-            base,
+        return ExperimentPlan(
+            experiment,
             domain=Domain.BIGBOX,
             length=512.0 * np.pi,
             n_max=1024,
             initial_data=InitialDataSpec(kind=DataKind.RATIONAL_NONGENERIC, normalization=None),
         )
     if experiment is Experiment.SOBOLEV_GROWTH:
-        return replace(
-            base,
+        return ExperimentPlan(
+            experiment,
             domain=Domain.BIGBOX,
             length=256.0 * np.pi,
             n_max=32768,
@@ -225,8 +247,8 @@ def default_plan(experiment: Experiment) -> ExperimentPlan:
             ),
         )
     if experiment is Experiment.KERNEL_AUDIT:
-        return replace(base, n_max=8)
-    return base
+        return ExperimentPlan(experiment, n_max=8)
+    return ExperimentPlan(experiment)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +387,6 @@ def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
     On the big box the report carries the line-approximation caveat plus the
     size of the resonant terms the two-term kernel drops.
     """
-    box = plan.domain is Domain.BIGBOX
-    if plan.experiment is Experiment.SCALING1_BOX and not box:
-        raise ValueError("box scaling requires a big-box plan")
-    if box and plan.length < 64.0 * np.pi:
-        raise ValueError("box scaling expects length >= 64*pi")
     grid = plan.grid()
     w0 = plan.initial_data.build(grid)
     w0_norm = sobolev_norm(w0, plan.s)
@@ -386,7 +403,7 @@ def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
         return ScalingRow(eps, t_end, sup, sup_w, flagged)
 
     rows = [row(eps) for eps in plan.eps_list]
-    if not box:
+    if plan.domain is Domain.TORUS:
         slope_min = 2.7 if plan.slope_threshold is None else plan.slope_threshold
         residual_max = 0.15 if plan.residual_max is None else plan.residual_max
         return _finish_scaling(plan, rows, slope_min=slope_min, residual_max=residual_max)
@@ -401,7 +418,9 @@ def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
         f"diagonal={split['diagonal']:.3e}, zero_coupled={split['zero_coupled']:.3e}",
     )
     slope_min = 1.7 if plan.slope_threshold is None else plan.slope_threshold
-    return _finish_scaling(plan, rows, caveats=caveats, slope_min=slope_min)
+    return _finish_scaling(
+        plan, rows, caveats=caveats, slope_min=slope_min, residual_max=plan.residual_max
+    )
 
 
 def run_scaling_second_order(plan: ExperimentPlan) -> tuple[ScalingReport, ScalingReport]:
@@ -413,8 +432,6 @@ def run_scaling_second_order(plan: ExperimentPlan) -> tuple[ScalingReport, Scali
     law.  Returns (second_order_report, first_order_contrast_report), both
     measured on the same full-flow trajectories.
     """
-    if plan.domain is not Domain.TORUS:
-        raise ValueError("second-order scaling is defined on the torus")
     grid = plan.grid()
     w0 = plan.initial_data.build(grid)
     w0_norm = sobolev_norm(w0, plan.s)
@@ -455,8 +472,6 @@ def run_scaling_second_order(plan: ExperimentPlan) -> tuple[ScalingReport, Scali
 def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
     """Compare the averaged flow (with its quintic correction) against the
     bare resonant flow from the same data; the gap scales like eps^2."""
-    if plan.domain is not Domain.TORUS:
-        raise ValueError("the Y-vs-U comparison is defined on the torus")
     grid = plan.grid()
     w0 = plan.initial_data.build(grid)
     w0_norm = sobolev_norm(w0, plan.s)
@@ -558,8 +573,6 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
     rescales effective time by its square (exact symmetry of the flow) and
     leaves the exponent unchanged.
     """
-    if plan.domain is not Domain.BIGBOX:
-        raise ValueError("the Sobolev growth study runs on the big box")
     grid = plan.grid()
     w0 = plan.initial_data.build(grid)
     snapshots = max(plan.growth_points * 2, 40)

@@ -1,5 +1,6 @@
 """Configuration round trip, CLI commands, CSV formats, determinism."""
 
+import dataclasses
 import os
 import xml.etree.ElementTree as ET
 
@@ -7,13 +8,15 @@ import pytest
 
 from szego_rg.cli import main
 from szego_rg.config import (
+    SCHEMA,
     ConfigError,
     default_config,
     emit_config,
     parse_config,
     plan_from_config,
 )
-from szego_rg.experiments import Experiment
+from szego_rg.dynamics import FlowSpec
+from szego_rg.experiments import Experiment, ExperimentPlan, InitialDataSpec
 
 
 class TestConfig:
@@ -41,19 +44,25 @@ class TestConfig:
     def test_bad_value_names_key(self):
         cfg = default_config().with_value("flow", "eps", "banana")
         with pytest.raises(ConfigError, match="eps"):
-            cfg.get_float("flow", "eps")
+            cfg.value("flow", "eps")
 
-    def test_empty_seed_exits_one(self, tmp_path, capsys):
-        cfg = write(
-            tmp_path,
-            "s.cfg",
-            "[run]\nexperiment = y_vs_u\nseed =\n\n"
-            "[initial_data]\nkind = seeded_random_hardy\n",
-        )
-        assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
-        err = capsys.readouterr().err
-        assert "config error" in err and "seed" in err
-        assert "Traceback" not in err
+    @pytest.mark.parametrize(
+        "section, cls",
+        [
+            ("flow", FlowSpec),
+            ("initial_data", InitialDataSpec),
+            ("grid", ExperimentPlan),
+            ("experiment", ExperimentPlan),
+        ],
+    )
+    def test_keys_name_dataclass_fields(self, section, cls):
+        # the builders pass whole sections on as keyword arguments
+        assert set(SCHEMA[section]) <= {f.name for f in dataclasses.fields(cls)}
+
+    def test_optional_keys_document_empty(self):
+        for keys in SCHEMA.values():
+            for name, key in keys.items():
+                assert key.optional == ("empty =" in key.doc), name
 
     def test_plan_defaults_preserved(self):
         cfg = default_config().with_value("run", "experiment", "sobolev_growth")
@@ -77,6 +86,53 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+# (command, configuration, key the error must name)
+BAD_INPUTS = {
+    "empty_growth_points": (
+        "growth", "[run]\nexperiment = fosc_growth\n\n[experiment]\ngrowth_points =\n",
+        "growth_points",
+    ),
+    "empty_flow_eps": ("simulate", "[flow]\neps =\n", "eps"),
+    "empty_flow_flow": ("simulate", "[flow]\nflow =\n", "flow"),
+    "empty_experiment": ("scaling", "[run]\nexperiment =\n", "experiment"),
+    "empty_snapshots_per_run": (
+        "scaling", "[experiment]\nsnapshots_per_run =\n", "snapshots_per_run",
+    ),
+    "empty_audit_fields": ("audit", "[experiment]\naudit_fields =\n", "audit_fields"),
+    "empty_scale": ("simulate", "[initial_data]\nscale =\n", "scale"),
+    "empty_experiment_s": ("scaling", "[experiment]\ns =\n", "'s'"),
+    "empty_horizon_mode": ("scaling", "[experiment]\nhorizon_mode =\n", "horizon_mode"),
+    "modes_without_amplitudes": ("simulate", "[initial_data]\nmodes = 1,2\n", "modes"),
+    "y_vs_u_on_box": (
+        "scaling", "[run]\nexperiment = y_vs_u\n\n[grid]\ndomain = bigbox\n", "domain",
+    ),
+    "dt_too_large": ("scaling", "[experiment]\ndt = 0.9\n", "dt"),
+    "empty_seed": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\nseed =\n\n[initial_data]\nkind = seeded_random_hardy\n",
+        "seed",
+    ),
+    "short_sweep": (
+        "scaling", "[run]\nexperiment = y_vs_u\n\n[experiment]\neps_list = 0.2,0.1\n",
+        "eps_list",
+    ),
+    "growth_of_scaling_experiment": ("growth", "[run]\nexperiment = y_vs_u\n", "experiment"),
+    "scaling_of_growth_experiment": ("scaling", "[run]\nexperiment = fosc_growth\n", "experiment"),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_named_config_error(self, case, tmp_path, capsys):
+        command, text, key = BAD_INPUTS[case]
+        out = tmp_path / "run"
+        assert main([command, "--config", write(tmp_path, "bad.cfg", text), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert "Traceback" not in err
+        assert not (out / "config_resolved.cfg").exists()
 
 
 SIM_CFG = """

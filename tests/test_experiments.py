@@ -141,14 +141,29 @@ class TestScalingRuns:
             assert x == y  # bitwise-identical rows
 
     def test_box_plan_too_short_rejected(self):
-        plan = replace(default_plan(Experiment.SCALING1_BOX), length=16.0 * np.pi)
         with pytest.raises(ValueError, match="64"):
-            run_scaling_first_order(plan)
+            replace(default_plan(Experiment.SCALING1_BOX), length=16.0 * np.pi)
 
     def test_box_experiment_needs_box_domain(self):
-        plan = replace(default_plan(Experiment.SCALING1_BOX), domain=Domain.TORUS, length=TWO_PI)
-        with pytest.raises(ValueError, match="big-box"):
-            run_scaling_first_order(plan)
+        with pytest.raises(ValueError, match="domain = bigbox"):
+            replace(default_plan(Experiment.SCALING1_BOX), domain=Domain.TORUS, length=TWO_PI)
+
+    def test_box_residual_bound_applied(self):
+        # an explicit residual_max must bind on the box as on the torus; no
+        # rms residual is below -1, so the sweep cannot pass
+        plan = replace(
+            default_plan(Experiment.SCALING1_BOX),
+            eps_list=(0.4, 0.3, 0.2),
+            n_max=16,
+            dt=0.1,
+            snapshots_per_run=20,
+            slope_threshold=0.0,
+            residual_max=-1.0,
+        )
+        report = run_scaling_first_order(plan)
+        assert not any(r.failed for r in report.rows)
+        assert report.fitted_slope >= 0.0
+        assert not report.passed
 
     def test_horizon_recorded_exactly(self):
         plan = _fast_torus_plan()
