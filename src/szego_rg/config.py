@@ -215,13 +215,24 @@ def initial_data_from_config(cfg: RunConfig) -> InitialDataSpec:
     return InitialDataSpec(seed=cfg.value("run", "seed"), **cfg.section("initial_data"))
 
 
+def _check_modes(data: InitialDataSpec, n_max: int) -> None:
+    """Reject polynomial data with a mode outside the grid range."""
+    if data.kind is DataKind.HARDY_POLYNOMIAL and max(data.modes, default=0) > n_max:
+        raise ConfigError(
+            f"key 'modes' in section [initial_data]: mode {max(data.modes)} lies outside "
+            f"the grid range +-{n_max}"
+        )
+
+
 def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
     grid = {"n_max": 32, "domain": Domain.TORUS, "length": None, **_set(cfg.section("grid"))}
     try:
         spec = FlowSpec(grid=make_grid(**grid), **cfg.section("flow"))
-        return spec, initial_data_from_config(cfg)
+        data = initial_data_from_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    _check_modes(data, spec.grid.n_max)
+    return spec, data
 
 
 def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
@@ -245,4 +256,5 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
         plan.grid()  # validate grid parameters eagerly
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    _check_modes(plan.initial_data, plan.n_max)
     return plan

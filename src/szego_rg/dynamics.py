@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .resonance import f_res_closed, F_osc_torus, r2_closed_hardy, require_hardy
+from .resonance import F_osc, f_res_closed, r2_closed_hardy, require_hardy
 from .spectral import (
     Domain,
     FrequencyGrid,
@@ -226,6 +226,6 @@ def second_order_ansatz(w_traj: Trajectory) -> Callable[[float], SpectralField]:
 
     def ansatz(t: float) -> SpectralField:
         scaled = eps * w_traj.state_at(t)
-        return free_flow(scaled + F_osc_torus(scaled, t), t)
+        return free_flow(scaled + F_osc(scaled, t), t)
 
     return ansatz

@@ -175,6 +175,14 @@ class ExperimentPlan:
             raise ValueError("delta must be positive")
         if not 0.0 < self.dt <= MAX_DT:
             raise ValueError(f"dt must lie in (0, {MAX_DT}], got {self.dt}")
+        if self.s < 0.5:
+            raise ValueError(f"diagnostic norm index s must be >= 1/2, got {self.s}")
+        if self.snapshots_per_run < 1:
+            raise ValueError(f"snapshots_per_run must be >= 1, got {self.snapshots_per_run}")
+        if self.experiment is Experiment.FOSC_GROWTH and self.growth_points < 3:
+            raise ValueError(
+                f"growth_points must be >= 3 for the log-log fit, got {self.growth_points}"
+            )
         required = _REQUIRED_DOMAIN.get(self.experiment)
         if required is not None and self.domain is not required:
             raise ValueError(f"{self.experiment.value} requires domain = {required.value}")
@@ -440,7 +448,7 @@ def run_scaling_second_order(plan: ExperimentPlan) -> tuple[ScalingReport, Scali
         t_end = plan.horizon(eps)
         sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end)
         cal_w0 = eps * w0
-        v0 = cal_w0 + rs.F_osc_torus(cal_w0, 0.0)
+        v0 = cal_w0 + rs.F_osc(cal_w0, 0.0)
         v_traj = integrate(sp(Flow.FULL_NLW), v0)
         w2_traj = integrate(sp(Flow.SECOND_ORDER_AVERAGED), w0)
         w1_traj = integrate(sp(Flow.FIRST_ORDER_RG), w0)
@@ -534,9 +542,8 @@ def run_fosc_growth(plan: ExperimentPlan) -> GrowthReport:
     ts = np.logspace(
         np.log10(plan.growth_t_min), np.log10(plan.growth_t_max), plan.growth_points
     )
+    norms = np.array([sobolev_norm(rs.F_osc(w0, t), plan.s) for t in ts])
     if plan.domain is Domain.BIGBOX:
-        rs.require_hardy(w0)
-        norms = np.array([sobolev_norm(rs.F_osc_line(w0, t), plan.s) for t in ts])
         saturation = plan.length / 2.0
         in_window = ts <= saturation
         warnings = ()
@@ -546,7 +553,6 @@ def run_fosc_growth(plan: ExperimentPlan) -> GrowthReport:
                 f"sinc concentration; those rows are excluded from the fit",
             )
     else:
-        norms = np.array([sobolev_norm(rs.F_osc_torus(w0, t), plan.s) for t in ts])
         in_window = np.ones_like(ts, dtype=bool)
         warnings = ()
     slope, _, _ = fit_loglog(ts[in_window], norms[in_window])
@@ -680,7 +686,7 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
         w = random_field(gb, rng, hardy=True)
         err = max(
             err,
-            max_diff(rs.F_osc_line(w, t), rs.osc_primitive_bruteforce(w, t, from_zero=True)),
+            max_diff(rs.F_osc(w, t), rs.osc_primitive_bruteforce(w, t, from_zero=True)),
         )
     rows.append(AuditRow("F_osc_line_vs_quadruple_sum", err, 1e-10, err <= 1e-10))
 

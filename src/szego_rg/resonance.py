@@ -20,11 +20,13 @@ Two antiderivative conventions coexist:
   * torus: the unique zero-mean-in-t primitive, term weight exp(i*t*phi)/(i*phi);
   * line:  the primitive vanishing at t = 0, weight (exp(i*t*phi) - 1)/(i*phi).
 
-Closed forms are provided for f_res on both geometries, for F_osc on the box
-with Hardy input (where the phase collapses to -2*xi on output frequency xi),
-and for the resonant quintic kernel r2 = {f'(W,t).F_osc(W,t)}_res with Hardy
-input.  Every closed form has a direct-summation brute-force oracle in this
-module; the two routes share nothing but the field type.
+Closed forms are provided for f_res on both geometries, for F_osc on both
+geometries with Hardy input (where the phase collapses to -2*xi on output
+frequency xi), and for the resonant quintic kernel
+r2 = {f'(W,t).F_osc(W,t)}_res with Hardy input.  Every closed form has a
+direct-summation brute-force oracle in this module; the two routes share
+nothing but the field type, and the oracles (r2_time_average, n2_rhs) use
+only the brute-force primitive.
 
 In brute-force sums the inner mode indices are confined to the grid range
 |k| <= n_max, consistent with compositions through grid-truncated fields
@@ -358,32 +360,28 @@ def osc_primitive_bruteforce(
     return SpectralField(grid, out)
 
 
-def F_osc_torus(u: SpectralField, t: float) -> SpectralField:
-    """Zero-mean-in-t antiderivative of f_osc on the torus."""
-    if u.grid.domain is not Domain.TORUS:
-        raise ValueError("F_osc_torus requires a torus grid")
-    return osc_primitive_bruteforce(u, t, from_zero=False)
-
-
-def F_osc_line(w_field: SpectralField, t: float) -> SpectralField:
-    """Closed-form box antiderivative for Hardy input.
+def F_osc(w_field: SpectralField, t: float) -> SpectralField:
+    """Closed-form antiderivative of f_osc for Hardy input.
 
     For W supported on k >= 0 every non-resonant quadruple has output mode
-    k < 0 and phase -2*xi(k), so
+    k < 0 and phase -2*xi(k), so on xi < 0
 
-        F_osc_hat(xi) = (exp(-2 i t xi) - 1) / (2 xi) * F(|W|^2 W)(xi),  xi < 0,
+        F_osc_hat(xi) = exp(-2 i t xi) / (2 xi) * F(|W|^2 W)(xi)          (torus)
+        F_osc_hat(xi) = (exp(-2 i t xi) - 1) / (2 xi) * F(|W|^2 W)(xi)    (box)
 
-    and zero on xi >= 0.  Vanishes at t = 0.
+    and zero on xi >= 0.  The convention follows the grid, as in dF_osc: the
+    torus primitive has zero t-mean, the box primitive vanishes at t = 0.
     """
-    if w_field.grid.domain is not Domain.BIGBOX:
-        raise ValueError("F_osc_line requires a big-box grid")
     require_hardy(w_field)
     grid = w_field.grid
     cube = cubic_product(w_field)
     xi = grid.freqs
     out = np.zeros(grid.size, dtype=np.complex128)
     neg = grid.modes < 0
-    out[neg] = (np.exp(-2j * t * xi[neg]) - 1.0) / (2.0 * xi[neg]) * cube.coeff[neg]
+    if grid.domain is Domain.TORUS:
+        out[neg] = np.exp(-2j * t * xi[neg]) / (2.0 * xi[neg]) * cube.coeff[neg]
+    else:
+        out[neg] = (np.exp(-2j * t * xi[neg]) - 1.0) / (2.0 * xi[neg]) * cube.coeff[neg]
     return SpectralField(grid, out)
 
 
@@ -565,7 +563,8 @@ def r2_time_average(w_field: SpectralField, n_samples: int | None = None) -> Spe
     acc = np.zeros(grid.size, dtype=np.complex128)
     for r in range(r_nodes):
         t = 2.0 * np.pi * r / r_nodes
-        acc += fprime_dot(w_field, t, F_osc_torus(w_field, t)).coeff
+        primitive = osc_primitive_bruteforce(w_field, t, from_zero=False)
+        acc += fprime_dot(w_field, t, primitive).coeff
     return SpectralField(grid, acc / r_nodes)
 
 
@@ -638,7 +637,7 @@ def n2_field(w_field: SpectralField, t: float) -> SpectralField:
 def n2_rhs(w_field: SpectralField, t: float) -> SpectralField:
     """Defining right-hand side of d/dt N2, assembled from independent parts:
     f'(W,t).F_osc(W,t) minus its resonant part r2 minus F'_osc(W,t).f_res(W)."""
-    a = fprime_dot(w_field, t, F_osc_torus(w_field, t))
+    a = fprime_dot(w_field, t, osc_primitive_bruteforce(w_field, t, from_zero=False))
     b = r2_bruteforce(w_field)
     c = dF_osc(w_field, t, f_res_closed_torus(w_field))
     return SpectralField(w_field.grid, a.coeff - b.coeff - c.coeff)

@@ -120,6 +120,20 @@ BAD_INPUTS = {
     ),
     "growth_of_scaling_experiment": ("growth", "[run]\nexperiment = y_vs_u\n", "experiment"),
     "scaling_of_growth_experiment": ("scaling", "[run]\nexperiment = fosc_growth\n", "experiment"),
+    "norm_index_below_half": ("scaling", "[experiment]\ns = 0.2\n", "norm index s"),
+    "zero_snapshots_per_run": (
+        "scaling", "[experiment]\nsnapshots_per_run = 0\n", "snapshots_per_run",
+    ),
+    "two_growth_points": (
+        "growth", "[run]\nexperiment = fosc_growth\n\n[experiment]\ngrowth_points = 2\n",
+        "growth_points",
+    ),
+    "mode_outside_grid_simulate": (
+        "simulate", "[initial_data]\nmodes = 1,2,40\namplitudes = 1,1,1\n", "modes",
+    ),
+    "mode_outside_grid_scaling": (
+        "scaling", "[initial_data]\nmodes = 1,2,40\namplitudes = 1,1,1\n", "modes",
+    ),
 }
 
 

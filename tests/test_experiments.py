@@ -243,7 +243,7 @@ class TestGrowthRuns:
 
         plan = default_plan(Experiment.FOSC_GROWTH)
         w0 = plan.initial_data.build(plan.grid())
-        assert np.all(rs.F_osc_line(w0, 0.0).coeff == 0.0)
+        assert np.all(rs.F_osc(w0, 0.0).coeff == 0.0)
 
 
 class TestKernelAudit:

@@ -209,16 +209,18 @@ class TestOscillatoryPart:
 
 
 class TestOscPrimitive:
+    """The general (non-Hardy) torus primitive, the zero-t-mean quadruple sum."""
+
     def test_single_mode_zero(self, torus8):
         u = field_from_modes(torus8, {2: 1.0})
         for t in (0.0, 1.0, 5.0):
-            assert np.all(rs.F_osc_torus(u, t).coeff == 0.0)
+            assert np.all(rs.osc_primitive_bruteforce(u, t, from_zero=False).coeff == 0.0)
 
     def test_time_derivative_matches_f_osc(self, rand_torus8):
         t, h = 0.5, 1e-4
         fd = (
-            rs.F_osc_torus(rand_torus8, t + h).coeff
-            - rs.F_osc_torus(rand_torus8, t - h).coeff
+            rs.osc_primitive_bruteforce(rand_torus8, t + h, from_zero=False).coeff
+            - rs.osc_primitive_bruteforce(rand_torus8, t - h, from_zero=False).coeff
         ) / (2.0 * h)
         assert np.max(np.abs(fd - rs.f_osc(rand_torus8, t).coeff)) <= 1e-6
 
@@ -228,7 +230,8 @@ class TestOscPrimitive:
             ref_osc_primitive(coeffs_to_dict(rand_torus8), rand_torus8.grid.n_max, t, False),
             rand_torus8.grid.n_max,
         )
-        assert np.max(np.abs(rs.F_osc_torus(rand_torus8, t).coeff - ref)) <= 1e-12
+        primitive = rs.osc_primitive_bruteforce(rand_torus8, t, from_zero=False)
+        assert np.max(np.abs(primitive.coeff - ref)) <= 1e-12
 
     def test_bounded_by_cubic_norm(self, torus8, rng):
         # the torus bound is time uniform: record the constant over a sweep
@@ -237,24 +240,52 @@ class TestOscPrimitive:
             u = random_field(torus8, rng, decay=1.5)
             denom = sobolev_norm(u, 1.0) ** 3
             for t in (0.0, 3.0, 30.0, 300.0):
-                ratios.append(sobolev_norm(rs.F_osc_torus(u, t), 1.0) / denom)
+                primitive = rs.osc_primitive_bruteforce(u, t, from_zero=False)
+                ratios.append(sobolev_norm(primitive, 1.0) / denom)
         assert max(ratios) < 10.0
 
-    def test_wrong_domain_rejected(self, box8):
+
+class TestFOscTorus:
+    """The Hardy closed form against the quadruple sum, zero t-mean."""
+
+    @pytest.mark.parametrize("n_max", [8, 32])
+    def test_matches_quadruple_sum(self, n_max, rng, coeff_diff):
+        w = random_field(make_grid(n_max, Domain.TORUS), rng, hardy=True)
+        for t in (0.0, 0.9, 4.2):
+            assert (
+                coeff_diff(rs.F_osc(w, t), rs.osc_primitive_bruteforce(w, t, from_zero=False))
+                <= 1e-10
+            )
+
+    def test_value_at_zero(self, torus8, rng):
+        w = random_field(torus8, rng, hardy=True)
+        neg = torus8.modes < 0
+        expected = np.zeros(torus8.size, dtype=complex)
+        expected[neg] = np.exp(0.0) / (2.0 * torus8.freqs[neg]) * cubic_product(w).coeff[neg]
+        f = rs.F_osc(w, 0.0)
+        assert np.all(f.coeff == expected)
+        assert np.max(np.abs(f.coeff)) > 0.0
+
+    def test_output_supported_on_negative_modes(self, torus8, rng):
+        w = random_field(torus8, rng, hardy=True)
+        f = rs.F_osc(w, 3.0)
+        assert np.all(f.coeff[torus8.modes >= 0] == 0.0)
+
+    def test_non_hardy_rejected(self, torus8, rng):
         with pytest.raises(ValueError):
-            rs.F_osc_torus(field_from_modes(box8, {1: 1.0}), 0.0)
+            rs.F_osc(random_field(torus8, rng, hardy=False), 1.0)
 
 
 class TestOscPrimitiveLine:
     def test_vanishes_at_zero(self, box8, rng):
         w = random_field(box8, rng, hardy=True)
-        assert np.all(rs.F_osc_line(w, 0.0).coeff == 0.0)
+        assert np.all(rs.F_osc(w, 0.0).coeff == 0.0)
 
     def test_matches_quadruple_sum(self, box8, rng, coeff_diff):
         w = random_field(box8, rng, hardy=True)
         for t in (0.9, 4.2):
             assert (
-                coeff_diff(rs.F_osc_line(w, t), rs.osc_primitive_bruteforce(w, t, from_zero=True))
+                coeff_diff(rs.F_osc(w, t), rs.osc_primitive_bruteforce(w, t, from_zero=True))
                 <= 1e-10
             )
 
@@ -267,17 +298,29 @@ class TestOscPrimitiveLine:
             ),
             box8.n_max,
         )
-        assert np.max(np.abs(rs.F_osc_line(w, t).coeff - ref)) <= 1e-12
+        assert np.max(np.abs(rs.F_osc(w, t).coeff - ref)) <= 1e-12
 
     def test_non_hardy_rejected(self, box8, rng):
         u = random_field(box8, rng, hardy=False)
         with pytest.raises(ValueError):
-            rs.F_osc_line(u, 1.0)
+            rs.F_osc(u, 1.0)
 
     def test_output_supported_on_negative_modes(self, box8, rng):
         w = random_field(box8, rng, hardy=True)
-        f = rs.F_osc_line(w, 3.0)
+        f = rs.F_osc(w, 3.0)
         assert np.all(f.coeff[box8.modes >= 0] == 0.0)
+
+    def test_equals_former_box_expression(self, rng):
+        # the box branch is the earlier box-only closed form, token for token
+        grid = make_grid(32, Domain.BIGBOX, 64.0 * np.pi)
+        w = random_field(grid, rng, hardy=True)
+        cube = cubic_product(w)
+        xi = grid.freqs
+        neg = grid.modes < 0
+        for t in (0.7, 38.4):
+            expected = np.zeros(grid.size, dtype=np.complex128)
+            expected[neg] = (np.exp(-2j * t * xi[neg]) - 1.0) / (2.0 * xi[neg]) * cube.coeff[neg]
+            assert np.array_equal(rs.F_osc(w, t).coeff, expected)
 
 
 class TestDerivatives:
@@ -301,8 +344,8 @@ class TestDerivatives:
         h = factor * random_field(rand_torus8.grid, rng)
         t, d = 0.3, 1e-5
         fd = (
-            rs.F_osc_torus(rand_torus8 + d * h, t).coeff
-            - rs.F_osc_torus(rand_torus8 - d * h, t).coeff
+            rs.osc_primitive_bruteforce(rand_torus8 + d * h, t, from_zero=False).coeff
+            - rs.osc_primitive_bruteforce(rand_torus8 - d * h, t, from_zero=False).coeff
         ) / (2.0 * d)
         an = rs.dF_osc(rand_torus8, t, h).coeff
         assert np.max(np.abs(fd - an)) <= 1e-6 * np.max(np.abs(an))
