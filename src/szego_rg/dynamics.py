@@ -13,12 +13,19 @@ Three flows share one integrator:
 States of the effective flows are stored unscaled (W); the physical field is
 eps * W, which the ansatz constructors apply.  Fixed step size, deterministic
 snapshot schedule, and a blow-up guard that truncates instead of raising.
+
+The effective flows have no fast linear part: they evolve on the slow time
+tau = eps^2 t.  With FlowSpec.slow_dt set, integrate covers each gap between
+two snapshots with a few equal RK4 substeps of slow-time size at most slow_dt
+instead of every fast step; the snapshot times stay those of the fast step,
+so the trajectory still lines up with a full-flow trajectory of the same spec.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +43,7 @@ from .spectral import (
 )
 
 MAX_DT = 0.5
+SLOW_DT = 0.005  # slow-time substep of the effective flows' sweeps
 BLOWUP_FACTOR = 1e3
 
 
@@ -50,8 +58,10 @@ class FlowSpec:
     """Which evolution to integrate, with step size and horizon.
 
     snapshot_stride is in fast-time units; None selects the default of 0.05
-    slow-time units (0.05/eps^2).  nonlinear=False is a test hook that
-    integrates the free flow only.
+    slow-time units (0.05/eps^2).  slow_dt, for the effective flows only,
+    bounds the slow-time size of the substeps that cover each gap between
+    snapshots (None steps every fast step).  nonlinear=False is a test hook
+    that integrates the free flow only.
     """
 
     flow: Flow
@@ -63,6 +73,7 @@ class FlowSpec:
     snapshot_stride: float | None = None
     slow_time_cap: float = 100.0
     nonlinear: bool = True
+    slow_dt: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -80,16 +91,35 @@ class FlowSpec:
             )
         if self.flow is Flow.SECOND_ORDER_AVERAGED and self.grid.domain is not Domain.TORUS:
             raise ValueError("the second-order averaged flow is defined on the torus")
+        if self.slow_dt is not None:
+            if self.flow is Flow.FULL_NLW:
+                raise ValueError("slow_dt is for the effective flows; the full flow steps fast")
+            if not self.slow_dt > 0.0:
+                raise ValueError(f"slow_dt must be positive, got {self.slow_dt}")
+
+    def schedule(self) -> tuple[float, list[int]]:
+        """The fast step h = t_end/n_steps, n_steps = ceil(t_end/dt), and the
+        snapshot steps after t = 0: every round(stride/h)-th step and the
+        last.  The snapshot times are step * h."""
+        n_steps = max(1, int(np.ceil(self.t_end / self.dt - 1e-12)))
+        h = self.t_end / n_steps
+        stride = self.snapshot_stride
+        if stride is None:
+            stride = 0.05 / self.eps**2
+        snap_every = max(1, round(stride / h))
+        return h, [*range(snap_every, n_steps, snap_every), n_steps]
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one integrated flow at strictly increasing times from 0."""
+    """Snapshots of one integrated flow at strictly increasing times from 0;
+    steps counts the RK4 steps taken."""
 
     times: np.ndarray
     states: tuple[SpectralField, ...]
     flow_spec: FlowSpec
     blown_up: bool = False
+    steps: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -146,24 +176,24 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
 
     The propagator exp(-i|D|t) is diagonal in Fourier space, so only the
     nonlinearity is stepped; the effective flows have no stiff linear part
-    and reduce to plain RK4.  Snapshots are stored on the configured stride,
-    always including t = 0 and t_end.  A blow-up guard truncates the
-    trajectory once the H^{1/2} norm exceeds 1e3 times its initial value.
+    and reduce to plain RK4.  Snapshots are stored on the configured stride
+    (FlowSpec.schedule), always including t = 0 and t_end.  A gap of g fast
+    steps of size h between two snapshots is covered by m = ceil(g h eps^2 /
+    slow_dt) equal substeps of size g h / m when spec.slow_dt is set and
+    m < g, and by the g fast steps otherwise, so a slow step no coarser than
+    the fast one changes nothing.  A blow-up guard truncates the trajectory
+    once the H^{1/2} norm exceeds 1e3 times its initial value.
     """
     if v0.grid != spec.grid:
         raise ValueError("initial field is not on the FlowSpec grid")
     if not np.all(np.isfinite(v0.coeff)):
         raise ValueError("initial field has non-finite coefficients")
 
-    n_steps = max(1, int(np.ceil(spec.t_end / spec.dt - 1e-12)))
-    h = spec.t_end / n_steps
-    stride = spec.snapshot_stride
-    if stride is None:
-        stride = 0.05 / spec.eps**2
-    snap_every = max(1, round(stride / h))
-
+    h, snap_steps = spec.schedule()
     grid = spec.grid
     omega = np.abs(grid.freqs) if spec.flow is Flow.FULL_NLW else np.zeros(grid.size)
+    # exactly 1 for the effective flows, so their substeps may take any
+    # size; the full flow only ever steps h
     e_half = np.exp(-1j * omega * (h / 2.0))
     e_full = e_half * e_half
 
@@ -172,29 +202,42 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
     hardy = bool(np.all(v0.coeff[grid.modes < 0] == 0.0))
     nonlin = _nonlinear_term(spec, hardy)
 
+    # every RK4 step as (size, snapshot step index or 0); the stages stay
+    # inline in one loop, where each step's arrays are freed only as the
+    # next step replaces them
+    substeps = []
+    done = 0
+    for step in snap_steps:
+        g = step - done
+        n = g if spec.slow_dt is None else min(g, math.ceil(g * h * spec.eps**2 / spec.slow_dt))
+        k = h if n == g else g * h / n
+        substeps += [(k, 0)] * (n - 1) + [(k, step)]
+        done = step
+
     guard = BLOWUP_FACTOR * max(sobolev_norm(v0, 0.5), 1e-30)
     c = v0.coeff.copy()
     times = [0.0]
     states = [v0]
     blown_up = False
+    steps = 0
 
-    for step in range(1, n_steps + 1):
+    for k, step in substeps:
         n1 = nonlin(c)
-        n2 = nonlin(e_half * (c + (h / 2.0) * n1))
-        n3 = nonlin(e_half * c + (h / 2.0) * n2)
-        n4 = nonlin(e_full * c + h * e_half * n3)
-        c = e_full * c + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+        n2 = nonlin(e_half * (c + (k / 2.0) * n1))
+        n3 = nonlin(e_half * c + (k / 2.0) * n2)
+        n4 = nonlin(e_full * c + k * e_half * n3)
+        c = e_full * c + (k / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+        steps += 1
 
-        if step % snap_every == 0 or step == n_steps:
+        if step:
             state = SpectralField(grid, c)
-            t = step * h
-            times.append(t)
+            times.append(step * h)
             states.append(state)
             if not np.all(np.isfinite(c)) or sobolev_norm(state, 0.5) > guard:
                 blown_up = True
                 break
 
-    return Trajectory(np.array(times), tuple(states), spec, blown_up)
+    return Trajectory(np.array(times), tuple(states), spec, blown_up, steps)
 
 
 # ---------------------------------------------------------------------------

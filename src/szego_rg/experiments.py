@@ -17,6 +17,7 @@ import numpy as np
 from . import resonance as rs
 from .dynamics import (
     MAX_DT,
+    SLOW_DT,
     Flow,
     FlowSpec,
     Trajectory,
@@ -72,6 +73,7 @@ _REQUIRED_DOMAIN = {
 }
 # first-order sweeps, which get the box checks on the big box
 _FIRST_ORDER = (Experiment.SCALING1_TORUS, Experiment.SCALING1_BOX)
+_GROWTH = (Experiment.FOSC_GROWTH, Experiment.SOBOLEV_GROWTH)
 
 
 @dataclass(frozen=True)
@@ -189,9 +191,36 @@ class ExperimentPlan:
         box = self.domain is Domain.BIGBOX
         if self.experiment in _FIRST_ORDER and box and self.length < 64.0 * np.pi:
             raise ValueError("box scaling expects length >= 64*pi")
+        if self.experiment in _GROWTH:
+            self._check_growth_window()
+
+    def _check_growth_window(self):
+        """At least 3 fit points must fall inside the growth window."""
+        lo, hi = self.growth_t_min, self.growth_t_max
+        window = f"[growth_t_min, growth_t_max] = [{lo:.6g}, {hi:.6g}]"
+        if not 0.0 < lo < hi:
+            raise ValueError(f"growth_t_min must be positive and below growth_t_max, got {window}")
+        if self.experiment is Experiment.SOBOLEV_GROWTH:
+            h, steps = _growth_spec(self, self.grid()).schedule()
+            ts = np.array(steps) * h
+            n = np.count_nonzero((ts >= lo) & (ts <= hi))
+            where = f"snapshot times in {window}"
+        elif self.domain is Domain.BIGBOX:
+            n = np.count_nonzero(self.fosc_times() <= self.length / 2.0)
+            where = f"t points of {window} at or below length/2 = {self.length / 2.0:.6g}"
+        else:
+            return
+        if n < 3:
+            raise ValueError(f"the growth fit needs >= 3 {where}, got {n}")
 
     def grid(self) -> FrequencyGrid:
         return make_grid(self.n_max, self.domain, self.length)
+
+    def fosc_times(self) -> np.ndarray:
+        """The logarithmic t grid of the F_osc growth study."""
+        return np.logspace(
+            np.log10(self.growth_t_min), np.log10(self.growth_t_max), self.growth_points
+        )
 
     def horizon(self, eps: float) -> float:
         if self.horizon_mode is HorizonMode.FIXED_SLOW_TIME:
@@ -338,10 +367,12 @@ def fit_loglog(xs, ys) -> tuple[float, float, bool]:
 
 
 def _flow_spec(
-    plan: ExperimentPlan, flow: Flow, grid, eps: float, t_end: float, snapshots: int | None = None
+    plan: ExperimentPlan, flow: Flow, grid, eps: float, t_end: float, snapshots: int | None = None,
+    slow: bool = False,
 ) -> FlowSpec:
     """FlowSpec of one trajectory of the plan; snapshots defaults to
-    plan.snapshots_per_run."""
+    plan.snapshots_per_run.  slow steps an effective flow in slow time
+    (SLOW_DT); the full flow always takes the fast step."""
     return FlowSpec(
         flow=flow,
         grid=grid,
@@ -351,7 +382,14 @@ def _flow_spec(
         s=plan.s,
         snapshot_stride=t_end / (plan.snapshots_per_run if snapshots is None else snapshots),
         slow_time_cap=max(plan.slow_time_cap, t_end * eps**2 + 1.0),
+        slow_dt=SLOW_DT if slow and flow is not Flow.FULL_NLW else None,
     )
+
+
+def _growth_spec(plan: ExperimentPlan, grid) -> FlowSpec:
+    """The Sobolev growth study's trajectory: the eps = 1 resonant flow."""
+    snapshots = max(plan.growth_points * 2, 40)
+    return _flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 1.0, plan.t_end, snapshots)
 
 
 def _hypothesis_flag(plan: ExperimentPlan, eps: float, w_traj: Trajectory, w0_norm: float) -> tuple[float, bool]:
@@ -401,7 +439,7 @@ def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
 
     def row(eps: float) -> ScalingRow:
         t_end = plan.horizon(eps)
-        sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end)
+        sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end, slow=True)
         v_traj = integrate(sp(Flow.FULL_NLW), eps * w0)
         w_traj = integrate(sp(Flow.FIRST_ORDER_RG), w0)
         if v_traj.blown_up or w_traj.blown_up:
@@ -486,7 +524,7 @@ def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
 
     def row(eps: float) -> ScalingRow:
         t_end = plan.horizon(eps)
-        sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end)
+        sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end, slow=True)
         y_traj = integrate(sp(Flow.SECOND_ORDER_AVERAGED), w0)
         u_traj = integrate(sp(Flow.FIRST_ORDER_RG), w0)
         if y_traj.blown_up or u_traj.blown_up:
@@ -539,9 +577,7 @@ def run_fosc_growth(plan: ExperimentPlan) -> GrowthReport:
     """
     grid = plan.grid()
     w0 = plan.initial_data.build(grid)
-    ts = np.logspace(
-        np.log10(plan.growth_t_min), np.log10(plan.growth_t_max), plan.growth_points
-    )
+    ts = plan.fosc_times()
     norms = np.array([sobolev_norm(rs.F_osc(w0, t), plan.s) for t in ts])
     if plan.domain is Domain.BIGBOX:
         saturation = plan.length / 2.0
@@ -581,8 +617,7 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
     """
     grid = plan.grid()
     w0 = plan.initial_data.build(grid)
-    snapshots = max(plan.growth_points * 2, 40)
-    traj = integrate(_flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 1.0, plan.t_end, snapshots), w0)
+    traj = integrate(_growth_spec(plan, grid), w0)
     ts = traj.times
     norms = np.array([sobolev_norm(f, plan.s) for f in traj.states])
     band = np.abs(grid.modes) >= grid.n_max - max(grid.n_max // 64, 8)

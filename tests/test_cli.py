@@ -134,6 +134,25 @@ BAD_INPUTS = {
     "mode_outside_grid_scaling": (
         "scaling", "[initial_data]\nmodes = 1,2,40\namplitudes = 1,1,1\n", "modes",
     ),
+    "fosc_growth_window_past_saturation": (
+        "growth",
+        "[run]\nexperiment = fosc_growth\n\n[experiment]\ngrowth_t_min = 900\ngrowth_t_max = 1000\n",
+        "growth_t_min",
+    ),
+    "sobolev_growth_window_too_short": (
+        "growth",
+        "[run]\nexperiment = sobolev_growth\n\n[experiment]\ngrowth_t_min = 35\ngrowth_t_max = 36\n",
+        "growth_t_min",
+    ),
+    "growth_window_reversed": (
+        "growth",
+        "[run]\nexperiment = fosc_growth\n\n[experiment]\ngrowth_t_min = 100\ngrowth_t_max = 10\n",
+        "growth_t_min",
+    ),
+    "growth_window_from_zero": (
+        "growth", "[run]\nexperiment = fosc_growth\n\n[experiment]\ngrowth_t_min = 0\n",
+        "growth_t_min",
+    ),
 }
 
 

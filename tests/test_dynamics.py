@@ -19,6 +19,7 @@ from szego_rg import (
 )
 from szego_rg import resonance as rs
 from szego_rg.dynamics import (
+    SLOW_DT,
     Flow,
     FlowSpec,
     Trajectory,
@@ -27,6 +28,7 @@ from szego_rg.dynamics import (
     integrate,
     second_order_ansatz,
 )
+from szego_rg.experiments import InitialDataSpec
 from szego_rg.spectral import cubic_product
 
 
@@ -56,6 +58,15 @@ class TestFlowSpec:
     def test_second_order_needs_torus(self, box8):
         with pytest.raises(ValueError):
             spec(Flow.SECOND_ORDER_AVERAGED, box8, eps=0.1, dt=0.1, t_end=1.0)
+
+    @pytest.mark.parametrize("slow_dt", [0.0, -0.005])
+    def test_slow_dt_positive(self, torus8, slow_dt):
+        with pytest.raises(ValueError, match="slow_dt"):
+            spec(Flow.FIRST_ORDER_RG, torus8, eps=0.1, dt=0.1, t_end=1.0, slow_dt=slow_dt)
+
+    def test_slow_dt_rejected_for_full_flow(self, torus8):
+        with pytest.raises(ValueError, match="slow_dt"):
+            spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, slow_dt=SLOW_DT)
 
 
 def nonlinear(flow, grid, eps, hardy):
@@ -218,6 +229,43 @@ class TestIntegrator:
             float(np.max(np.abs(x.coeff - y.coeff))) for x, y in zip(a.states, b.states)
         )
         assert worst <= 1e-12
+
+    def test_slow_stepping_keeps_full_flow_times(self, torus8, rng):
+        w0 = random_field(torus8, rng, hardy=True)
+        for stride in (None, 0.7):
+            kw = dict(snapshot_stride=stride)
+            v = integrate(spec(Flow.FULL_NLW, torus8, 0.1, 0.05, 30.0, **kw), 0.1 * w0)
+            for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
+                w = integrate(spec(flow, torus8, 0.1, 0.05, 30.0, slow_dt=SLOW_DT, **kw), w0)
+                assert w.steps < v.steps
+                assert np.array_equal(w.times, v.times)
+
+    @pytest.mark.parametrize("eps, slow_dt", [(1.0, SLOW_DT), (0.5, 0.01)])
+    def test_slow_step_not_coarser_is_bitwise(self, torus8, rng, eps, slow_dt):
+        # eps = 1: tau = t; eps = 0.5: each gap needs ceil(1.25 g) >= g substeps
+        w0 = random_field(torus8, rng, hardy=True)
+        for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
+            kw = dict(snapshot_stride=0.35)
+            a = integrate(spec(flow, torus8, eps, 0.05, 2.0, **kw), w0)
+            b = integrate(spec(flow, torus8, eps, 0.05, 2.0, slow_dt=slow_dt, **kw), w0)
+            assert a.steps == b.steps == 40
+            assert np.array_equal(a.times, b.times)
+            for x, y in zip(a.states, b.states):
+                assert np.array_equal(x.coeff, y.coeff)
+
+    def test_slow_stepping_matches_fast_stepping(self, torus8):
+        # the package's default data (unit mass) to slow time tau = 1: RK4
+        # with slow-time steps <= SLOW_DT stays within 1e-8 of every fast step
+        w0 = InitialDataSpec().build(torus8)
+        eps = 0.2
+        for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
+            fast = integrate(spec(flow, torus8, eps, 0.05, 1.0 / eps**2), w0)
+            slow = integrate(spec(flow, torus8, eps, 0.05, 1.0 / eps**2, slow_dt=SLOW_DT), w0)
+            assert fast.steps == 500 and slow.steps <= 220
+            worst = max(
+                float(np.max(np.abs(x.coeff - y.coeff))) for x, y in zip(fast.states, slow.states)
+            )
+            assert worst <= 1e-8
 
 
 class TestAnsatz:

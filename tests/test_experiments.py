@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from szego_rg import Domain, make_grid, mass, negative_mode_mass
-from szego_rg.dynamics import Flow
+from szego_rg.dynamics import Flow, integrate
 from szego_rg.experiments import (
     DataKind,
     Experiment,
     ExperimentPlan,
     HorizonMode,
     InitialDataSpec,
+    _flow_spec,
     default_plan,
     fit_loglog,
     run_conservation,
@@ -183,6 +184,21 @@ class TestScalingRuns:
         report = run_y_vs_u(plan)
         assert report.passed
         assert 1.5 <= report.fitted_slope <= 2.5
+
+    def test_y_vs_u_steps_in_slow_time(self):
+        # default y_vs_u horizons 1/eps^2 with 150 snapshots: every gap
+        # between snapshots spans slow time at most 0.0066 and takes 2 RK4
+        # substeps (1 for the last gap at eps = 0.2) instead of its 3, 13
+        # or 53 fast steps (500, 2000 and 8000 fast steps in all)
+        plan = replace(default_plan(Experiment.Y_VS_U), n_max=4)
+        grid = plan.grid()
+        w0 = plan.initial_data.build(grid)
+        for eps, slow in ((0.2, 333), (0.1, 308), (0.05, 302)):
+            for flow in (Flow.SECOND_ORDER_AVERAGED, Flow.FIRST_ORDER_RG):
+                sp = _flow_spec(plan, flow, grid, eps, plan.horizon(eps), slow=True)
+                assert integrate(sp, w0).steps == slow
+        fast = _flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 0.2, plan.horizon(0.2))
+        assert integrate(fast, w0).steps == 500
 
 
 class TestConservationRun:
