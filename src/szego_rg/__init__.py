@@ -9,8 +9,6 @@ from .spectral import (
     Domain,
     FrequencyGrid,
     SpectralField,
-    apply_abs_D,
-    apply_D,
     apply_inv_D_minus,
     conserved_series,
     cubic_product,
@@ -27,7 +25,6 @@ from .spectral import (
     random_field,
     sobolev_norm,
     to_physical,
-    zero_field,
 )
 
 __all__ = [
@@ -36,8 +33,6 @@ __all__ = [
     "FrequencyGrid",
     "SpectralField",
     "__version__",
-    "apply_D",
-    "apply_abs_D",
     "apply_inv_D_minus",
     "conserved_series",
     "cubic_product",
@@ -54,5 +49,4 @@ __all__ = [
     "random_field",
     "sobolev_norm",
     "to_physical",
-    "zero_field",
 ]

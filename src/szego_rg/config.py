@@ -84,7 +84,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "s": Key("1.0", float, "diagnostic Sobolev index"),
         "snapshot_stride": Key("", float, "fast-time between snapshots; empty = 0.05/eps^2", True),
         "slow_time_cap": Key("100.0", float, "bound on eps^2 * t_end"),
-        "nonlinear": Key("true", _bool, "false integrates the free flow only (test hook)"),
     },
     "initial_data": {
         "kind": Key(

@@ -60,8 +60,7 @@ class FlowSpec:
     snapshot_stride is in fast-time units; None selects the default of 0.05
     slow-time units (0.05/eps^2).  slow_dt, for the effective flows only,
     bounds the slow-time size of the substeps that cover each gap between
-    snapshots (None steps every fast step).  nonlinear=False is a test hook
-    that integrates the free flow only.
+    snapshots (None steps every fast step).
     """
 
     flow: Flow
@@ -72,7 +71,6 @@ class FlowSpec:
     s: float = 1.0
     snapshot_stride: float | None = None
     slow_time_cap: float = 100.0
-    nonlinear: bool = True
     slow_dt: float | None = None
 
     def __post_init__(self):
@@ -143,8 +141,6 @@ class Trajectory:
 
 def _nonlinear_term(spec: FlowSpec, hardy: bool) -> Callable[[np.ndarray], np.ndarray]:
     grid = spec.grid
-    if not spec.nonlinear:
-        return lambda c: np.zeros_like(c)
     if spec.flow is Flow.FULL_NLW:
         return lambda c: -1j * cubic_product(SpectralField(grid, c)).coeff
 
@@ -209,7 +205,9 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
     done = 0
     for step in snap_steps:
         g = step - done
-        n = g if spec.slow_dt is None else min(g, math.ceil(g * h * spec.eps**2 / spec.slow_dt))
+        n = g
+        if spec.slow_dt is not None:
+            n = min(g, math.ceil(g * h * spec.eps**2 / spec.slow_dt - 1e-12))
         k = h if n == g else g * h / n
         substeps += [(k, 0)] * (n - 1) + [(k, step)]
         done = step

@@ -115,11 +115,7 @@ class InitialDataSpec:
                 0.0,
             )
         else:
-            rng = np.random.default_rng(self.seed)
-            z = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-            c = np.where(
-                grid.modes >= 0, z * (1.0 + np.abs(grid.modes)) ** (-self.decay), 0.0
-            )
+            c = random_field(grid, np.random.default_rng(self.seed), self.decay, hardy=True).coeff
         f = SpectralField(grid, c)
         if self.normalization is not None:
             q = np.sqrt(mass(f))

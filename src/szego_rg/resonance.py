@@ -26,7 +26,10 @@ frequency xi), and for the resonant quintic kernel
 r2 = {f'(W,t).F_osc(W,t)}_res with Hardy input.  Every closed form has a
 direct-summation brute-force oracle in this module; the two routes share
 nothing but the field type, and the oracles (r2_time_average, n2_rhs) use
-only the brute-force primitive.
+only the brute-force primitive.  The oracles select the resonant set by its
+definition, phi = 0; the sign-pattern lemmas is_resonant_torus and
+is_resonant_line, which the closed forms rest on, are checked against that
+definition by the kernel audit and acceptance gate 2.
 
 In brute-force sums the inner mode indices are confined to the grid range
 |k| <= n_max, consistent with compositions through grid-truncated fields
@@ -117,7 +120,7 @@ def is_resonant_line(grid, k: int, l: int, m: int, j: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cached index meshes for the per-output-mode kernel sums
+# cached index meshes and the quadruple enumerator behind the kernel sums
 
 
 @lru_cache(maxsize=16)
@@ -145,20 +148,54 @@ def _gather(coeff: np.ndarray, modes: np.ndarray, n_max: int) -> np.ndarray:
     return coeff[idx]
 
 
-def _resonant_mask(domain: Domain, k: int, L, M, J):
-    nonneg = (L >= 0) & (M >= 0) & (J >= 0)
-    nonpos = (L <= 0) & (M <= 0) & (J <= 0)
-    if domain is Domain.TORUS:
-        if k > 0:
-            return nonneg | (L == k) | (J == k)
-        if k < 0:
-            return nonpos | (L == k) | (J == k)
-        return nonneg | nonpos
-    if k > 0:
-        return nonneg | (L == k) | (J == k)
-    if k < 0:
-        return nonpos | (L == k) | (J == k)
-    return nonneg | nonpos | (L == k) | (J == k)
+def _quadruples(grid):
+    """Per output mode k, yield (k, L, M, J, valid, phi): the (l, m) index
+    mesh, j = k - l + m, the in-grid mask |j| <= n_max and the phase
+    |k| - |l| + |m| - |j| in units of grid.freq_unit.  The resonant set is
+    phi == 0, by definition."""
+    _check_cubic_size(grid)
+    L, M = _lm_mesh(grid.n_max)
+    for k in grid.modes:
+        J = k - L + M
+        valid = np.abs(J) <= grid.n_max
+        yield k, L, M, J, valid, abs(k) - np.abs(L) + np.abs(M) - np.abs(J)
+
+
+def _terms(w: np.ndarray, J, L, M, mask, h: np.ndarray | None = None) -> np.ndarray:
+    """u(j) u(l) conj(u(m)) on the masked quadruples; with a direction h, its
+    R-linear derivative: h in each of the three slots in turn."""
+    n = (w.size - 1) // 2
+    wj, wl, wm = _gather(w, J, n)[mask], _gather(w, L, n)[mask], np.conj(_gather(w, M, n))[mask]
+    if h is None:
+        return wj * wl * wm
+    hj, hl, hm = _gather(h, J, n)[mask], _gather(h, L, n)[mask], np.conj(_gather(h, M, n))[mask]
+    return hj * wl * wm + wj * hl * wm + wj * wl * hm
+
+
+def _osc_sum(u: SpectralField, weight, h: SpectralField | None = None) -> np.ndarray:
+    """Per output mode, the sum over non-resonant quadruples of
+    weight(phi) * u(j) u(l) conj(u(m)), with phi the phase as a frequency;
+    with a direction h, the terms are their derivatives along h (_terms)."""
+    grid = u.grid
+    out = np.zeros(grid.size, dtype=np.complex128)
+    for k, L, M, J, valid, phi in _quadruples(grid):
+        mask = valid & (phi != 0)
+        terms = _terms(u.coeff, J, L, M, mask, None if h is None else h.coeff)
+        out[k + grid.n_max] = np.sum(weight(phi[mask] * grid.freq_unit) * terms)
+    return out
+
+
+def _primitive_weight(t: float, from_zero: bool):
+    """Term weight of the f_osc antiderivative: exp(i t phi)/(i phi), minus
+    its t = 0 value when from_zero, times the -i of f."""
+
+    def weight(phi):
+        osc = np.exp(1j * t * phi)
+        if from_zero:
+            osc = osc - 1.0
+        return -1j * osc / (1j * phi)
+
+    return weight
 
 
 def _sign_uniform_mask(k: int, L, M, J):
@@ -197,20 +234,10 @@ def f_res_bruteforce(u: SpectralField, sign_uniform_only: bool = False) -> Spect
     exactly the difference with the two-term line closed form.
     """
     grid = u.grid
-    _check_cubic_size(grid)
-    n = grid.n_max
-    L, M = _lm_mesh(n)
-    w = u.coeff
     out = np.zeros(grid.size, dtype=np.complex128)
-    for k in grid.modes:
-        J = k - L + M
-        valid = np.abs(J) <= n
-        if sign_uniform_only:
-            mask = valid & _sign_uniform_mask(k, L, M, J)
-        else:
-            mask = valid & _resonant_mask(grid.domain, k, L, M, J)
-        terms = _gather(w, J, n) * _gather(w, L, n) * np.conj(_gather(w, M, n))
-        out[k + n] = -1j * terms[mask].sum()
+    for k, L, M, J, valid, phi in _quadruples(grid):
+        keep = _sign_uniform_mask(k, L, M, J) if sign_uniform_only else phi == 0
+        out[k + grid.n_max] = -1j * _terms(u.coeff, J, L, M, valid & keep).sum()
     return SpectralField(grid, out)
 
 
@@ -278,23 +305,13 @@ def measure_zero_split(u: SpectralField) -> dict[str, float]:
     single 1/L-spaced mode layer in the continuum limit.
     """
     grid = u.grid
-    _check_cubic_size(grid)
-    n = grid.n_max
-    L, M = _lm_mesh(n)
-    w = u.coeff
     diag = np.zeros(grid.size, dtype=np.complex128)
     zero = np.zeros(grid.size, dtype=np.complex128)
-    for k in grid.modes:
-        J = k - L + M
-        valid = np.abs(J) <= n
-        res = valid & _resonant_mask(grid.domain, k, L, M, J)
-        uni = valid & _sign_uniform_mask(k, L, M, J)
-        extra = res & ~uni
+    for k, L, M, J, valid, phi in _quadruples(grid):
+        extra = valid & (phi == 0) & ~_sign_uniform_mask(k, L, M, J)
         diag_mask = extra & ((L == k) | (J == k))
-        zero_mask = extra & ~diag_mask
-        terms = _gather(w, J, n) * _gather(w, L, n) * np.conj(_gather(w, M, n))
-        diag[k + n] = -1j * terms[diag_mask].sum()
-        zero[k + n] = -1j * terms[zero_mask].sum()
+        diag[k + grid.n_max] = -1j * _terms(u.coeff, J, L, M, diag_mask).sum()
+        zero[k + grid.n_max] = -1j * _terms(u.coeff, J, L, M, extra & ~diag_mask).sum()
     return {
         "diagonal": float(np.linalg.norm(diag)),
         "zero_coupled": float(np.linalg.norm(zero)),
@@ -307,25 +324,7 @@ def measure_zero_split(u: SpectralField) -> dict[str, float]:
 
 def f_osc(u: SpectralField, t: float) -> SpectralField:
     """Brute-force sum of -i exp(i t phi) u(j) u(l) conj(u(m)) over phi != 0."""
-    grid = u.grid
-    _check_cubic_size(grid)
-    n = grid.n_max
-    unit = grid.freq_unit
-    L, M = _lm_mesh(n)
-    w = u.coeff
-    out = np.zeros(grid.size, dtype=np.complex128)
-    for k in grid.modes:
-        J = k - L + M
-        valid = np.abs(J) <= n
-        mask = valid & ~_resonant_mask(grid.domain, k, L, M, J)
-        if not mask.any():
-            continue
-        phi = (abs(k) - np.abs(L) + np.abs(M) - np.abs(J))[mask] * unit
-        terms = (
-            _gather(w, J, n) * _gather(w, L, n) * np.conj(_gather(w, M, n))
-        )[mask]
-        out[k + n] = -1j * np.sum(np.exp(1j * t * phi) * terms)
-    return SpectralField(grid, out)
+    return SpectralField(u.grid, -1j * _osc_sum(u, lambda phi: np.exp(1j * t * phi)))
 
 
 def osc_primitive_bruteforce(
@@ -336,28 +335,7 @@ def osc_primitive_bruteforce(
     Term weights: exp(i t phi)/(i phi) (zero t-mean, the torus convention) or
     (exp(i t phi) - 1)/(i phi) (vanishing at t = 0, the line convention).
     """
-    grid = u.grid
-    _check_cubic_size(grid)
-    n = grid.n_max
-    unit = grid.freq_unit
-    L, M = _lm_mesh(n)
-    w = u.coeff
-    out = np.zeros(grid.size, dtype=np.complex128)
-    for k in grid.modes:
-        J = k - L + M
-        valid = np.abs(J) <= n
-        mask = valid & ~_resonant_mask(grid.domain, k, L, M, J)
-        if not mask.any():
-            continue
-        phi = (abs(k) - np.abs(L) + np.abs(M) - np.abs(J))[mask] * unit
-        osc = np.exp(1j * t * phi)
-        if from_zero:
-            osc = osc - 1.0
-        terms = (
-            _gather(w, J, n) * _gather(w, L, n) * np.conj(_gather(w, M, n))
-        )[mask]
-        out[k + n] = np.sum(-1j * osc / (1j * phi) * terms)
-    return SpectralField(grid, out)
+    return SpectralField(u.grid, _osc_sum(u, _primitive_weight(t, from_zero)))
 
 
 def F_osc(w_field: SpectralField, t: float) -> SpectralField:
@@ -391,40 +369,10 @@ def dF_osc(u: SpectralField, t: float, h: SpectralField) -> SpectralField:
     R-linear in h: the two holomorphic slots receive h, the conjugated slot
     receives conj(h).  Follows the grid's antiderivative convention.
     """
-    grid = u.grid
-    _check_cubic_size(grid)
-    if h.grid != grid:
+    if h.grid != u.grid:
         raise ValueError("direction field lives on a different grid")
-    from_zero = grid.domain is not Domain.TORUS
-    n = grid.n_max
-    unit = grid.freq_unit
-    L, M = _lm_mesh(n)
-    w = u.coeff
-    hv = h.coeff
-    out = np.zeros(grid.size, dtype=np.complex128)
-    for k in grid.modes:
-        J = k - L + M
-        valid = np.abs(J) <= n
-        mask = valid & ~_resonant_mask(grid.domain, k, L, M, J)
-        if not mask.any():
-            continue
-        phi = (abs(k) - np.abs(L) + np.abs(M) - np.abs(J))[mask] * unit
-        osc = np.exp(1j * t * phi)
-        if from_zero:
-            osc = osc - 1.0
-        wj, wl, wm = (
-            _gather(w, J, n)[mask],
-            _gather(w, L, n)[mask],
-            np.conj(_gather(w, M, n))[mask],
-        )
-        hj, hl, hm = (
-            _gather(hv, J, n)[mask],
-            _gather(hv, L, n)[mask],
-            np.conj(_gather(hv, M, n))[mask],
-        )
-        slots = hj * wl * wm + wj * hl * wm + wj * wl * hm
-        out[k + n] = np.sum(-1j * osc / (1j * phi) * slots)
-    return SpectralField(grid, out)
+    weight = _primitive_weight(t, from_zero=u.grid.domain is not Domain.TORUS)
+    return SpectralField(u.grid, _osc_sum(u, weight, h))
 
 
 def fprime_dot(u: SpectralField, t: float, h: SpectralField) -> SpectralField:
@@ -583,8 +531,7 @@ def n2_phase_coefficients(w_field: SpectralField):
     n_phases = 12 * n + 1
     offset = 6 * n
     coef = np.zeros((grid.size, n_phases), dtype=np.complex128)
-    L, M = _lm_mesh(n)
-    for k in grid.modes:
+    for k, L, M, J, valid, phi in _quadruples(grid):
         row_re = np.zeros(n_phases)
         row_im = np.zeros(n_phases)
 
@@ -598,15 +545,9 @@ def n2_phase_coefficients(w_field: SpectralField):
 
         # minus F'_osc(W,t).f_res(W): every term oscillates at the outer
         # phase phi != 0 and carries weight exp(i t phi)/phi per slot
-        J = k - L + M
-        valid = np.abs(J) <= n
-        phi = abs(k) - np.abs(L) + np.abs(M) - np.abs(J)
         mask = valid & (phi != 0)
-        wj, wl, wm = _gather(w, J, n), _gather(w, L, n), np.conj(_gather(w, M, n))
-        hj, hl, hm = _gather(h, J, n), _gather(h, L, n), np.conj(_gather(h, M, n))
-        slots = hj * wl * wm + wj * hl * wm + wj * wl * hm
-        vals = (slots[mask] / phi[mask]).ravel()
-        idx = (phi[mask] + offset).ravel()
+        vals = _terms(w, J, L, M, mask, h) / phi[mask]
+        idx = phi[mask] + offset
         row_re += np.bincount(idx, weights=vals.real, minlength=n_phases)
         row_im += np.bincount(idx, weights=vals.imag, minlength=n_phases)
 

@@ -162,10 +162,6 @@ class SpectralField:
             raise ValueError("fields live on different grids")
 
 
-def zero_field(grid: FrequencyGrid) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.size, dtype=np.complex128))
-
-
 def field_from_modes(grid: FrequencyGrid, amplitudes: Mapping[int, complex]) -> SpectralField:
     """Field with the given {mode: amplitude} entries, zero elsewhere."""
     c = np.zeros(grid.size, dtype=np.complex128)
@@ -266,14 +262,6 @@ def project_minus(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, c)
 
 
-def apply_abs_D(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, np.abs(f.grid.freqs) * f.coeff)
-
-
-def apply_D(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.grid.freqs * f.coeff)
-
-
 def apply_inv_D_minus(f: SpectralField) -> SpectralField:
     """(1/D) Pi_-: divide by freq(k) for k <= -1, zero for k >= 0.
 
@@ -286,11 +274,6 @@ def apply_inv_D_minus(f: SpectralField) -> SpectralField:
     neg = modes < 0
     c[neg] = f.coeff[neg] / f.grid.freqs[neg]
     return SpectralField(f.grid, c)
-
-
-def conjugate_field(f: SpectralField) -> SpectralField:
-    """Coefficients of conj(u): c(k) -> conj(c(-k))."""
-    return SpectralField(f.grid, np.conj(f.coeff[::-1]))
 
 
 def free_flow(f: SpectralField, t: float) -> SpectralField:

@@ -5,6 +5,9 @@ brute-force sums and against the plain-Python reference implementations in
 reference_impl.py, which resolve the momentum constraints differently.
 """
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -24,8 +27,8 @@ from szego_rg import (
     project_plus,
     random_field,
     sobolev_norm,
-    zero_field,
 )
+from szego_rg import cli, config, dynamics, experiments, reporting, spectral
 from szego_rg import resonance as rs
 from szego_rg.spectral import cubic_product
 
@@ -108,7 +111,7 @@ class TestResonantKernel:
         assert f[-1] == pytest.approx(-3j)
 
     def test_zero_field(self, torus8):
-        assert np.all(rs.f_res_bruteforce(zero_field(torus8)).coeff == 0.0)
+        assert np.all(rs.f_res_bruteforce(field_from_modes(torus8, {})).coeff == 0.0)
 
     def test_against_reference(self, rand_torus8, coeff_diff):
         ref = dict_to_array(
@@ -149,7 +152,7 @@ class TestResonantKernel:
             )
 
     def test_closed_line_zero_field(self, box8):
-        assert np.all(rs.f_res_closed_line(zero_field(box8)).coeff == 0.0)
+        assert np.all(rs.f_res_closed_line(field_from_modes(box8, {})).coeff == 0.0)
 
     def test_measure_zero_split_accounts_for_difference(self, box8, rng):
         u = random_field(box8, rng)
@@ -325,7 +328,7 @@ class TestOscPrimitiveLine:
 
 class TestDerivatives:
     def test_zero_direction(self, rand_torus8):
-        z = zero_field(rand_torus8.grid)
+        z = field_from_modes(rand_torus8.grid, {})
         assert np.all(rs.dF_osc(rand_torus8, 0.5, z).coeff == 0.0)
 
     def test_same_mode_single(self, torus8):
@@ -339,15 +342,23 @@ class TestDerivatives:
         mask[torus8.index(1)] = False
         assert np.max(np.abs(fp.coeff[mask])) < 1e-14
 
-    @pytest.mark.parametrize("factor", [1.0, 1.0j])
-    def test_dF_osc_centered_difference(self, rand_torus8, rng, factor):
-        h = factor * random_field(rand_torus8.grid, rng)
+    # the torus cases keep their original ids
+    @pytest.mark.parametrize(
+        "grid_name, factor",
+        [("torus8", 1.0), ("torus8", 1.0j), ("box8", 1.0), ("box8", 1.0j)],
+        ids=["1.0", "1j", "box8-1.0", "box8-1j"],
+    )
+    def test_dF_osc_centered_difference(self, request, rng, grid_name, factor):
+        grid = request.getfixturevalue(grid_name)
+        u = random_field(grid, rng, decay=1.0)
+        h = factor * random_field(grid, rng)
         t, d = 0.3, 1e-5
+        from_zero = grid.domain is Domain.BIGBOX
         fd = (
-            rs.osc_primitive_bruteforce(rand_torus8 + d * h, t, from_zero=False).coeff
-            - rs.osc_primitive_bruteforce(rand_torus8 - d * h, t, from_zero=False).coeff
+            rs.osc_primitive_bruteforce(u + d * h, t, from_zero).coeff
+            - rs.osc_primitive_bruteforce(u - d * h, t, from_zero).coeff
         ) / (2.0 * d)
-        an = rs.dF_osc(rand_torus8, t, h).coeff
+        an = rs.dF_osc(u, t, h).coeff
         assert np.max(np.abs(fd - an)) <= 1e-6 * np.max(np.abs(an))
 
     @pytest.mark.parametrize("factor", [1.0, 1.0j])
@@ -419,7 +430,7 @@ class TestQuinticKernels:
     def test_r2_rejects_large_grid(self):
         g = make_grid(16, Domain.TORUS)
         with pytest.raises(ValueError):
-            rs.r2_bruteforce(zero_field(g))
+            rs.r2_bruteforce(field_from_modes(g, {}))
 
 
 class TestN2:
@@ -459,3 +470,23 @@ class TestTimeAverageIdentity:
             acc += rs.f_full(rand_torus8, 2.0 * np.pi * r / r_nodes).coeff
         avg = SpectralField(rand_torus8.grid, acc / r_nodes)
         assert coeff_diff(avg, rs.f_res_bruteforce(rand_torus8)) <= 1e-10
+
+
+class TestOracleSplit:
+    """The production path calls no brute-force oracle: only the kernel audit
+    does, plus the n_max = 8 measure_zero_split probe of the box sweep."""
+
+    ORACLE = re.compile(
+        r"\b(f_res_bruteforce|f_osc|osc_primitive_bruteforce|dF_osc|fprime_dot"
+        r"|r2_bruteforce|r2_time_average|n2_\w+|measure_zero_split)\b"
+    )
+
+    def test_production_names_no_oracle(self):
+        audit = inspect.getsource(experiments.run_kernel_audit)
+        sweep = inspect.getsource(experiments.run_scaling_first_order)
+        production = (dynamics, spectral, config, cli, reporting)
+        sources = {m.__name__: inspect.getsource(m) for m in production}
+        sources["experiments"] = inspect.getsource(experiments).replace(audit, "").replace(sweep, "")
+        found = {name: set(self.ORACLE.findall(src)) for name, src in sources.items()}
+        found["run_scaling_first_order"] = set(self.ORACLE.findall(sweep)) - {"measure_zero_split"}
+        assert not any(found.values()), found
