@@ -1,7 +1,8 @@
 """Command-line surface: simulate | scaling | audit | growth.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric guard tripped
-(blow-up; partial CSV retained), 3 audit failure.
+(blow-up, or a growth window emptied by the boundary-band guard; CSV
+retained), 3 audit failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .config import (
     load_config,
     plan_from_config,
 )
-from .dynamics import integrate
+from .dynamics import Flow, integrate
 from .experiments import (
     Experiment,
     run_fosc_growth,
@@ -32,7 +33,7 @@ from .experiments import (
     run_y_vs_u,
 )
 from .reporting import RunMetadata, fmt_float, svg_loglog, write_csv
-from .spectral import energy, mass, momentum, sobolev_norm
+from .spectral import conserved_series, sobolev_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,20 +69,12 @@ def cmd_simulate(args) -> int:
     v0 = data.build(spec.grid)
     meta = _start("simulate", cfg)
     out_dir = meta.out_dir
-    if spec.flow.value == "full_nlw":
+    if spec.flow is Flow.FULL_NLW:
         v0 = spec.eps * v0
     traj = integrate(spec, v0)
-    rows = [
-        (
-            t,
-            sobolev_norm(f, 0.5),
-            sobolev_norm(f, spec.s),
-            energy(f),
-            mass(f),
-            momentum(f),
-        )
-        for t, f in zip(traj.times, traj.states)
-    ]
+    series = conserved_series(traj.times, traj.states, with_h_half=True)
+    h_s = [sobolev_norm(f, spec.s) for f in traj.states]
+    rows = list(zip(series.times, series.h_half, h_s, series.energy, series.mass, series.momentum))
     write_csv(os.path.join(out_dir, "simulate.csv"), ["t", "H_half", "H_s", "E", "Q", "M"], rows)
     meta.write([f"blown_up = {traj.blown_up}", f"snapshots = {len(traj.times)}"])
     if traj.blown_up:
@@ -191,7 +184,8 @@ def cmd_growth(args) -> int:
         f"qualitative={'true' if report.qualitative else 'false'}"
     ]
     write_csv(os.path.join(out_dir, "growth.csv"), ["t", "norm", "window_flag"], rows, footer)
-    if cfg.value("run", "emit_svg"):
+    fitted = not np.isnan(report.exponent)
+    if fitted and cfg.value("run", "emit_svg"):
         svg_loglog(
             os.path.join(out_dir, "growth.svg"),
             report.times[report.in_window],
@@ -209,6 +203,9 @@ def cmd_growth(args) -> int:
     )
     for w in report.warnings:
         print(f"warning: {w}")
+    if not fitted:
+        print("numeric guard tripped: the boundary-band guard left < 3 fit rows; CSV retained")
+        return EXIT_GUARD
     return EXIT_OK
 
 

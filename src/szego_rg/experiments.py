@@ -3,6 +3,10 @@ effective dynamics: error-scaling sweeps, the Y-vs-U flow comparison,
 conservation audits, oscillatory-primitive growth laws, the qualitative
 Sobolev-growth study, and the kernel oracle audit.
 
+One sweep routine serves the three error-scaling experiments: per eps, the
+sup-in-time H^s gap between a truth flow and its approximants from the same
+data.  One finisher fits the exponent of both growth studies.
+
 Every experiment is a pure function of its plan; identical plans produce
 identical reports.  Sweep rows run one after another in eps order.
 """
@@ -20,7 +24,6 @@ from .dynamics import (
     SLOW_DT,
     Flow,
     FlowSpec,
-    Trajectory,
     first_order_ansatz,
     integrate,
     second_order_ansatz,
@@ -177,6 +180,10 @@ class ExperimentPlan:
             raise ValueError(f"diagnostic norm index s must be >= 1/2, got {self.s}")
         if self.snapshots_per_run < 1:
             raise ValueError(f"snapshots_per_run must be >= 1, got {self.snapshots_per_run}")
+        if self.audit_fields < 1:
+            raise ValueError(f"audit_fields must be >= 1, got {self.audit_fields}")
+        if not self.slow_time_cap > 0.0:
+            raise ValueError(f"slow_time_cap must be positive, got {self.slow_time_cap}")
         if self.experiment is Experiment.FOSC_GROWTH and self.growth_points < 3:
             raise ValueError(
                 f"growth_points must be >= 3 for the log-log fit, got {self.growth_points}"
@@ -306,7 +313,6 @@ class ScalingReport:
     fit_residual: float
     passed: bool
     caveats: tuple[str, ...] = ()
-    companion: "ScalingReport | None" = None  # first-order contrast rows
 
 
 @dataclass(frozen=True)
@@ -388,18 +394,7 @@ def _growth_spec(plan: ExperimentPlan, grid) -> FlowSpec:
     return _flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 1.0, plan.t_end, snapshots)
 
 
-def _hypothesis_flag(plan: ExperimentPlan, eps: float, w_traj: Trajectory, w0_norm: float) -> tuple[float, bool]:
-    """Monitor sup_t ||W(t)||_{H^s} against the bounded-solution hypothesis."""
-    sup_w = max(sobolev_norm(f, plan.s) for f in w_traj.states)
-    bound = plan.hypothesis_factor * w0_norm * np.log(1.0 / eps**plan.delta) ** plan.alpha
-    return sup_w, sup_w > bound
-
-
-def _sup_error(v_traj: Trajectory, ansatz, s: float) -> float:
-    return max(sobolev_norm(v_traj.state_at(t) - ansatz(t), s) for t in v_traj.times)
-
-
-def _finish_scaling(plan, rows, caveats=(), companion=None, slope_min=0.0, residual_max=None):
+def _finish_scaling(plan, rows, caveats=(), slope_min=0.0, residual_max=None):
     usable = [(r.eps, r.sup_error) for r in rows if not r.failed]
     if len(usable) >= 3:
         slope, resid, _ = fit_loglog([u[0] for u in usable], [u[1] for u in usable])
@@ -418,8 +413,39 @@ def _finish_scaling(plan, rows, caveats=(), companion=None, slope_min=0.0, resid
         fit_residual=resid,
         passed=passed,
         caveats=tuple(caveats),
-        companion=companion,
     )
+
+
+def _sweep(plan: ExperimentPlan, truth: Flow, start, arms, slow: bool = False):
+    """One error-scaling sweep: for each eps, integrate the truth flow from
+    start(eps, W0) and the flow of each arm (flow, ansatz_of) from W0, and
+    record sup_t ||truth(t) - ansatz_of(trajectory)(t)||_{H^s}.
+
+    Returns one row list per arm.  Each row carries sup_t ||W(t)||_{H^s} of
+    the first arm's trajectory, flagged against the bounded-solution
+    hypothesis; a blow-up in any trajectory fails that eps in every arm.
+    """
+    grid = plan.grid()
+    w0 = plan.initial_data.build(grid)
+    w0_norm = sobolev_norm(w0, plan.s)
+    rows = [[] for _ in arms]
+    for eps in plan.eps_list:
+        t_end = plan.horizon(eps)
+        sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end, slow=slow)
+        ref = integrate(sp(truth), start(eps, w0))
+        trajs = [integrate(sp(flow), w0) for flow, _ in arms]
+        if ref.blown_up or any(t.blown_up for t in trajs):
+            failed = ScalingRow(eps, t_end, float("nan"), float("nan"), True, failed=True)
+            for arm_rows in rows:
+                arm_rows.append(failed)
+            continue
+        sup_w = max(sobolev_norm(f, plan.s) for f in trajs[0].states)
+        bound = plan.hypothesis_factor * w0_norm * np.log(1.0 / eps**plan.delta) ** plan.alpha
+        for arm_rows, traj, (_, ansatz_of) in zip(rows, trajs, arms):
+            ansatz = ansatz_of(traj)
+            sup = max(sobolev_norm(ref.state_at(t) - ansatz(t), plan.s) for t in ref.times)
+            arm_rows.append(ScalingRow(eps, t_end, sup, sup_w, sup_w > bound))
+    return rows
 
 
 def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
@@ -429,22 +455,10 @@ def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
     On the big box the report carries the line-approximation caveat plus the
     size of the resonant terms the two-term kernel drops.
     """
-    grid = plan.grid()
-    w0 = plan.initial_data.build(grid)
-    w0_norm = sobolev_norm(w0, plan.s)
-
-    def row(eps: float) -> ScalingRow:
-        t_end = plan.horizon(eps)
-        sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end, slow=True)
-        v_traj = integrate(sp(Flow.FULL_NLW), eps * w0)
-        w_traj = integrate(sp(Flow.FIRST_ORDER_RG), w0)
-        if v_traj.blown_up or w_traj.blown_up:
-            return ScalingRow(eps, t_end, float("nan"), float("nan"), True, failed=True)
-        sup = _sup_error(v_traj, first_order_ansatz(w_traj), plan.s)
-        sup_w, flagged = _hypothesis_flag(plan, eps, w_traj, w0_norm)
-        return ScalingRow(eps, t_end, sup, sup_w, flagged)
-
-    rows = [row(eps) for eps in plan.eps_list]
+    (rows,) = _sweep(
+        plan, Flow.FULL_NLW, lambda eps, w0: eps * w0,
+        [(Flow.FIRST_ORDER_RG, first_order_ansatz)], slow=True,
+    )
     if plan.domain is Domain.TORUS:
         slope_min = 2.7 if plan.slope_threshold is None else plan.slope_threshold
         residual_max = 0.15 if plan.residual_max is None else plan.residual_max
@@ -474,35 +488,16 @@ def run_scaling_second_order(plan: ExperimentPlan) -> tuple[ScalingReport, Scali
     law.  Returns (second_order_report, first_order_contrast_report), both
     measured on the same full-flow trajectories.
     """
-    grid = plan.grid()
-    w0 = plan.initial_data.build(grid)
-    w0_norm = sobolev_norm(w0, plan.s)
-
-    def row(eps: float):
-        t_end = plan.horizon(eps)
-        sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end)
-        cal_w0 = eps * w0
-        v0 = cal_w0 + rs.F_osc(cal_w0, 0.0)
-        v_traj = integrate(sp(Flow.FULL_NLW), v0)
-        w2_traj = integrate(sp(Flow.SECOND_ORDER_AVERAGED), w0)
-        w1_traj = integrate(sp(Flow.FIRST_ORDER_RG), w0)
-        if v_traj.blown_up or w2_traj.blown_up or w1_traj.blown_up:
-            bad = ScalingRow(eps, t_end, float("nan"), float("nan"), True, failed=True)
-            return bad, bad
-        sup2 = _sup_error(v_traj, second_order_ansatz(w2_traj), plan.s)
-        sup1 = _sup_error(v_traj, first_order_ansatz(w1_traj), plan.s)
-        sup_w, flagged = _hypothesis_flag(plan, eps, w2_traj, w0_norm)
-        return (
-            ScalingRow(eps, t_end, sup2, sup_w, flagged),
-            ScalingRow(eps, t_end, sup1, sup_w, flagged),
-        )
-
-    pairs = [row(eps) for eps in plan.eps_list]
-    rows2 = [p[0] for p in pairs]
-    rows1 = [p[1] for p in pairs]
+    rows2, rows1 = _sweep(
+        plan, Flow.FULL_NLW, lambda eps, w0: eps * w0 + rs.F_osc(eps * w0, 0.0),
+        [
+            (Flow.SECOND_ORDER_AVERAGED, second_order_ansatz),
+            (Flow.FIRST_ORDER_RG, first_order_ansatz),
+        ],
+    )
     first = _finish_scaling(plan, rows1, slope_min=0.0)
     slope_min = 4.3 if plan.slope_threshold is None else plan.slope_threshold
-    second = _finish_scaling(plan, rows2, slope_min=slope_min, companion=first)
+    second = _finish_scaling(plan, rows2, slope_min=slope_min)
     if second.passed and np.isfinite(first.fitted_slope):
         # gate: the second-order slope must beat the first-order one by >= 1.5
         second = replace(
@@ -514,24 +509,10 @@ def run_scaling_second_order(plan: ExperimentPlan) -> tuple[ScalingReport, Scali
 def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
     """Compare the averaged flow (with its quintic correction) against the
     bare resonant flow from the same data; the gap scales like eps^2."""
-    grid = plan.grid()
-    w0 = plan.initial_data.build(grid)
-    w0_norm = sobolev_norm(w0, plan.s)
-
-    def row(eps: float) -> ScalingRow:
-        t_end = plan.horizon(eps)
-        sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end, slow=True)
-        y_traj = integrate(sp(Flow.SECOND_ORDER_AVERAGED), w0)
-        u_traj = integrate(sp(Flow.FIRST_ORDER_RG), w0)
-        if y_traj.blown_up or u_traj.blown_up:
-            return ScalingRow(eps, t_end, float("nan"), float("nan"), True, failed=True)
-        sup = max(
-            sobolev_norm(a - b, plan.s) for a, b in zip(y_traj.states, u_traj.states)
-        )
-        sup_w, flagged = _hypothesis_flag(plan, eps, u_traj, w0_norm)
-        return ScalingRow(eps, t_end, sup, sup_w, flagged)
-
-    rows = [row(eps) for eps in plan.eps_list]
+    (rows,) = _sweep(
+        plan, Flow.SECOND_ORDER_AVERAGED, lambda eps, w0: w0,
+        [(Flow.FIRST_ORDER_RG, lambda traj: traj.state_at)], slow=True,
+    )
     slope_min = 1.7 if plan.slope_threshold is None else plan.slope_threshold
     return _finish_scaling(plan, rows, slope_min=slope_min)
 
@@ -564,6 +545,19 @@ def run_conservation(plan: ExperimentPlan) -> ConservedReport:
 # growth studies
 
 
+def _growth_report(plan, ts, norms, in_window, qualitative, warnings) -> GrowthReport:
+    """Fit the growth exponent on the rows in the window.  With fewer than 3
+    of them the exponent and the window are NaN, a numeric guard that the
+    caller reports."""
+    slope, window = float("nan"), (float("nan"), float("nan"))
+    if np.count_nonzero(in_window) >= 3:
+        slope, _, _ = fit_loglog(ts[in_window], norms[in_window])
+        window = (float(ts[in_window][0]), float(ts[in_window][-1]))
+    return GrowthReport(
+        plan.experiment, ts, norms, in_window, slope, window, qualitative, warnings
+    )
+
+
 def run_fosc_growth(plan: ExperimentPlan) -> GrowthReport:
     """||F_osc(W, t)||_{H^s} on a logarithmic t grid for a frozen field W.
 
@@ -575,29 +569,17 @@ def run_fosc_growth(plan: ExperimentPlan) -> GrowthReport:
     w0 = plan.initial_data.build(grid)
     ts = plan.fosc_times()
     norms = np.array([sobolev_norm(rs.F_osc(w0, t), plan.s) for t in ts])
+    in_window = np.ones_like(ts, dtype=bool)
+    warnings = ()
     if plan.domain is Domain.BIGBOX:
         saturation = plan.length / 2.0
         in_window = ts <= saturation
-        warnings = ()
         if not np.all(in_window):
             warnings = (
                 f"t beyond length/2 = {saturation:.6g} no longer resolves the "
                 f"sinc concentration; those rows are excluded from the fit",
             )
-    else:
-        in_window = np.ones_like(ts, dtype=bool)
-        warnings = ()
-    slope, _, _ = fit_loglog(ts[in_window], norms[in_window])
-    return GrowthReport(
-        experiment=plan.experiment,
-        times=ts,
-        norms=norms,
-        in_window=in_window,
-        exponent=slope,
-        window=(float(ts[in_window][0]), float(ts[in_window][-1])),
-        qualitative=False,
-        warnings=warnings,
-    )
+    return _growth_report(plan, ts, norms, in_window, False, warnings)
 
 
 def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
@@ -607,7 +589,8 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
     The line prediction is t^(2s-1) for large t.  The spectral truncation
     bounds the faithful time window: the fit runs on [growth_t_min,
     growth_t_max] and rows where the boundary band carries more than 1% of
-    the mass are flagged (warning, not failure).  Amplitude normalization
+    the mass are flagged and left out of the fit (a warning; a window left
+    with fewer than 3 rows trips a numeric guard).  Amplitude normalization
     rescales effective time by its square (exact symmetry of the flow) and
     leaves the exponent unchanged.
     """
@@ -620,26 +603,17 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
     boundary = np.array(
         [float(np.sum(np.abs(f.coeff[band]) ** 2) / max(mass(f), 1e-300)) for f in traj.states]
     )
+    faithful = boundary <= 0.01  # False on a non-finite state
     warnings = []
-    if np.any(boundary > 0.01):
-        t_bad = float(ts[np.argmax(boundary > 0.01)])
+    if not np.all(faithful):
+        t_bad = float(ts[np.argmin(faithful)])
         warnings.append(
             f"boundary-mode mass exceeds 1% from t = {t_bad:.6g}; truncation no longer faithful"
         )
-    in_window = (ts >= plan.growth_t_min) & (ts <= plan.growth_t_max) & (boundary <= 0.01)
-    if np.count_nonzero(in_window) < 3:
-        raise ValueError("faithful window too short for a growth fit")
-    slope, _, _ = fit_loglog(ts[in_window], norms[in_window])
-    return GrowthReport(
-        experiment=plan.experiment,
-        times=ts,
-        norms=norms,
-        in_window=in_window,
-        exponent=slope,
-        window=(float(ts[in_window][0]), float(ts[in_window][-1])),
-        qualitative=True,
-        warnings=tuple(warnings),
-    )
+    if traj.blown_up:
+        warnings.append(f"H^1/2 blow-up guard stopped the trajectory at t = {ts[-1]:.6g}")
+    in_window = (ts >= plan.growth_t_min) & (ts <= plan.growth_t_max) & faithful
+    return _growth_report(plan, ts, norms, in_window, True, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

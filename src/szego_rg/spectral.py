@@ -219,8 +219,7 @@ def from_physical(samples: np.ndarray, grid: FrequencyGrid) -> SpectralField:
 def cubic_product(f: SpectralField, oversample: int = 2) -> SpectralField:
     """Dealiased |u|^2 u, evaluated pointwise on the padded physical grid."""
     u = to_physical(f, oversample)
-    with np.errstate(over="ignore"):  # let diverging states reach the guard
-        return from_physical(np.abs(u) ** 2 * u, f.grid)
+    return from_physical(np.abs(u) ** 2 * u, f.grid)
 
 
 def pointwise_product(fields: Sequence[SpectralField], conjugate: Iterable[bool],
@@ -237,9 +236,7 @@ def pointwise_product(fields: Sequence[SpectralField], conjugate: Iterable[bool]
     for g, conj in zip(fields, conjugate, strict=True):
         if g.grid != grid:
             raise ValueError("fields live on different grids")
-        spec = np.zeros(n_pts, dtype=np.complex128)
-        spec[grid.modes % n_pts] = g.coeff
-        u = ifft(spec) * n_pts
+        u = to_physical(g, oversample)
         prod *= np.conj(u) if conj else u
     return from_physical(prod, grid)
 

@@ -2,8 +2,10 @@
 
 import dataclasses
 import os
+import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from szego_rg.cli import main
@@ -16,7 +18,14 @@ from szego_rg.config import (
     plan_from_config,
 )
 from szego_rg.dynamics import FlowSpec
-from szego_rg.experiments import Experiment, ExperimentPlan, InitialDataSpec
+from szego_rg.experiments import (
+    Experiment,
+    ExperimentPlan,
+    InitialDataSpec,
+    run_scaling_first_order,
+    run_scaling_second_order,
+    run_y_vs_u,
+)
 
 
 class TestConfig:
@@ -153,6 +162,24 @@ BAD_INPUTS = {
         "growth", "[run]\nexperiment = fosc_growth\n\n[experiment]\ngrowth_t_min = 0\n",
         "growth_t_min",
     ),
+    "audit_fields_zero": (
+        "audit", "[grid]\nn_max = 4\n\n[experiment]\naudit_fields = 0\n", "audit_fields",
+    ),
+    "audit_fields_negative": (
+        "audit", "[grid]\nn_max = 4\n\n[experiment]\naudit_fields = -3\n", "audit_fields",
+    ),
+    "fixed_horizon_negative": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[experiment]\nhorizon_mode = fixed_slow_time\n"
+        "slow_time_cap = -1\n",
+        "slow_time_cap",
+    ),
+    "fixed_horizon_zero": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[experiment]\nhorizon_mode = fixed_slow_time\n"
+        "slow_time_cap = 0\n",
+        "slow_time_cap",
+    ),
 }
 
 
@@ -255,6 +282,36 @@ class TestScaling:
         cfg = write(tmp_path, "s.cfg", SCALING_CFG)
         assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
+    @pytest.mark.parametrize("experiment, runner", [
+        ("scaling_first_order_torus", run_scaling_first_order),
+        ("scaling_second_order_torus", run_scaling_second_order),
+        ("y_vs_u", run_y_vs_u),
+    ])
+    def test_blown_up_sweep_fails_every_row(self, experiment, runner, tmp_path):
+        text = (
+            f"[run]\nexperiment = {experiment}\n\n[grid]\nn_max = 8\n\n"
+            "[initial_data]\nnormalization = 60.0\n\n[experiment]\neps_list = 0.5,0.4,0.3\n"
+        )
+        cfg = write(tmp_path, "blow.cfg", text)
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = runner(plan_from_config(parse_config(text)))
+            code = main(["scaling", "--config", cfg, "--out", str(out)])
+        reports = reports if isinstance(reports, tuple) else (reports,)
+        for report in reports:
+            assert len(report.rows) == 3
+            for r in report.rows:
+                assert r.failed and np.isnan(r.sup_error) and np.isnan(r.sup_w_norm)
+        assert code == 2
+        names = ["scaling.csv"]
+        if experiment == "scaling_second_order_torus":
+            names.append("scaling_first_order_contrast.csv")
+        for name in names:
+            lines = (out / name).read_text().splitlines()
+            assert len(lines) == 5 and all(",nan,nan,true" in l for l in lines[1:4])
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_short_sweep_exits_one(self, tmp_path):
         cfg = write(
             tmp_path,
@@ -315,6 +372,25 @@ class TestGrowth:
         lines = open(os.path.join(out, "growth.csv")).read().splitlines()
         assert lines[0] == "t,norm,window_flag"
         assert lines[-1].startswith("exponent=")
+
+    def test_sobolev_window_emptied_by_boundary_guard_exits_two(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "g.cfg",
+            "[run]\nexperiment = sobolev_growth\n\n[grid]\nn_max = 256\n\n"
+            "[initial_data]\nkind = rational_nongeneric\nnormalization =\nscale = 20.0\n",
+        )
+        out = tmp_path / "run"
+        assert main(["growth", "--config", cfg, "--out", str(out), "--svg"]) == 2
+        captured = capsys.readouterr()
+        assert "boundary-band guard" in captured.out
+        assert "Traceback" not in captured.err
+        lines = (out / "growth.csv").read_text().splitlines()
+        assert lines[0] == "t,norm,window_flag" and len(lines) >= 3
+        assert all(l.endswith(",false") for l in lines[1:-1])
+        assert lines[-1] == "exponent=nan window_lo=nan window_hi=nan qualitative=true"
+        assert "warning = boundary-mode mass exceeds 1%" in (out / "run_info.txt").read_text()
+        assert not (out / "growth.svg").exists()
 
     def test_wrong_experiment_exits_one(self, tmp_path):
         cfg = write(tmp_path, "g.cfg", "[run]\nexperiment = y_vs_u\n")
