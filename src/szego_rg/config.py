@@ -5,7 +5,7 @@ its documentation.  Unknown sections or keys are rejected with the offending
 name; parse(emit(cfg)) == cfg.  RunConfig.value applies one rule to every key:
 an empty value is None only for an optional key, whose documentation says what
 empty means ("empty = ..."); any other empty value, and any value that does
-not parse, is a ConfigError naming the key.
+not parse (numbers must be finite), is a ConfigError naming the key.
 
 Every [flow], [initial_data], [grid] and [experiment] key is named after the
 field of FlowSpec, InitialDataSpec or ExperimentPlan that it fills, so the
@@ -18,6 +18,8 @@ import configparser
 import io
 from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Callable
+
+import numpy as np
 
 from .dynamics import Flow, FlowSpec
 from .experiments import (
@@ -41,6 +43,20 @@ def _bool(raw: str) -> bool:
     if raw.lower() in ("false", "0", "no", "off"):
         return False
     raise ValueError("boolean expected")
+
+
+def _finite(conv: Callable[[str], Any]) -> Callable[[str], Any]:
+    """Parser of conv values that rejects nan and inf."""
+    def parse(raw: str):
+        x = conv(raw)
+        if not np.isfinite(x):
+            raise ValueError("finite number expected")
+        return x
+    return parse
+
+
+_float = _finite(float)
+_complex = _finite(complex)
 
 
 def _list(conv: Callable[[str], Any]) -> Callable[[str], tuple]:
@@ -74,16 +90,16 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "grid": {
         "n_max": Key("", int, f"modes k = -n_max..n_max; {EMPTY}", True),
         "domain": Key("", Domain, f"torus | bigbox; {EMPTY}", True),
-        "length": Key("", float, f"box length L; ignored on the torus (2*pi); {EMPTY}", True),
+        "length": Key("", _float, f"box length L; ignored on the torus (2*pi); {EMPTY}", True),
     },
     "flow": {
         "flow": Key("full_nlw", Flow, "full_nlw | first_order_rg | second_order_averaged"),
-        "eps": Key("0.1", float, "coupling amplitude, in (0, 1]"),
-        "dt": Key("0.05", float, "time step"),
-        "t_end": Key("1000.0", float, "integration horizon"),
-        "s": Key("1.0", float, "diagnostic Sobolev index"),
-        "snapshot_stride": Key("", float, "fast-time between snapshots; empty = 0.05/eps^2", True),
-        "slow_time_cap": Key("100.0", float, "bound on eps^2 * t_end"),
+        "eps": Key("0.1", _float, "coupling amplitude, in (0, 1]"),
+        "dt": Key("0.05", _float, "time step"),
+        "t_end": Key("1000.0", _float, "integration horizon"),
+        "s": Key("1.0", _float, "diagnostic Sobolev index"),
+        "snapshot_stride": Key("", _float, "fast-time between snapshots; empty = 0.05/eps^2", True),
+        "slow_time_cap": Key("100.0", _float, "bound on eps^2 * t_end"),
     },
     "initial_data": {
         "kind": Key(
@@ -91,26 +107,26 @@ SCHEMA: dict[str, dict[str, Key]] = {
             "hardy_polynomial | rational_nongeneric | seeded_random_hardy",
         ),
         "modes": Key("1,2,3", _list(int), "mode list for hardy_polynomial"),
-        "amplitudes": Key("2.0,1.0,0.5", _list(complex), "complex amplitudes for hardy_polynomial"),
-        "decay": Key("1.5", float, "spectral decay exponent for seeded_random_hardy"),
-        "normalization": Key("1.0", float, "target L2 norm; empty = keep raw amplitudes", True),
-        "scale": Key("1.0", float, "multiplier applied after normalization"),
+        "amplitudes": Key("2.0,1.0,0.5", _list(_complex), "complex amplitudes for hardy_polynomial"),
+        "decay": Key("1.5", _float, "spectral decay exponent for seeded_random_hardy"),
+        "normalization": Key("1.0", _float, "target L2 norm; empty = keep raw amplitudes", True),
+        "scale": Key("1.0", _float, "multiplier applied after normalization"),
     },
     "experiment": {
-        "eps_list": Key("", _list(float), f"decreasing sweep values; {EMPTY}", True),
-        "s": Key("1.0", float, "Sobolev index of the measured error"),
-        "alpha": Key("", float, f"horizon log-power parameter in [0, 1/2]; {EMPTY}", True),
-        "delta": Key("0.1", float, "horizon log argument parameter"),
+        "eps_list": Key("", _list(_float), f"decreasing sweep values; {EMPTY}", True),
+        "s": Key("1.0", _float, "Sobolev index of the measured error"),
+        "alpha": Key("", _float, f"horizon log-power parameter in [0, 1/2]; {EMPTY}", True),
+        "delta": Key("0.1", _float, "horizon log argument parameter"),
         "horizon_mode": Key("log_corrected", HorizonMode, "log_corrected | fixed_slow_time"),
-        "slow_time_cap": Key("2.0", float, "slow-time horizon for fixed_slow_time mode"),
-        "dt": Key("", float, f"time step, in (0, 0.5]; {EMPTY}", True),
+        "slow_time_cap": Key("2.0", _float, "slow-time horizon for fixed_slow_time mode"),
+        "dt": Key("", _float, f"time step, in (0, 0.5]; {EMPTY}", True),
         "snapshots_per_run": Key("150", int, "snapshots per trajectory"),
-        "slope_threshold": Key("", float, f"pass threshold for the fitted slope; {EMPTY}", True),
-        "residual_max": Key("", float, f"pass threshold for the fit residual; {EMPTY}", True),
-        "hypothesis_factor": Key("3.0", float, "flag rows where sup|W| exceeds this factor"),
-        "t_end": Key("", float, f"horizon for conservation/growth runs; {EMPTY}", True),
-        "growth_t_min": Key("", float, f"lower end of the growth fit window; {EMPTY}", True),
-        "growth_t_max": Key("", float, f"upper end of the growth fit window; {EMPTY}", True),
+        "slope_threshold": Key("", _float, f"pass threshold for the fitted slope; {EMPTY}", True),
+        "residual_max": Key("", _float, f"pass threshold for the fit residual; {EMPTY}", True),
+        "hypothesis_factor": Key("3.0", _float, "flag rows where sup|W| exceeds this factor"),
+        "t_end": Key("", _float, f"horizon for conservation/growth runs; {EMPTY}", True),
+        "growth_t_min": Key("", _float, f"lower end of the growth fit window; {EMPTY}", True),
+        "growth_t_max": Key("", _float, f"upper end of the growth fit window; {EMPTY}", True),
         "growth_points": Key("25", int, "points on the logarithmic t grid"),
         "audit_fields": Key("20", int, "random fields per kernel-audit check"),
         "negative_control": Key("false", _bool, "corrupt one closed form; audit must fail"),

@@ -428,23 +428,30 @@ def _sweep(plan: ExperimentPlan, truth: Flow, start, arms, slow: bool = False):
     grid = plan.grid()
     w0 = plan.initial_data.build(grid)
     w0_norm = sobolev_norm(w0, plan.s)
-    rows = [[] for _ in arms]
-    for eps in plan.eps_list:
+
+    def row(eps):
+        # one ScalingRow per arm; the trajectories are locals of this call,
+        # so they are freed before the next eps integrates
         t_end = plan.horizon(eps)
         sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end, slow=slow)
         ref = integrate(sp(truth), start(eps, w0))
         trajs = [integrate(sp(flow), w0) for flow, _ in arms]
         if ref.blown_up or any(t.blown_up for t in trajs):
             failed = ScalingRow(eps, t_end, float("nan"), float("nan"), True, failed=True)
-            for arm_rows in rows:
-                arm_rows.append(failed)
-            continue
+            return [failed] * len(arms)
         sup_w = max(sobolev_norm(f, plan.s) for f in trajs[0].states)
         bound = plan.hypothesis_factor * w0_norm * np.log(1.0 / eps**plan.delta) ** plan.alpha
-        for arm_rows, traj, (_, ansatz_of) in zip(rows, trajs, arms):
+        out = []
+        for traj, (_, ansatz_of) in zip(trajs, arms):
             ansatz = ansatz_of(traj)
             sup = max(sobolev_norm(ref.state_at(t) - ansatz(t), plan.s) for t in ref.times)
-            arm_rows.append(ScalingRow(eps, t_end, sup, sup_w, sup_w > bound))
+            out.append(ScalingRow(eps, t_end, sup, sup_w, sup_w > bound))
+        return out
+
+    rows = [[] for _ in arms]
+    for eps in plan.eps_list:
+        for arm_rows, arm_row in zip(rows, row(eps)):
+            arm_rows.append(arm_row)
     return rows
 
 

@@ -48,11 +48,12 @@ from .spectral import (
     apply_inv_D_minus,
     cubic_product,
     free_flow,
+    from_physical,
     l2_norm_sq,
     negative_mode_mass,
-    pointwise_product,
     project_minus,
     project_plus,
+    to_physical,
 )
 
 HARDY_TOL = 1e-12
@@ -259,12 +260,13 @@ def f_res_closed_torus(u: SpectralField) -> SpectralField:
     up = project_plus(u)
     um = project_minus(u)
     cube_p = cubic_product(up)
-    cube_m = cubic_product(um)
+    Um = to_physical(um)
+    cube_m = from_physical(np.abs(Um) ** 2 * Um, grid)
     q_plus = l2_norm_sq(up)
     q_minus = l2_norm_sq(um)
     u0 = u.coeff[grid.index(0)]
-    abs_minus_sq = pointwise_product([um, um], [False, True], oversample=2)
-    minus_sq = pointwise_product([um, um], [False, False], oversample=2)
+    abs_minus_sq = from_physical(Um * np.conj(Um), grid)
+    minus_sq = from_physical(Um * Um, grid)
 
     c = project_plus(cube_p).coeff.copy()
     c += 2.0 * q_minus * up.coeff
@@ -383,10 +385,10 @@ def fprime_dot(u: SpectralField, t: float, h: SpectralField) -> SpectralField:
     """
     if h.grid != u.grid:
         raise ValueError("direction field lives on a different grid")
-    v = free_flow(u, t)
-    g = free_flow(h, t)
-    p1 = pointwise_product([v, v, g], [False, True, False], oversample=2)
-    p2 = pointwise_product([v, v, g], [False, False, True], oversample=2)
+    V = to_physical(free_flow(u, t))
+    G = to_physical(free_flow(h, t))
+    p1 = from_physical(V * np.conj(V) * G, u.grid)
+    p2 = from_physical(V * V * np.conj(G), u.grid)
     total = SpectralField(u.grid, 2.0 * p1.coeff + p2.coeff)
     return SpectralField(u.grid, -1j * free_flow(total, -t).coeff)
 
@@ -488,13 +490,11 @@ def r2_closed_hardy(w_field: SpectralField) -> SpectralField:
     if grid.domain is not Domain.TORUS:
         raise ValueError("r2_closed_hardy is defined on the torus grid")
     require_hardy(w_field)
-    g = apply_inv_D_minus(project_minus(cubic_product(w_field)))
-    term1 = project_plus(
-        pointwise_product([w_field, w_field, g], [False, True, False], oversample=2)
-    )
-    term2 = project_plus(
-        pointwise_product([w_field, w_field, g], [False, False, True], oversample=2)
-    )
+    W = to_physical(w_field)
+    g = apply_inv_D_minus(project_minus(from_physical(np.abs(W) ** 2 * W, grid)))
+    G = to_physical(g)
+    term1 = project_plus(from_physical(W * np.conj(W) * G, grid))
+    term2 = project_plus(from_physical(W * W * np.conj(G), grid))
     return SpectralField(grid, -1j * term1.coeff - 0.5j * term2.coeff)
 
 

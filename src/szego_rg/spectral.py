@@ -13,9 +13,11 @@ so that (1/length) * int |u|^2 dx = sum_k |c(k)|^2.  The L2 norm used
 throughout the package is therefore sqrt(sum |c(k)|^2), and the quartic term
 in the energy is (1/4) * (1/length) * int |u|^4 dx.
 
-Cubic products are evaluated pointwise on a physical grid padded by an
-oversampling factor >= 2 and truncated back to |k| <= n_max, which makes the
-spectral convolution of a cubic term exact (no aliasing into retained modes).
+Products are evaluated pointwise on one physical grid of
+next_fast_len(2*(2n_max+1)) points and truncated back to |k| <= n_max.  That
+padding makes every product of up to three factors, and the quartic mean,
+exact (no aliasing into retained modes), so a kernel transforms each distinct
+factor once and forms its products from the samples.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -190,16 +192,9 @@ def random_field(
 # transforms
 
 
-def physical_points(grid: FrequencyGrid, oversample: int = 2) -> int:
-    """Number of physical samples for the given padding factor."""
-    if oversample < 2:
-        raise ValueError("oversample must be >= 2 (cubic dealiasing)")
-    return next_fast_len(oversample * grid.size)
-
-
-def to_physical(f: SpectralField, oversample: int = 2) -> np.ndarray:
-    """Samples u(x_j) on an equispaced grid of >= oversample*(2n+1) points."""
-    n_pts = physical_points(f.grid, oversample)
+def to_physical(f: SpectralField) -> np.ndarray:
+    """Samples u(x_j) on an equispaced grid of >= 2*(2n+1) points."""
+    n_pts = next_fast_len(2 * f.grid.size)
     spec = np.zeros(n_pts, dtype=np.complex128)
     spec[f.grid.modes % n_pts] = f.coeff
     return ifft(spec) * n_pts
@@ -216,29 +211,10 @@ def from_physical(samples: np.ndarray, grid: FrequencyGrid) -> SpectralField:
     return SpectralField(grid, spec[grid.modes % samples.size])
 
 
-def cubic_product(f: SpectralField, oversample: int = 2) -> SpectralField:
+def cubic_product(f: SpectralField) -> SpectralField:
     """Dealiased |u|^2 u, evaluated pointwise on the padded physical grid."""
-    u = to_physical(f, oversample)
+    u = to_physical(f)
     return from_physical(np.abs(u) ** 2 * u, f.grid)
-
-
-def pointwise_product(fields: Sequence[SpectralField], conjugate: Iterable[bool],
-                      oversample: int = 4) -> SpectralField:
-    """Dealiased pointwise product of several fields, some conjugated.
-
-    The default padding factor 4 keeps products of up to five factors exact
-    on the retained modes.
-    """
-    fields = list(fields)
-    grid = fields[0].grid
-    n_pts = physical_points(grid, oversample)
-    prod = np.ones(n_pts, dtype=np.complex128)
-    for g, conj in zip(fields, conjugate, strict=True):
-        if g.grid != grid:
-            raise ValueError("fields live on different grids")
-        u = to_physical(g, oversample)
-        prod *= np.conj(u) if conj else u
-    return from_physical(prod, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +275,9 @@ def negative_mode_mass(f: SpectralField) -> float:
     return float(np.sum(np.abs(f.coeff[f.grid.modes < 0]) ** 2))
 
 
-def quartic_mean(f: SpectralField, oversample: int = 2) -> float:
+def quartic_mean(f: SpectralField) -> float:
     """(1/length) * int |u|^4 dx, exact on the padded grid."""
-    u = to_physical(f, oversample)
+    u = to_physical(f)
     with np.errstate(over="ignore"):  # blown-up states evaluate to inf
         return float(np.mean(np.abs(u) ** 4))
 

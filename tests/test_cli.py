@@ -180,6 +180,20 @@ BAD_INPUTS = {
         "slow_time_cap = 0\n",
         "slow_time_cap",
     ),
+    "nan_delta": ("scaling", "[grid]\nn_max = 8\n\n[experiment]\ndelta = nan\n", "delta"),
+    "nan_norm_index": (
+        "scaling", "[run]\nexperiment = y_vs_u\n\n[experiment]\ns = nan\n", "'s'",
+    ),
+    "nan_snapshot_stride": ("simulate", "[flow]\nsnapshot_stride = nan\n", "snapshot_stride"),
+    "infinite_decay": (
+        "simulate", "[initial_data]\nkind = seeded_random_hardy\ndecay = -inf\n", "decay",
+    ),
+    "nan_amplitude": (
+        "simulate", "[initial_data]\nmodes = 1,2,3\namplitudes = nan,1,1\n", "amplitudes",
+    ),
+    "infinite_length": (
+        "growth", "[run]\nexperiment = fosc_growth\n\n[grid]\nlength = inf\n", "length",
+    ),
 }
 
 

@@ -1,9 +1,12 @@
 """Experiment plumbing: initial data, horizons, fits, reports, audit."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from szego_rg import Domain, make_grid, mass, negative_mode_mass
+from szego_rg import Domain, experiments, make_grid, mass, negative_mode_mass
 from szego_rg.dynamics import Flow, integrate
 from szego_rg.experiments import (
     DataKind,
@@ -140,6 +143,24 @@ class TestScalingRuns:
         assert [r.eps for r in a.rows] == list(plan.eps_list)
         for x, y in zip(a.rows, b.rows):
             assert x == y  # bitwise-identical rows
+
+    def test_sweep_frees_previous_row(self, monkeypatch):
+        # every trajectory of one eps row is freed before the next row's
+        # truth flow starts, so a sweep holds one row at a time
+        refs, alive, real = [], [], experiments.integrate
+
+        def traced(spec, w0):
+            if spec.flow is Flow.FULL_NLW:
+                gc.collect()
+                alive.append(sum(r() is not None for r in refs))
+            traj = real(spec, w0)
+            refs.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(experiments, "integrate", traced)
+        run_scaling_first_order(_fast_torus_plan())
+        assert alive == [0, 0, 0]
+        assert len(refs) == 6
 
     def test_box_plan_too_short_rejected(self):
         with pytest.raises(ValueError, match="64"):

@@ -1,0 +1,85 @@
+"""Symmetries of the product kernels, checked with hypothesis.
+
+r2_closed_hardy, f_res_closed_torus and fprime_dot commute with the phase
+rotation u -> e^{i theta} u and with the translation c(k) -> e^{-i k a} c(k).
+r2 is homogeneous of degree 5 and f_res of degree 3; fprime_dot(u, t, h) has
+degree 2 in u and is R-linear in h.  Every identity holds to 1e-12 relative
+to the size of its right-hand side.
+"""
+
+import cmath
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from szego_rg import Domain, SpectralField, make_grid, random_field
+from szego_rg import resonance as rs
+
+REL = 1e-12
+
+PROPERTY = settings(max_examples=15, deadline=None, database=None)
+N_MAX = st.integers(4, 16)
+SEED = st.integers(0, 2**32 - 1)
+ANGLE = st.floats(0.0, 2.0 * np.pi)
+SCALE = st.floats(0.25, 4.0)
+TIME = st.floats(0.0, 10.0)
+
+
+def _fields(n_max, seed):
+    """A Hardy field w and two general fields u, h on the torus."""
+    grid = make_grid(n_max, Domain.TORUS)
+    rng = np.random.default_rng(seed)
+    return (
+        random_field(grid, rng, hardy=True),
+        random_field(grid, rng),
+        random_field(grid, rng),
+    )
+
+
+def _shift(f, a):
+    """Translation by a: c(k) -> exp(-i freq(k) a) c(k)."""
+    return SpectralField(f.grid, np.exp(-1j * f.grid.freqs * a) * f.coeff)
+
+
+def _assert_close(a, b, scale=None):
+    scale = np.max(np.abs(b.coeff)) if scale is None else scale
+    assert np.max(np.abs(a.coeff - b.coeff)) <= REL * scale
+
+
+@PROPERTY
+@given(N_MAX, SEED, ANGLE, TIME)
+def test_phase_covariance(n_max, seed, theta, t):
+    w, u, h = _fields(n_max, seed)
+    z = cmath.exp(1j * theta)
+    _assert_close(rs.r2_closed_hardy(z * w), z * rs.r2_closed_hardy(w))
+    _assert_close(rs.f_res_closed_torus(z * u), z * rs.f_res_closed_torus(u))
+    _assert_close(rs.fprime_dot(z * u, t, z * h), z * rs.fprime_dot(u, t, h))
+
+
+@PROPERTY
+@given(N_MAX, SEED, ANGLE, TIME)
+def test_translation_covariance(n_max, seed, a, t):
+    w, u, h = _fields(n_max, seed)
+    _assert_close(rs.r2_closed_hardy(_shift(w, a)), _shift(rs.r2_closed_hardy(w), a))
+    _assert_close(rs.f_res_closed_torus(_shift(u, a)), _shift(rs.f_res_closed_torus(u), a))
+    _assert_close(
+        rs.fprime_dot(_shift(u, a), t, _shift(h, a)), _shift(rs.fprime_dot(u, t, h), a)
+    )
+
+
+@PROPERTY
+@given(N_MAX, SEED, SCALE, TIME)
+def test_homogeneity(n_max, seed, lam, t):
+    w, u, h = _fields(n_max, seed)
+    _assert_close(rs.r2_closed_hardy(lam * w), lam**5 * rs.r2_closed_hardy(w))
+    _assert_close(rs.f_res_closed_torus(lam * u), lam**3 * rs.f_res_closed_torus(u))
+    _assert_close(rs.fprime_dot(lam * u, t, h), lam**2 * rs.fprime_dot(u, t, h))
+
+
+@PROPERTY
+@given(N_MAX, SEED, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), TIME)
+def test_fprime_dot_real_linear_in_direction(n_max, seed, a, b, t):
+    w, u, h = _fields(n_max, seed)
+    f1, f2 = rs.fprime_dot(u, t, h), rs.fprime_dot(u, t, w)
+    scale = max(abs(a) * np.max(np.abs(f1.coeff)), abs(b) * np.max(np.abs(f2.coeff)))
+    _assert_close(rs.fprime_dot(u, t, a * h + b * w), a * f1 + b * f2, scale)

@@ -373,6 +373,32 @@ class TestDerivatives:
         assert np.max(np.abs(fd - an)) <= 1e-6 * np.max(np.abs(an))
 
 
+class TestTransformCounts:
+    """Each kernel transforms every distinct factor once to physical space
+    (W and g = (1/D) P-(|W|^2 W) for r2, u+ and u- for f_res_closed_torus,
+    v and g for fprime_dot) and each product once back (3, 4 and 2)."""
+
+    KERNELS = {
+        "r2_closed_hardy": (lambda w, u, h: rs.r2_closed_hardy(w), 5),
+        "f_res_closed_torus": (lambda w, u, h: rs.f_res_closed_torus(u), 6),
+        "fprime_dot": (lambda w, u, h: rs.fprime_dot(u, 0.37, h), 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_fft_calls(self, name, torus8, rng, monkeypatch):
+        kernel, expected = self.KERNELS[name]
+        w = random_field(torus8, rng, hardy=True)
+        u, h = random_field(torus8, rng), random_field(torus8, rng)
+        calls = []
+        for fn in ("fft", "ifft"):
+            real = getattr(spectral, fn)
+            monkeypatch.setattr(
+                spectral, fn, lambda x, real=real: calls.append(x.size) or real(x)
+            )
+        kernel(w, u, h)
+        assert len(calls) == expected
+
+
 class TestQuinticKernels:
     @pytest.fixture
     def torus6(self):
