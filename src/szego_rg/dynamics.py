@@ -38,8 +38,8 @@ from .spectral import (
     SpectralField,
     cubic_product,
     free_flow,
-    project_plus,
     sobolev_norm,
+    szego_cubic,
 )
 
 MAX_DT = 0.5
@@ -147,9 +147,10 @@ def _nonlinear_term(spec: FlowSpec, hardy: bool) -> Callable[[np.ndarray], np.nd
     if hardy:
         # Hardy data stays Hardy along the effective flows, and on Hardy
         # fields every f_res term except -i P+(|u|^2 u) is identically zero;
-        # this path computes the same numbers while skipping the dead terms.
+        # szego_cubic computes that term alone, on a grid of
+        # next_fast_len(2n_max+1) points, about half the general padding.
         def szego_term(c):
-            return -1j * project_plus(cubic_product(SpectralField(grid, c))).coeff
+            return -1j * szego_cubic(c)
     else:
         def szego_term(c):
             return f_res_closed(SpectralField(grid, c)).coeff

@@ -102,6 +102,11 @@ class InitialDataSpec:
             raise ValueError(f"{len(self.modes)} modes but {len(self.amplitudes)} amplitudes given")
         if any(k < 0 for k in self.modes):
             raise ValueError("Hardy polynomial data requires modes k >= 0")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"modes {self.modes} name a mode twice")
+        if self.kind is DataKind.HARDY_POLYNOMIAL and self.normalization is not None:
+            if not any(self.amplitudes):
+                raise ValueError("amplitudes are all zero: zero data cannot be normalized")
 
     def build(self, grid: FrequencyGrid) -> SpectralField:
         if self.kind is DataKind.HARDY_POLYNOMIAL:

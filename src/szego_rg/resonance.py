@@ -53,6 +53,7 @@ from .spectral import (
     negative_mode_mass,
     project_minus,
     project_plus,
+    szego_cubic,
     to_physical,
 )
 
@@ -259,7 +260,6 @@ def f_res_closed_torus(u: SpectralField) -> SpectralField:
     grid = u.grid
     up = project_plus(u)
     um = project_minus(u)
-    cube_p = cubic_product(up)
     Um = to_physical(um)
     cube_m = from_physical(np.abs(Um) ** 2 * Um, grid)
     q_plus = l2_norm_sq(up)
@@ -268,7 +268,7 @@ def f_res_closed_torus(u: SpectralField) -> SpectralField:
     abs_minus_sq = from_physical(Um * np.conj(Um), grid)
     minus_sq = from_physical(Um * Um, grid)
 
-    c = project_plus(cube_p).coeff.copy()
+    c = szego_cubic(up.coeff)
     c += 2.0 * q_minus * up.coeff
     c[grid.index(0)] += cube_m.coeff[grid.index(0)]
     c += project_minus(cube_m).coeff
@@ -286,9 +286,8 @@ def f_res_closed_line(u: SpectralField) -> SpectralField:
     """
     if u.grid.domain is not Domain.BIGBOX:
         raise ValueError("f_res_closed_line requires a big-box grid")
-    up = project_plus(u)
     um = project_minus(u)
-    c = project_plus(cubic_product(up)).coeff + project_minus(cubic_product(um)).coeff
+    c = szego_cubic(u.coeff) + project_minus(cubic_product(um)).coeff
     return SpectralField(u.grid, -1j * c)
 
 

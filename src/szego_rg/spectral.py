@@ -17,7 +17,9 @@ Products are evaluated pointwise on one physical grid of
 next_fast_len(2*(2n_max+1)) points and truncated back to |k| <= n_max.  That
 padding makes every product of up to three factors, and the quartic mean,
 exact (no aliasing into retained modes), so a kernel transforms each distinct
-factor once and forms its products from the samples.
+factor once and forms its products from the samples.  The one exception is
+szego_cubic, the Szego term P+(|u|^2 u) of Hardy data: it transforms modes
+0..n_max on next_fast_len(2n_max+1) points, which is exact for that product.
 """
 
 from __future__ import annotations
@@ -215,6 +217,23 @@ def cubic_product(f: SpectralField) -> SpectralField:
     """Dealiased |u|^2 u, evaluated pointwise on the padded physical grid."""
     u = to_physical(f)
     return from_physical(np.abs(u) ** 2 * u, f.grid)
+
+
+def szego_cubic(coeff: np.ndarray) -> np.ndarray:
+    """Coefficients of P+(|P+u|^2 P+u) in the -n_max..n_max layout.
+
+    Reads only modes 0..n_max.  For Hardy u the product spectrum is
+    [-n_max, 2n_max], so next_fast_len(2n_max+1) points alias nothing into
+    0..n_max: one ifft and one fft on about half the general padding.
+    """
+    n = coeff.size // 2
+    n_pts = next_fast_len(2 * n + 1)
+    spec = np.zeros(n_pts, dtype=np.complex128)
+    spec[: n + 1] = coeff[n:]
+    u = ifft(spec) * n_pts
+    out = np.zeros(coeff.size, dtype=np.complex128)
+    out[n:] = fft(np.abs(u) ** 2 * u)[: n + 1] / n_pts
+    return out
 
 
 # ---------------------------------------------------------------------------

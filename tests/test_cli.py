@@ -191,6 +191,13 @@ BAD_INPUTS = {
     "nan_amplitude": (
         "simulate", "[initial_data]\nmodes = 1,2,3\namplitudes = nan,1,1\n", "amplitudes",
     ),
+    "zero_amplitudes_simulate": (
+        "simulate", "[initial_data]\nmodes = 0,1\namplitudes = 0,0\n", "amplitudes",
+    ),
+    "zero_amplitudes_scaling": (
+        "scaling", "[initial_data]\nmodes = 0,1\namplitudes = 0,0\n", "amplitudes",
+    ),
+    "duplicate_modes": ("simulate", "[initial_data]\nmodes = 1,1\namplitudes = 1,2\n", "modes"),
     "infinite_length": (
         "growth", "[run]\nexperiment = fosc_growth\n\n[grid]\nlength = inf\n", "length",
     ),

@@ -17,6 +17,7 @@ from szego_rg import (
     sobolev_norm,
 )
 from szego_rg import resonance as rs
+from szego_rg import spectral
 from szego_rg.dynamics import (
     SLOW_DT,
     Flow,
@@ -125,6 +126,20 @@ class TestRightHandSides:
         w = random_field(torus8, rng, hardy=True)
         out = nonlinear(Flow.SECOND_ORDER_AVERAGED, torus8, 0.2, hardy=True)(w.coeff)
         assert negative_mode_mass(SpectralField(torus8, out)) == 0.0
+
+    def test_first_order_hardy_transforms_half_grid(self, rng, monkeypatch):
+        # P+(|W|^2 W) of Hardy W needs next_fast_len(2*2048+1) = 4116 points,
+        # half the general padding of next_fast_len(2*4097) = 8232
+        grid = make_grid(2048, Domain.BIGBOX, 256.0 * np.pi)
+        w = random_field(grid, rng, hardy=True)
+        sizes = []
+        for fn in ("fft", "ifft"):
+            real = getattr(spectral, fn)
+            monkeypatch.setattr(
+                spectral, fn, lambda x, real=real: sizes.append(x.size) or real(x)
+            )
+        nonlinear(Flow.FIRST_ORDER_RG, grid, 0.2, hardy=True)(w.coeff)
+        assert sizes == [4116, 4116]
 
     def test_second_order_rejects_non_hardy(self, rand_torus8):
         with pytest.raises(ValueError):

@@ -5,15 +5,22 @@ rotation u -> e^{i theta} u and with the translation c(k) -> e^{-i k a} c(k).
 r2 is homogeneous of degree 5 and f_res of degree 3; fprime_dot(u, t, h) has
 degree 2 in u and is R-linear in h.  Every identity holds to 1e-12 relative
 to the size of its right-hand side.
+
+The effective flows keep Hardy data Hardy (negative modes exactly zero at
+every snapshot), and W -> lam W maps eps = lam to eps = 1 at equal times:
+the Szego term is cubic and r2 quintic, so lam W(t) solves the eps = 1 flow
+and each RK4 stage scales the same way.
 """
 
 import cmath
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from szego_rg import Domain, SpectralField, make_grid, random_field
 from szego_rg import resonance as rs
+from szego_rg.dynamics import Flow, FlowSpec, integrate
 
 REL = 1e-12
 
@@ -83,3 +90,30 @@ def test_fprime_dot_real_linear_in_direction(n_max, seed, a, b, t):
     f1, f2 = rs.fprime_dot(u, t, h), rs.fprime_dot(u, t, w)
     scale = max(abs(a) * np.max(np.abs(f1.coeff)), abs(b) * np.max(np.abs(f2.coeff)))
     _assert_close(rs.fprime_dot(u, t, a * h + b * w), a * f1 + b * f2, scale)
+
+
+@pytest.mark.parametrize(
+    "flow, domain",
+    [(Flow.FIRST_ORDER_RG, Domain.TORUS), (Flow.FIRST_ORDER_RG, Domain.BIGBOX),
+     (Flow.SECOND_ORDER_AVERAGED, Domain.TORUS)],
+)
+def test_effective_flows_keep_hardy_data_hardy(flow, domain):
+    grid = make_grid(16, domain, 32.0 * np.pi if domain is Domain.BIGBOX else None)
+    w0 = random_field(grid, np.random.default_rng(3), hardy=True)
+    traj = integrate(FlowSpec(flow, grid, eps=0.3, dt=0.1, t_end=20.0, snapshot_stride=1.0), w0)
+    assert len(traj.states) == 21 and not traj.blown_up
+    for state in traj.states:
+        assert np.all(state.coeff[grid.modes < 0] == 0.0)
+
+
+@pytest.mark.parametrize("flow", [Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED])
+def test_effective_flows_amplitude_scaling(flow):
+    grid = make_grid(16, Domain.TORUS)
+    w0 = random_field(grid, np.random.default_rng(5), hardy=True)
+    lam = 0.5
+    kw = dict(dt=0.05, t_end=2.0, snapshot_stride=0.25)
+    a = integrate(FlowSpec(flow, grid, eps=1.0, **kw), lam * w0)
+    b = integrate(FlowSpec(flow, grid, eps=lam, **kw), w0)
+    assert len(a.times) == 9 and np.array_equal(a.times, b.times)
+    for x, y in zip(a.states, b.states):
+        _assert_close(x, lam * y)

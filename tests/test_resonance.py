@@ -181,6 +181,42 @@ class TestResonantKernel:
         assert coeff_diff(a, b) <= 1e-12
 
 
+class TestSzegoCubic:
+    """spectral.szego_cubic against the brute-force resonant sums: on Hardy
+    data the torus kernel and the line's sign-uniform kernel both reduce to
+    -i P+(|u|^2 u)."""
+
+    GRIDS = [make_grid(n, Domain.TORUS) for n in (4, 8)] + [
+        make_grid(n, Domain.BIGBOX, 16.0 * np.pi) for n in (4, 8)
+    ]
+    grids = pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.domain.value}{g.n_max}")
+
+    @staticmethod
+    def _check(u):
+        box = u.grid.domain is Domain.BIGBOX
+        expected = 1j * rs.f_res_bruteforce(u, sign_uniform_only=box).coeff
+        assert np.max(np.abs(spectral.szego_cubic(u.coeff) - expected)) <= 1e-12
+
+    @grids
+    def test_matches_bruteforce(self, grid, rng):
+        for _ in range(3):
+            self._check(random_field(grid, rng, hardy=True))
+
+    @grids
+    def test_worst_case_aliasing(self, grid):
+        # modes 0, N-1 and N: the product reaches mode 2N, the farthest
+        # alias the 2N+1-point grid must keep out of 0..N
+        n = grid.n_max
+        self._check(field_from_modes(grid, {0: 0.8, n - 1: 0.6 - 0.3j, n: 1.0 + 0.5j}))
+
+    def test_non_hardy_input_reads_plus_modes(self, torus8, box8, rng):
+        for grid in (torus8, box8):
+            u = random_field(grid, rng)
+            out = spectral.szego_cubic(u.coeff)
+            assert np.array_equal(out, spectral.szego_cubic(project_plus(u).coeff))
+            assert np.all(out[: grid.n_max] == 0.0)
+
+
 class TestOscillatoryPart:
     def test_single_mode_vanishes(self, torus8):
         u = field_from_modes(torus8, {3: 1.0})
