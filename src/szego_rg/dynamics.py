@@ -4,12 +4,14 @@ Three flows share one integrator:
 
   * FULL_NLW:  dv/dt = -i|D|v - i|v|^2 v  (the dispersive part integrated
     exactly in the interaction picture, Lawson / integrating-factor RK4);
-  * FIRST_ORDER_RG:  dW/dt = eps^2 f_res(W), the resonant effective flow
-    (for Hardy data this is the Szego flow in fast-time variables);
+  * FIRST_ORDER_RG:  dW/dt = eps^2 f_res(W) = eps^2 (-i P+(|W|^2 W)), the
+    resonant effective flow on Hardy data: the Szego flow in fast-time
+    variables;
   * SECOND_ORDER_AVERAGED:  dW/dt = eps^2 (-i P+(|W|^2 W)) + eps^4 r2(W),
     the averaged flow whose quintic correction is the resonant part of
     f'(W,t).F_osc(W,t).
 
+Both effective flows take Hardy data only (integrate rejects any other).
 States of the effective flows are stored unscaled (W); the physical field is
 eps * W, which the ansatz constructors apply.  Fixed step size, deterministic
 snapshot schedule, and a blow-up guard that truncates instead of raising.
@@ -31,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .resonance import F_osc, f_res_closed, r2_closed_hardy, require_hardy
+from .resonance import F_osc, r2_closed_hardy, require_hardy
 from .spectral import (
     Domain,
     FrequencyGrid,
@@ -139,21 +141,17 @@ class Trajectory:
 # right-hand side and integrator
 
 
-def _nonlinear_term(spec: FlowSpec, hardy: bool) -> Callable[[np.ndarray], np.ndarray]:
+def _nonlinear_term(spec: FlowSpec) -> Callable[[np.ndarray], np.ndarray]:
     grid = spec.grid
     if spec.flow is Flow.FULL_NLW:
         return lambda c: -1j * cubic_product(SpectralField(grid, c)).coeff
 
-    if hardy:
-        # Hardy data stays Hardy along the effective flows, and on Hardy
-        # fields every f_res term except -i P+(|u|^2 u) is identically zero;
-        # szego_cubic computes that term alone, on a grid of
-        # next_fast_len(2n_max+1) points, about half the general padding.
-        def szego_term(c):
-            return -1j * szego_cubic(c)
-    else:
-        def szego_term(c):
-            return f_res_closed(SpectralField(grid, c)).coeff
+    # the effective flows take Hardy data, which stays Hardy along them, and
+    # on Hardy fields every f_res term except -i P+(|u|^2 u) is identically
+    # zero; szego_cubic computes that term alone, on a grid of
+    # next_fast_len(2n_max+1) points, about half the general padding.
+    def szego_term(c):
+        return -1j * szego_cubic(c)
 
     if spec.flow is Flow.FIRST_ORDER_RG:
         eps2 = spec.eps**2
@@ -194,10 +192,9 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
     e_half = np.exp(-1j * omega * (h / 2.0))
     e_full = e_half * e_half
 
-    if spec.flow is Flow.SECOND_ORDER_AVERAGED:
+    if spec.flow is not Flow.FULL_NLW:
         require_hardy(v0)
-    hardy = bool(np.all(v0.coeff[grid.modes < 0] == 0.0))
-    nonlin = _nonlinear_term(spec, hardy)
+    nonlin = _nonlinear_term(spec)
 
     # every RK4 step as (size, snapshot step index or 0); the stages stay
     # inline in one loop, where each step's arrays are freed only as the

@@ -189,6 +189,11 @@ class ExperimentPlan:
             raise ValueError(f"audit_fields must be >= 1, got {self.audit_fields}")
         if not self.slow_time_cap > 0.0:
             raise ValueError(f"slow_time_cap must be positive, got {self.slow_time_cap}")
+        if self.experiment is Experiment.KERNEL_AUDIT and self.n_max > rs.MAX_QUINTIC_N_MAX:
+            raise ValueError(
+                f"the kernel audit's quintic brute force needs n_max <= "
+                f"{rs.MAX_QUINTIC_N_MAX}, got n_max = {self.n_max}"
+            )
         if self.experiment is Experiment.FOSC_GROWTH and self.growth_points < 3:
             raise ValueError(
                 f"growth_points must be >= 3 for the log-log fit, got {self.growth_points}"

@@ -34,6 +34,12 @@ definition by the kernel audit and acceptance gate 2.
 In brute-force sums the inner mode indices are confined to the grid range
 |k| <= n_max, consistent with compositions through grid-truncated fields
 (vacuous for Hardy inputs, where all intermediate modes are in range anyway).
+Every brute-force sum runs over one cached set of the in-grid quadruples
+(k; l, m, j) and their phases: a mask selects the terms and a bincount sums
+them per output mode.  The sextuple sums of r2 and N2 go through the inner
+phase table S[x, f], the sum of u(j) u(l) conj(u(m)) over the quadruples of
+output mode x and phase f != 0: each outer quadruple meets S at its inner
+index for every f, and the resonant terms are those whose total phase is 0.
 """
 
 from __future__ import annotations
@@ -59,10 +65,11 @@ from .spectral import (
 
 HARDY_TOL = 1e-12
 
-# Quintic brute-force kernels enumerate a 4-dimensional index box per output
-# mode; keep them to oracle-sized grids.
+# The brute-force sums hold every in-grid quadruple at once, O(n_max^3)
+# entries, and the quintic ones pair each quadruple with O(n_max) inner
+# phases; keep them to oracle-sized grids.
 MAX_QUINTIC_N_MAX = 12
-MAX_CUBIC_N_MAX = 96
+MAX_CUBIC_N_MAX = 32
 
 
 def require_hardy(f: SpectralField, tol: float = HARDY_TOL, what: str = "input"):
@@ -122,56 +129,43 @@ def is_resonant_line(grid, k: int, l: int, m: int, j: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cached index meshes and the quadruple enumerator behind the kernel sums
+# the cached quadruple set behind the kernel sums
 
 
-@lru_cache(maxsize=16)
-def _lm_mesh(n_max: int):
+@lru_cache(maxsize=8)
+def _quadruples(n_max: int):
+    """Every in-grid quadruple (k; l, m, j), j = k - l + m, as flat read-only
+    mode arrays (K, L, M, J, phi) sorted by k, with the phase
+    phi = |k| - |l| + |m| - |j| in units of grid.freq_unit.  The resonant set
+    is phi == 0, by definition."""
+    if n_max > MAX_CUBIC_N_MAX:
+        raise ValueError(f"direct kernel sums are limited to n_max <= {MAX_CUBIC_N_MAX}")
     modes = np.arange(-n_max, n_max + 1)
-    L, M = np.meshgrid(modes, modes, indexing="ij")
-    for a in (L, M):
+    K, L, M = (a.ravel() for a in np.meshgrid(modes, modes, modes, indexing="ij"))
+    J = K - L + M
+    ok = np.abs(J) <= n_max
+    K, L, M, J = K[ok], L[ok], M[ok], J[ok]
+    quads = (K, L, M, J, np.abs(K) - np.abs(L) + np.abs(M) - np.abs(J))
+    for a in quads:
         a.setflags(write=False)
-    return L, M
+    return quads
 
 
-@lru_cache(maxsize=4)
-def _lmnp_mesh(n_max: int):
-    modes = np.arange(-n_max, n_max + 1)
-    A, B, C, D = np.meshgrid(modes, modes, modes, modes, indexing="ij")
-    for a in (A, B, C, D):
-        a.setflags(write=False)
-    return A, B, C, D
+def _bin(index: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """Complex sums of vals per bin index, one bincount per part."""
+    return np.bincount(index, vals.real, size) + 1j * np.bincount(index, vals.imag, size)
 
 
-def _gather(coeff: np.ndarray, modes: np.ndarray, n_max: int) -> np.ndarray:
-    """coeff at the given mode array; out-of-range entries read as mode 0
-    (callers must mask them out)."""
-    idx = np.clip(modes + n_max, 0, 2 * n_max)
-    return coeff[idx]
-
-
-def _quadruples(grid):
-    """Per output mode k, yield (k, L, M, J, valid, phi): the (l, m) index
-    mesh, j = k - l + m, the in-grid mask |j| <= n_max and the phase
-    |k| - |l| + |m| - |j| in units of grid.freq_unit.  The resonant set is
-    phi == 0, by definition."""
-    _check_cubic_size(grid)
-    L, M = _lm_mesh(grid.n_max)
-    for k in grid.modes:
-        J = k - L + M
-        valid = np.abs(J) <= grid.n_max
-        yield k, L, M, J, valid, abs(k) - np.abs(L) + np.abs(M) - np.abs(J)
-
-
-def _terms(w: np.ndarray, J, L, M, mask, h: np.ndarray | None = None) -> np.ndarray:
-    """u(j) u(l) conj(u(m)) on the masked quadruples; with a direction h, its
-    R-linear derivative: h in each of the three slots in turn."""
+def _terms(w: np.ndarray, sel: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """u(j) u(l) conj(u(m)) on the quadruples selected by the mask sel; with a
+    direction h, its R-linear derivative: h in each of the three slots in turn."""
     n = (w.size - 1) // 2
-    wj, wl, wm = _gather(w, J, n)[mask], _gather(w, L, n)[mask], np.conj(_gather(w, M, n))[mask]
+    _, L, M, J, _ = _quadruples(n)
+    j, l, m = J[sel] + n, L[sel] + n, M[sel] + n
+    wj, wl, wm = w[j], w[l], np.conj(w[m])
     if h is None:
         return wj * wl * wm
-    hj, hl, hm = _gather(h, J, n)[mask], _gather(h, L, n)[mask], np.conj(_gather(h, M, n))[mask]
-    return hj * wl * wm + wj * hl * wm + wj * wl * hm
+    return h[j] * wl * wm + wj * h[l] * wm + wj * wl * np.conj(h[m])
 
 
 def _osc_sum(u: SpectralField, weight, h: SpectralField | None = None) -> np.ndarray:
@@ -179,12 +173,10 @@ def _osc_sum(u: SpectralField, weight, h: SpectralField | None = None) -> np.nda
     weight(phi) * u(j) u(l) conj(u(m)), with phi the phase as a frequency;
     with a direction h, the terms are their derivatives along h (_terms)."""
     grid = u.grid
-    out = np.zeros(grid.size, dtype=np.complex128)
-    for k, L, M, J, valid, phi in _quadruples(grid):
-        mask = valid & (phi != 0)
-        terms = _terms(u.coeff, J, L, M, mask, None if h is None else h.coeff)
-        out[k + grid.n_max] = np.sum(weight(phi[mask] * grid.freq_unit) * terms)
-    return out
+    K, _, _, _, phi = _quadruples(grid.n_max)
+    sel = phi != 0
+    terms = _terms(u.coeff, sel, None if h is None else h.coeff)
+    return _bin(K[sel] + grid.n_max, weight(phi[sel] * grid.freq_unit) * terms, grid.size)
 
 
 def _primitive_weight(t: float, from_zero: bool):
@@ -200,19 +192,10 @@ def _primitive_weight(t: float, from_zero: bool):
     return weight
 
 
-def _sign_uniform_mask(k: int, L, M, J):
+def _sign_uniform(K, L, M, J) -> np.ndarray:
     """Support of the two-term line closed form: all four modes non-negative,
     or all four strictly negative (mode 0 counts as the + class)."""
-    if k >= 0:
-        return (L >= 0) & (M >= 0) & (J >= 0)
-    return (L < 0) & (M < 0) & (J < 0)
-
-
-def _check_cubic_size(grid):
-    if grid.n_max > MAX_CUBIC_N_MAX:
-        raise ValueError(
-            f"direct kernel sums are limited to n_max <= {MAX_CUBIC_N_MAX}"
-        )
+    return np.where(K >= 0, (L >= 0) & (M >= 0) & (J >= 0), (L < 0) & (M < 0) & (J < 0))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +219,9 @@ def f_res_bruteforce(u: SpectralField, sign_uniform_only: bool = False) -> Spect
     exactly the difference with the two-term line closed form.
     """
     grid = u.grid
-    out = np.zeros(grid.size, dtype=np.complex128)
-    for k, L, M, J, valid, phi in _quadruples(grid):
-        keep = _sign_uniform_mask(k, L, M, J) if sign_uniform_only else phi == 0
-        out[k + grid.n_max] = -1j * _terms(u.coeff, J, L, M, valid & keep).sum()
-    return SpectralField(grid, out)
+    K, L, M, J, phi = _quadruples(grid.n_max)
+    sel = _sign_uniform(K, L, M, J) if sign_uniform_only else phi == 0
+    return SpectralField(grid, -1j * _bin(K[sel] + grid.n_max, _terms(u.coeff, sel), grid.size))
 
 
 def f_res_closed_torus(u: SpectralField) -> SpectralField:
@@ -291,13 +272,6 @@ def f_res_closed_line(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, -1j * c)
 
 
-def f_res_closed(u: SpectralField) -> SpectralField:
-    """Domain dispatch between the torus and line closed forms."""
-    if u.grid.domain is Domain.TORUS:
-        return f_res_closed_torus(u)
-    return f_res_closed_line(u)
-
-
 def measure_zero_split(u: SpectralField) -> dict[str, float]:
     """L2 size of the resonant contributions the line closed form drops.
 
@@ -306,17 +280,14 @@ def measure_zero_split(u: SpectralField) -> dict[str, float]:
     single 1/L-spaced mode layer in the continuum limit.
     """
     grid = u.grid
-    diag = np.zeros(grid.size, dtype=np.complex128)
-    zero = np.zeros(grid.size, dtype=np.complex128)
-    for k, L, M, J, valid, phi in _quadruples(grid):
-        extra = valid & (phi == 0) & ~_sign_uniform_mask(k, L, M, J)
-        diag_mask = extra & ((L == k) | (J == k))
-        diag[k + grid.n_max] = -1j * _terms(u.coeff, J, L, M, diag_mask).sum()
-        zero[k + grid.n_max] = -1j * _terms(u.coeff, J, L, M, extra & ~diag_mask).sum()
-    return {
-        "diagonal": float(np.linalg.norm(diag)),
-        "zero_coupled": float(np.linalg.norm(zero)),
-    }
+    K, L, M, J, phi = _quadruples(grid.n_max)
+    extra = (phi == 0) & ~_sign_uniform(K, L, M, J)
+    diag = extra & ((L == K) | (J == K))
+
+    def norm(sel):  # the -i of f leaves the norm unchanged
+        return float(np.linalg.norm(_bin(K[sel] + grid.n_max, _terms(u.coeff, sel), grid.size)))
+
+    return {"diagonal": norm(diag), "zero_coupled": norm(extra & ~diag)}
 
 
 # ---------------------------------------------------------------------------
@@ -406,58 +377,30 @@ def _check_quintic_size(grid):
         )
 
 
-def _quintic_families(w: np.ndarray, n: int, k: int):
-    """Yield (total_phase, contribution) arrays of both sextuple families.
+def _quintic_families(w: np.ndarray):
+    """Both sextuple families of f'(W,t).F_osc(W,t) as flat arrays
+    (output mode index, total phase, term), one entry per outer quadruple
+    (k; l, m, j) and inner phase f != 0.
 
-    Family 1 (h in a holomorphic slot of f'):
-        j = k - l + m internal, q = j - n' + p,
-        inner phase phi' = |j|-|n'|+|p|-|q| != 0, weight 2i/phi',
-        factors W(n') W(q) conj(W(p)) W(l) conj(W(m)).
-    Family 2 (h in the conjugated slot):
-        m = l + j - k internal, q = m - n' + p,
-        inner phase phi'' = |m|-|n'|+|p|-|q| != 0, weight i/phi'',
-        factors W(j) W(l) conj(W(n')) conj(W(q)) W(p).
-    Total phases are phi + phi' and phi - phi'' with phi the outer phase.
+    With S[x, f] = sum of W(j) W(l) conj(W(m)) over the quadruples of output
+    mode x and phase f (the inner table):
+      family 1 (h in a holomorphic slot of f'): (2i/f) S[j, f] W(l) conj(W(m))
+        at total phase phi + f;
+      family 2 (h in the conjugated slot): (i/f) conj(S[m, f]) W(j) W(l)
+        at total phase phi - f;
+    with phi the outer phase.  Phases are integers in [-2 n_max, 2 n_max].
     """
-    A, B, C, D = _lmnp_mesh(n)
-
-    # family 1: (A, B, C, D) = (l, m, n', p)
-    J = k - A + B
-    Q = J - C + D
-    ok = (np.abs(J) <= n) & (np.abs(Q) <= n)
-    phi = abs(k) - np.abs(A) + np.abs(B) - np.abs(J)
-    phi_in = np.abs(J) - np.abs(C) + np.abs(D) - np.abs(Q)
-    ok &= phi_in != 0
-    contrib = np.zeros(A.shape, dtype=np.complex128)
-    contrib[ok] = (
-        2j
-        / phi_in[ok]
-        * _gather(w, C, n)[ok]
-        * _gather(w, Q, n)[ok]
-        * np.conj(_gather(w, D, n)[ok])
-        * _gather(w, A, n)[ok]
-        * np.conj(_gather(w, B, n)[ok])
-    )
-    yield (phi + phi_in), ok, contrib
-
-    # family 2: (A, B, C, D) = (l, j, n', p)
-    Mi = A + B - k
-    Q = Mi - C + D
-    ok = (np.abs(Mi) <= n) & (np.abs(Q) <= n)
-    phi = abs(k) - np.abs(A) + np.abs(Mi) - np.abs(B)
-    phi_in = np.abs(Mi) - np.abs(C) + np.abs(D) - np.abs(Q)
-    ok &= phi_in != 0
-    contrib = np.zeros(A.shape, dtype=np.complex128)
-    contrib[ok] = (
-        1j
-        / phi_in[ok]
-        * _gather(w, B, n)[ok]
-        * _gather(w, A, n)[ok]
-        * np.conj(_gather(w, C, n)[ok])
-        * np.conj(_gather(w, Q, n)[ok])
-        * _gather(w, D, n)[ok]
-    )
-    yield (phi - phi_in), ok, contrib
+    n = (w.size - 1) // 2
+    K, L, M, J, phi = _quadruples(n)
+    sel = phi != 0
+    width = 4 * n + 1
+    table = _bin((K[sel] + n) * width + phi[sel] + 2 * n, _terms(w, sel), w.size * width)
+    f = np.arange(-2 * n, 2 * n + 1)
+    table = table.reshape(w.size, width)[:, f != 0]
+    f = f[f != 0]
+    k = np.broadcast_to(K[:, None] + n, (K.size, f.size))
+    yield k, phi[:, None] + f, 2j / f * table[J + n] * (w[L + n] * np.conj(w[M + n]))[:, None]
+    yield k, phi[:, None] - f, 1j / f * np.conj(table[M + n]) * (w[J + n] * w[L + n])[:, None]
 
 
 def r2_bruteforce(w_field: SpectralField) -> SpectralField:
@@ -468,14 +411,10 @@ def r2_bruteforce(w_field: SpectralField) -> SpectralField:
     """
     grid = w_field.grid
     _check_quintic_size(grid)
-    n = grid.n_max
-    w = w_field.coeff
     out = np.zeros(grid.size, dtype=np.complex128)
-    for k in grid.modes:
-        acc = 0.0 + 0.0j
-        for total, ok, contrib in _quintic_families(w, n, k):
-            acc += contrib[ok & (total == 0)].sum()
-        out[k + n] = acc
+    for k, total, terms in _quintic_families(w_field.coeff):
+        keep = total == 0
+        out += _bin(k[keep], terms[keep], grid.size)
     return SpectralField(grid, out)
 
 
@@ -526,36 +465,25 @@ def n2_phase_coefficients(w_field: SpectralField):
     _check_quintic_size(grid)
     n = grid.n_max
     w = w_field.coeff
-    h = f_res_closed_torus(w_field).coeff
     n_phases = 12 * n + 1
     offset = 6 * n
-    coef = np.zeros((grid.size, n_phases), dtype=np.complex128)
-    for k, L, M, J, valid, phi in _quadruples(grid):
-        row_re = np.zeros(n_phases)
-        row_im = np.zeros(n_phases)
+    coef = np.zeros(grid.size * n_phases, dtype=np.complex128)
 
-        # sextuple families of {f'.F_osc}_osc (total phase != 0)
-        for total, ok, contrib in _quintic_families(w, n, k):
-            mask = ok & (total != 0)
-            idx = (total[mask] + offset).ravel()
-            vals = contrib[mask].ravel()
-            row_re += np.bincount(idx, weights=vals.real, minlength=n_phases)
-            row_im += np.bincount(idx, weights=vals.imag, minlength=n_phases)
+    # the sextuple families of {f'.F_osc}_osc (total phase != 0)
+    for k, total, terms in _quintic_families(w):
+        keep = total != 0
+        coef += _bin(k[keep] * n_phases + total[keep] + offset, terms[keep], coef.size)
 
-        # minus F'_osc(W,t).f_res(W): every term oscillates at the outer
-        # phase phi != 0 and carries weight exp(i t phi)/phi per slot
-        mask = valid & (phi != 0)
-        vals = _terms(w, J, L, M, mask, h) / phi[mask]
-        idx = phi[mask] + offset
-        row_re += np.bincount(idx, weights=vals.real, minlength=n_phases)
-        row_im += np.bincount(idx, weights=vals.imag, minlength=n_phases)
-
-        coef[k + n] = row_re + 1j * row_im
+    # minus F'_osc(W,t).f_res(W): every term oscillates at the outer phase
+    # phi != 0 and carries weight exp(i t phi)/phi per slot
+    K, _, _, _, phi = _quadruples(n)
+    sel = phi != 0
+    terms = _terms(w, sel, f_res_closed_torus(w_field).coeff) / phi[sel]
+    coef += _bin((K[sel] + n) * n_phases + phi[sel] + offset, terms, coef.size)
 
     phases = np.arange(-offset, offset + 1)
     keep = phases != 0
-    coef[:, offset] = 0.0
-    return phases[keep], coef[:, keep]
+    return phases[keep], coef.reshape(grid.size, n_phases)[:, keep]
 
 
 def n2_from_coefficients(grid, phases: np.ndarray, coef: np.ndarray, t: float) -> SpectralField:

@@ -162,6 +162,7 @@ BAD_INPUTS = {
         "growth", "[run]\nexperiment = fosc_growth\n\n[experiment]\ngrowth_t_min = 0\n",
         "growth_t_min",
     ),
+    "audit_above_quintic_cap": ("audit", "[grid]\nn_max = 13\n", "n_max"),
     "audit_fields_zero": (
         "audit", "[grid]\nn_max = 4\n\n[experiment]\naudit_fields = 0\n", "audit_fields",
     ),
@@ -377,12 +378,12 @@ class TestAudit:
         )
         assert main(["audit", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
 
-    def test_slow_warning_still_runs(self, tmp_path, capsys):
+    def test_runs_at_quintic_cap(self, tmp_path, capsys):
         cfg = write(
-            tmp_path, "a.cfg", "[grid]\nn_max = 10\n\n[experiment]\naudit_fields = 1\n"
+            tmp_path, "a.cfg", "[grid]\nn_max = 12\n\n[experiment]\naudit_fields = 1\n"
         )
         assert main(["audit", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
-        assert "warning" in capsys.readouterr().out
+        assert "warning" not in capsys.readouterr().out
 
 
 class TestGrowth:

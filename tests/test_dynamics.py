@@ -69,25 +69,25 @@ class TestFlowSpec:
             spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, slow_dt=SLOW_DT)
 
 
-def nonlinear(flow, grid, eps, hardy):
+def nonlinear(flow, grid, eps):
     """The nonlinearity integrate() steps for this flow (linear part excluded)."""
-    return _nonlinear_term(spec(flow, grid, eps, 0.1, 1.0), hardy)
+    return _nonlinear_term(spec(flow, grid, eps, 0.1, 1.0))
 
 
 class TestRightHandSides:
     def test_full_nlw_zero(self, torus8):
-        nl = nonlinear(Flow.FULL_NLW, torus8, 0.1, hardy=False)
+        nl = nonlinear(Flow.FULL_NLW, torus8, 0.1)
         assert np.all(nl(field_from_modes(torus8, {}).coeff) == 0.0)
 
     def test_full_nlw_single_mode(self, torus8):
         eps = 0.1
         v = field_from_modes(torus8, {1: eps})
-        r = nonlinear(Flow.FULL_NLW, torus8, eps, hardy=False)(v.coeff)
+        r = nonlinear(Flow.FULL_NLW, torus8, eps)(v.coeff)
         assert r[torus8.index(1)] == pytest.approx(-1j * eps**3)
 
     def test_full_nlw_gauge_covariant(self, rand_torus8):
         theta = 1.3
-        nl = nonlinear(Flow.FULL_NLW, rand_torus8.grid, 0.1, hardy=False)
+        nl = nonlinear(Flow.FULL_NLW, rand_torus8.grid, 0.1)
         a = nl(np.exp(1j * theta) * rand_torus8.coeff)
         b = np.exp(1j * theta) * nl(rand_torus8.coeff)
         assert np.max(np.abs(a - b)) <= 1e-12
@@ -96,35 +96,28 @@ class TestRightHandSides:
         w = random_field(torus8, rng, hardy=True)
         eps = 0.2
         expected = -1j * eps**2 * project_plus(cubic_product(w)).coeff
-        for hardy in (True, False):  # the Hardy shortcut and the full closed form
-            got = nonlinear(Flow.FIRST_ORDER_RG, torus8, eps, hardy)(w.coeff)
-            assert np.max(np.abs(got - expected)) <= 1e-14
-
-    def test_first_order_general_uses_closed_form(self, rand_torus8):
-        eps = 0.2
-        expected = eps**2 * rs.f_res_closed_torus(rand_torus8).coeff
-        got = nonlinear(Flow.FIRST_ORDER_RG, rand_torus8.grid, eps, hardy=False)(rand_torus8.coeff)
-        assert np.max(np.abs(got - expected)) == 0.0
+        got = nonlinear(Flow.FIRST_ORDER_RG, torus8, eps)(w.coeff)
+        assert np.max(np.abs(got - expected)) <= 1e-14
 
     def test_second_order_single_mode_reduces(self, torus8):
         w = field_from_modes(torus8, {1: 1.0})
         eps = 0.2
-        a = nonlinear(Flow.SECOND_ORDER_AVERAGED, torus8, eps, hardy=True)(w.coeff)
-        b = nonlinear(Flow.FIRST_ORDER_RG, torus8, eps, hardy=True)(w.coeff)
+        a = nonlinear(Flow.SECOND_ORDER_AVERAGED, torus8, eps)(w.coeff)
+        b = nonlinear(Flow.FIRST_ORDER_RG, torus8, eps)(w.coeff)
         assert np.max(np.abs(a - b)) <= 1e-14
 
     def test_second_order_matches_bruteforce_quintic(self, rng):
         g = make_grid(6, Domain.TORUS)
         w = random_field(g, rng, hardy=True)
         eps = 0.3
-        first = nonlinear(Flow.FIRST_ORDER_RG, g, eps, hardy=True)(w.coeff)
+        first = nonlinear(Flow.FIRST_ORDER_RG, g, eps)(w.coeff)
         expected = first + eps**4 * rs.r2_bruteforce(w).coeff
-        got = nonlinear(Flow.SECOND_ORDER_AVERAGED, g, eps, hardy=True)(w.coeff)
+        got = nonlinear(Flow.SECOND_ORDER_AVERAGED, g, eps)(w.coeff)
         assert np.max(np.abs(got - expected)) <= 1e-10
 
     def test_second_order_output_is_hardy(self, torus8, rng):
         w = random_field(torus8, rng, hardy=True)
-        out = nonlinear(Flow.SECOND_ORDER_AVERAGED, torus8, 0.2, hardy=True)(w.coeff)
+        out = nonlinear(Flow.SECOND_ORDER_AVERAGED, torus8, 0.2)(w.coeff)
         assert negative_mode_mass(SpectralField(torus8, out)) == 0.0
 
     def test_first_order_hardy_transforms_half_grid(self, rng, monkeypatch):
@@ -138,8 +131,12 @@ class TestRightHandSides:
             monkeypatch.setattr(
                 spectral, fn, lambda x, real=real: sizes.append(x.size) or real(x)
             )
-        nonlinear(Flow.FIRST_ORDER_RG, grid, 0.2, hardy=True)(w.coeff)
+        nonlinear(Flow.FIRST_ORDER_RG, grid, 0.2)(w.coeff)
         assert sizes == [4116, 4116]
+
+    def test_first_order_rejects_non_hardy(self, rand_torus8):
+        with pytest.raises(ValueError, match="Hardy"):
+            integrate(spec(Flow.FIRST_ORDER_RG, rand_torus8.grid, 0.2, 0.1, 1.0), rand_torus8)
 
     def test_second_order_rejects_non_hardy(self, rand_torus8):
         with pytest.raises(ValueError):

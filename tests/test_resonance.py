@@ -154,6 +154,13 @@ class TestResonantKernel:
     def test_closed_line_zero_field(self, box8):
         assert np.all(rs.f_res_closed_line(field_from_modes(box8, {})).coeff == 0.0)
 
+    def test_cubic_oracles_reject_large_grid(self):
+        for domain, length in ((Domain.TORUS, None), (Domain.BIGBOX, 16.0 * np.pi)):
+            u = field_from_modes(make_grid(rs.MAX_CUBIC_N_MAX + 1, domain, length), {})
+            for oracle in (rs.f_res_bruteforce, lambda u: rs.f_osc(u, 0.5), rs.measure_zero_split):
+                with pytest.raises(ValueError, match="n_max"):
+                    oracle(u)
+
     def test_measure_zero_split_accounts_for_difference(self, box8, rng):
         u = random_field(box8, rng)
         full = rs.f_res_bruteforce(u)
@@ -463,9 +470,13 @@ class TestQuinticKernels:
             w = random_field(torus8, rng, hardy=True)
             assert coeff_diff(rs.r2_closed_hardy(w), rs.r2_bruteforce(w)) <= 1e-10
 
-    def test_r2_against_reference(self, hardy6, torus6):
-        ref = dict_to_array(ref_r2(coeffs_to_dict(hardy6), 6), 6)
-        assert np.max(np.abs(rs.r2_bruteforce(hardy6).coeff - ref)) <= 1e-12
+    # gate 10's N2 identity runs r2_bruteforce on generic data, so the
+    # reference covers both kinds
+    @pytest.mark.parametrize("hardy", [True, False], ids=["hardy", "generic"])
+    def test_r2_against_reference(self, torus6, rng, hardy):
+        w = random_field(torus6, rng, decay=1.0, hardy=hardy)
+        ref = dict_to_array(ref_r2(coeffs_to_dict(w), 6), 6)
+        assert np.max(np.abs(rs.r2_bruteforce(w).coeff - ref)) <= 1e-12
 
     def test_r2_time_average_oracle(self, hardy6, coeff_diff):
         assert coeff_diff(rs.r2_bruteforce(hardy6), rs.r2_time_average(hardy6)) <= 1e-8
