@@ -12,6 +12,8 @@ Three flows share one integrator:
     f'(W,t).F_osc(W,t).
 
 Both effective flows take Hardy data only (integrate rejects any other).
+The right-hand sides work on coefficient arrays; integrate builds a
+SpectralField only for each snapshot.
 States of the effective flows are stored unscaled (W); the physical field is
 eps * W, which the ansatz constructors apply.  Fixed step size, deterministic
 snapshot schedule, and a blow-up guard that truncates instead of raising.
@@ -142,28 +144,18 @@ class Trajectory:
 
 
 def _nonlinear_term(spec: FlowSpec) -> Callable[[np.ndarray], np.ndarray]:
-    grid = spec.grid
+    """The flow's nonlinearity as a closure on coefficient arrays."""
     if spec.flow is Flow.FULL_NLW:
-        return lambda c: -1j * cubic_product(SpectralField(grid, c)).coeff
+        return lambda c: -1j * cubic_product(c)
 
     # the effective flows take Hardy data, which stays Hardy along them, and
     # on Hardy fields every f_res term except -i P+(|u|^2 u) is identically
     # zero; szego_cubic computes that term alone, on a grid of
     # next_fast_len(2n_max+1) points, about half the general padding.
-    def szego_term(c):
-        return -1j * szego_cubic(c)
-
-    if spec.flow is Flow.FIRST_ORDER_RG:
-        eps2 = spec.eps**2
-        return lambda c: eps2 * szego_term(c)
-
     eps2, eps4 = spec.eps**2, spec.eps**4
-
-    def second_order(c):
-        w = SpectralField(grid, c)
-        return eps2 * szego_term(c) + eps4 * r2_closed_hardy(w).coeff
-
-    return second_order
+    if spec.flow is Flow.FIRST_ORDER_RG:
+        return lambda c: eps2 * (-1j * szego_cubic(c))
+    return lambda c: eps2 * (-1j * szego_cubic(c)) + eps4 * r2_closed_hardy(c)
 
 
 def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
@@ -193,7 +185,7 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
     e_full = e_half * e_half
 
     if spec.flow is not Flow.FULL_NLW:
-        require_hardy(v0)
+        require_hardy(v0.coeff)
     nonlin = _nonlinear_term(spec)
 
     # every RK4 step as (size, snapshot step index or 0); the stages stay

@@ -23,10 +23,13 @@ Two antiderivative conventions coexist:
 Closed forms are provided for f_res on both geometries, for F_osc on both
 geometries with Hardy input (where the phase collapses to -2*xi on output
 frequency xi), and for the resonant quintic kernel
-r2 = {f'(W,t).F_osc(W,t)}_res with Hardy input.  Every closed form has a
-direct-summation brute-force oracle in this module; the two routes share
-nothing but the field type, and the oracles (r2_time_average, n2_rhs) use
-only the brute-force primitive.  The oracles select the resonant set by its
+r2 = {f'(W,t).F_osc(W,t)}_res with Hardy input.  The kernels
+f_res_closed_torus, f_res_closed_line and r2_closed_hardy (torus), like
+require_hardy, take coefficient arrays in the -n_max..n_max layout; arrays
+carry no grid, so the caller picks the form for its geometry.  F_osc and the
+oracles take SpectralFields.  Every closed form has a direct-summation
+brute-force oracle here, and the oracles (r2_time_average, n2_rhs) use only
+the brute-force primitive.  The oracles select the resonant set by its
 definition, phi = 0; the sign-pattern lemmas is_resonant_torus and
 is_resonant_line, which the closed forms rest on, are checked against that
 definition by the kernel audit and acceptance gate 2.
@@ -49,14 +52,14 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import (
+    TWO_PI,
     Domain,
     SpectralField,
+    _grid_freqs,
     apply_inv_D_minus,
     cubic_product,
     free_flow,
     from_physical,
-    l2_norm_sq,
-    negative_mode_mass,
     project_minus,
     project_plus,
     szego_cubic,
@@ -72,10 +75,10 @@ MAX_QUINTIC_N_MAX = 12
 MAX_CUBIC_N_MAX = 32
 
 
-def require_hardy(f: SpectralField, tol: float = HARDY_TOL, what: str = "input"):
-    """Reject fields whose negative-mode mass exceeds tol (relative)."""
-    neg = negative_mode_mass(f)
-    if neg > tol * max(l2_norm_sq(f), 1e-300):
+def require_hardy(c: np.ndarray, tol: float = HARDY_TOL, what: str = "input"):
+    """Reject coefficients whose negative-mode mass exceeds tol (relative)."""
+    neg = float(np.sum(np.abs(c[: c.size // 2]) ** 2))
+    if neg > tol * max(float(np.sum(np.abs(c) ** 2)), 1e-300):
         raise ValueError(
             f"{what} must be a Hardy field (negative-mode mass {neg:.3e} above tolerance)"
         )
@@ -204,9 +207,8 @@ def _sign_uniform(K, L, M, J) -> np.ndarray:
 
 def f_full(u: SpectralField, t: float) -> SpectralField:
     """f(u,t) = -i exp(i|D|t)(|v|^2 v), v = exp(-i|D|t) u, via FFT products."""
-    v = free_flow(u, t)
-    c = cubic_product(v)
-    return SpectralField(u.grid, -1j * free_flow(c, -t).coeff)
+    c = cubic_product(free_flow(u, t).coeff)
+    return SpectralField(u.grid, -1j * free_flow(SpectralField(u.grid, c), -t).coeff)
 
 
 def f_res_bruteforce(u: SpectralField, sign_uniform_only: bool = False) -> SpectralField:
@@ -224,7 +226,7 @@ def f_res_bruteforce(u: SpectralField, sign_uniform_only: bool = False) -> Spect
     return SpectralField(grid, -1j * _bin(K[sel] + grid.n_max, _terms(u.coeff, sel), grid.size))
 
 
-def f_res_closed_torus(u: SpectralField) -> SpectralField:
+def f_res_closed_torus(c: np.ndarray) -> np.ndarray:
     """Ten-term closed form of the torus resonant kernel.
 
     Grouping the resonant quadruples by sign pattern gives
@@ -236,40 +238,34 @@ def f_res_closed_torus(u: SpectralField) -> SpectralField:
 
     with u^(0) the zero-mode coefficient and ||.||^2 = sum |c(k)|^2.
     """
-    if u.grid.domain is not Domain.TORUS:
-        raise ValueError("f_res_closed_torus requires a torus grid")
-    grid = u.grid
-    up = project_plus(u)
-    um = project_minus(u)
+    n = c.size // 2
+    up = project_plus(c)
+    um = project_minus(c)
     Um = to_physical(um)
-    cube_m = from_physical(np.abs(Um) ** 2 * Um, grid)
-    q_plus = l2_norm_sq(up)
-    q_minus = l2_norm_sq(um)
-    u0 = u.coeff[grid.index(0)]
-    abs_minus_sq = from_physical(Um * np.conj(Um), grid)
-    minus_sq = from_physical(Um * Um, grid)
+    cube_m = from_physical(np.abs(Um) ** 2 * Um, c.size)
+    q_plus = float(np.sum(np.abs(up) ** 2))
+    q_minus = float(np.sum(np.abs(um) ** 2))
+    u0 = c[n]
+    abs_minus_sq = from_physical(Um * np.conj(Um), c.size)
+    minus_sq = from_physical(Um * Um, c.size)
 
-    c = szego_cubic(up.coeff)
-    c += 2.0 * q_minus * up.coeff
-    c[grid.index(0)] += cube_m.coeff[grid.index(0)]
-    c += project_minus(cube_m).coeff
-    c += 2.0 * u0 * project_minus(abs_minus_sq).coeff
-    c += np.conj(u0) * minus_sq.coeff
-    c += 2.0 * q_plus * um.coeff
-    return SpectralField(grid, -1j * c)
+    out = szego_cubic(up)
+    out += 2.0 * q_minus * up
+    out[n] += cube_m[n]
+    out += project_minus(cube_m)
+    out += 2.0 * u0 * project_minus(abs_minus_sq)
+    out += np.conj(u0) * minus_sq
+    out += 2.0 * q_plus * um
+    return -1j * out
 
 
-def f_res_closed_line(u: SpectralField) -> SpectralField:
+def f_res_closed_line(c: np.ndarray) -> np.ndarray:
     """Two-term line closed form -i(P+(|u+|^2 u+) + P-(|u-|^2 u-)).
 
     Equals the sign-uniform brute-force sum; the diagonal and zero-coupled
     quadruples it drops are reported by measure_zero_split.
     """
-    if u.grid.domain is not Domain.BIGBOX:
-        raise ValueError("f_res_closed_line requires a big-box grid")
-    um = project_minus(u)
-    c = szego_cubic(u.coeff) + project_minus(cubic_product(um)).coeff
-    return SpectralField(u.grid, -1j * c)
+    return -1j * (szego_cubic(c) + project_minus(cubic_product(project_minus(c))))
 
 
 def measure_zero_split(u: SpectralField) -> dict[str, float]:
@@ -322,16 +318,16 @@ def F_osc(w_field: SpectralField, t: float) -> SpectralField:
     and zero on xi >= 0.  The convention follows the grid, as in dF_osc: the
     torus primitive has zero t-mean, the box primitive vanishes at t = 0.
     """
-    require_hardy(w_field)
+    require_hardy(w_field.coeff)
     grid = w_field.grid
-    cube = cubic_product(w_field)
+    cube = cubic_product(w_field.coeff)
     xi = grid.freqs
     out = np.zeros(grid.size, dtype=np.complex128)
     neg = grid.modes < 0
     if grid.domain is Domain.TORUS:
-        out[neg] = np.exp(-2j * t * xi[neg]) / (2.0 * xi[neg]) * cube.coeff[neg]
+        out[neg] = np.exp(-2j * t * xi[neg]) / (2.0 * xi[neg]) * cube[neg]
     else:
-        out[neg] = (np.exp(-2j * t * xi[neg]) - 1.0) / (2.0 * xi[neg]) * cube.coeff[neg]
+        out[neg] = (np.exp(-2j * t * xi[neg]) - 1.0) / (2.0 * xi[neg]) * cube[neg]
     return SpectralField(grid, out)
 
 
@@ -355,11 +351,11 @@ def fprime_dot(u: SpectralField, t: float, h: SpectralField) -> SpectralField:
     """
     if h.grid != u.grid:
         raise ValueError("direction field lives on a different grid")
-    V = to_physical(free_flow(u, t))
-    G = to_physical(free_flow(h, t))
-    p1 = from_physical(V * np.conj(V) * G, u.grid)
-    p2 = from_physical(V * V * np.conj(G), u.grid)
-    total = SpectralField(u.grid, 2.0 * p1.coeff + p2.coeff)
+    V = to_physical(free_flow(u, t).coeff)
+    G = to_physical(free_flow(h, t).coeff)
+    p1 = from_physical(V * np.conj(V) * G, u.grid.size)
+    p2 = from_physical(V * V * np.conj(G), u.grid.size)
+    total = SpectralField(u.grid, 2.0 * p1 + p2)
     return SpectralField(u.grid, -1j * free_flow(total, -t).coeff)
 
 
@@ -418,29 +414,27 @@ def r2_bruteforce(w_field: SpectralField) -> SpectralField:
     return SpectralField(grid, out)
 
 
-def r2_closed_hardy(w_field: SpectralField) -> SpectralField:
-    """Closed form of the resonant quintic for Hardy input:
+def r2_closed_hardy(c: np.ndarray) -> np.ndarray:
+    """Closed form of the resonant quintic for Hardy input on the torus:
 
         r2(W) = -i P+(|W|^2 (1/D) P-(|W|^2 W))
                 - (i/2) P+(W^2 conj((1/D) P-(|W|^2 W))).
     """
-    grid = w_field.grid
-    if grid.domain is not Domain.TORUS:
-        raise ValueError("r2_closed_hardy is defined on the torus grid")
-    require_hardy(w_field)
-    W = to_physical(w_field)
-    g = apply_inv_D_minus(project_minus(from_physical(np.abs(W) ** 2 * W, grid)))
-    G = to_physical(g)
-    term1 = project_plus(from_physical(W * np.conj(W) * G, grid))
-    term2 = project_plus(from_physical(W * W * np.conj(G), grid))
-    return SpectralField(grid, -1j * term1.coeff - 0.5j * term2.coeff)
+    require_hardy(c)
+    W = to_physical(c)
+    cube = from_physical(np.abs(W) ** 2 * W, c.size)
+    G = to_physical(apply_inv_D_minus(cube, _grid_freqs(c.size // 2, TWO_PI)))
+    term1 = project_plus(from_physical(W * np.conj(W) * G, c.size))
+    term2 = project_plus(from_physical(W * W * np.conj(G), c.size))
+    return -1j * term1 - 0.5j * term2
 
 
 def r2_time_average(w_field: SpectralField, n_samples: int | None = None) -> SpectralField:
     """Averaging oracle: (1/R) sum_r f'(W, t_r).F_osc(W, t_r) over one period.
 
-    All phases are integers bounded by 6*n_max, so R > 6*n_max nodes kill
-    every oscillatory term exactly and the average is the resonant part.
+    All phases are integers bounded by 2*n_max (see n2_phase_coefficients),
+    so the default R = 6*n_max + 2 > 2*n_max nodes kill every oscillatory
+    term exactly and the average is the resonant part.
     """
     grid = w_field.grid
     if grid.domain is not Domain.TORUS:
@@ -458,27 +452,32 @@ def n2_phase_coefficients(w_field: SpectralField):
     """Assemble d/dt N2(W, t) = sum_Phi c[k, Phi] exp(i t Phi), Phi != 0.
 
     The right-hand side {f'(W,t).F_osc(W,t)}_osc - F'_osc(W,t).f_res(W) is a
-    trigonometric polynomial in t with integer phases |Phi| <= 6*n_max; this
-    returns (phases, c) with c of shape (grid.size, len(phases)).
+    trigonometric polynomial in t with integer phases |Phi| <= 2*n_max: a
+    sextuple phase has the form |x|+|y|+|z| - (|p|+|q|+|r|) with
+    x+y+z = p+q+r, and |x|+|y|+|z| - |x+y+z| <= 2*n_max on the grid.  This
+    returns (phases, c), phases the nonzero integers in [-2*n_max, 2*n_max]
+    and c of shape (grid.size, len(phases)).
     """
     grid = w_field.grid
     _check_quintic_size(grid)
     n = grid.n_max
     w = w_field.coeff
-    n_phases = 12 * n + 1
-    offset = 6 * n
+    n_phases = 4 * n + 1
+    offset = 2 * n
     coef = np.zeros(grid.size * n_phases, dtype=np.complex128)
 
-    # the sextuple families of {f'.F_osc}_osc (total phase != 0)
+    # the sextuple families of {f'.F_osc}_osc (total phase != 0); entries
+    # with |total| > 2n pair an outer quadruple with an empty cell of the
+    # inner table and are zero
     for k, total, terms in _quintic_families(w):
-        keep = total != 0
+        keep = (total != 0) & (np.abs(total) <= offset)
         coef += _bin(k[keep] * n_phases + total[keep] + offset, terms[keep], coef.size)
 
     # minus F'_osc(W,t).f_res(W): every term oscillates at the outer phase
     # phi != 0 and carries weight exp(i t phi)/phi per slot
     K, _, _, _, phi = _quadruples(n)
     sel = phi != 0
-    terms = _terms(w, sel, f_res_closed_torus(w_field).coeff) / phi[sel]
+    terms = _terms(w, sel, f_res_closed_torus(w)) / phi[sel]
     coef += _bin((K[sel] + n) * n_phases + phi[sel] + offset, terms, coef.size)
 
     phases = np.arange(-offset, offset + 1)
@@ -507,5 +506,5 @@ def n2_rhs(w_field: SpectralField, t: float) -> SpectralField:
     f'(W,t).F_osc(W,t) minus its resonant part r2 minus F'_osc(W,t).f_res(W)."""
     a = fprime_dot(w_field, t, osc_primitive_bruteforce(w_field, t, from_zero=False))
     b = r2_bruteforce(w_field)
-    c = dF_osc(w_field, t, f_res_closed_torus(w_field))
+    c = dF_osc(w_field, t, SpectralField(w_field.grid, f_res_closed_torus(w_field.coeff)))
     return SpectralField(w_field.grid, a.coeff - b.coeff - c.coeff)

@@ -4,6 +4,11 @@ A field is stored as complex Fourier coefficients c(k) for k = -n_max..n_max
 on either the torus (length 2*pi, freq(k) = k) or a large periodic box of
 length L used as a controlled discretization of the line (freq(k) = 2*pi*k/L).
 
+The kernels (transforms, products, projectors, apply_inv_D_minus) take and
+return coefficient arrays in this layout, mode k at index k + n_max.
+SpectralField binds coefficients to their grid at the API boundary: initial
+data, snapshots, free_flow, the norms and the invariants.
+
 Normalization convention:
 
     u(x)  = sum_k c(k) exp(i * freq(k) * x)
@@ -88,7 +93,7 @@ class FrequencyGrid:
     def freq(self, k: int) -> float:
         if abs(k) > self.n_max:
             raise ValueError(f"mode {k} outside grid range +-{self.n_max}")
-        return TWO_PI * k / self.length
+        return k * self.freq_unit
 
     def index(self, k: int) -> int:
         """Array index of mode k (modes stored in order -n_max..n_max)."""
@@ -106,7 +111,8 @@ def _grid_modes(n_max: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _grid_freqs(n_max: int, length: float) -> np.ndarray:
-    f = TWO_PI * np.arange(-n_max, n_max + 1) / length
+    # the unit is exactly 1.0 on the torus, so freq(k) = k there
+    f = np.arange(-n_max, n_max + 1) * (TWO_PI / length)
     f.setflags(write=False)
     return f
 
@@ -191,32 +197,28 @@ def random_field(
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# transforms (coefficient arrays in the -n_max..n_max layout)
 
 
-def to_physical(f: SpectralField) -> np.ndarray:
-    """Samples u(x_j) on an equispaced grid of >= 2*(2n+1) points."""
-    n_pts = next_fast_len(2 * f.grid.size)
+def to_physical(c: np.ndarray) -> np.ndarray:
+    """Samples u(x_j) on an equispaced grid of next_fast_len(2*(2n+1)) points."""
+    n_pts = next_fast_len(2 * c.size)
     spec = np.zeros(n_pts, dtype=np.complex128)
-    spec[f.grid.modes % n_pts] = f.coeff
+    spec[_grid_modes(c.size // 2) % n_pts] = c
     return ifft(spec) * n_pts
 
 
-def from_physical(samples: np.ndarray, grid: FrequencyGrid) -> SpectralField:
-    """Inverse of to_physical; truncation to |k| <= n_max is the dealiasing."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    if samples.ndim != 1 or samples.size < grid.size:
-        raise ValueError(
-            f"need at least {grid.size} samples on one axis, got shape {samples.shape}"
-        )
+def from_physical(samples: np.ndarray, size: int) -> np.ndarray:
+    """Inverse of to_physical onto `size` modes; truncation to |k| <= n_max
+    is the dealiasing."""
     spec = fft(samples) / samples.size
-    return SpectralField(grid, spec[grid.modes % samples.size])
+    return spec[_grid_modes(size // 2) % samples.size]
 
 
-def cubic_product(f: SpectralField) -> SpectralField:
+def cubic_product(c: np.ndarray) -> np.ndarray:
     """Dealiased |u|^2 u, evaluated pointwise on the padded physical grid."""
-    u = to_physical(f)
-    return from_physical(np.abs(u) ** 2 * u, f.grid)
+    u = to_physical(c)
+    return from_physical(np.abs(u) ** 2 * u, c.size)
 
 
 def szego_cubic(coeff: np.ndarray) -> np.ndarray:
@@ -240,32 +242,31 @@ def szego_cubic(coeff: np.ndarray) -> np.ndarray:
 # projectors and multipliers
 
 
-def project_plus(f: SpectralField) -> SpectralField:
+def project_plus(c: np.ndarray) -> np.ndarray:
     """Szego projector: keep modes with freq(k) >= 0 (k = 0 included)."""
-    c = f.coeff.copy()
-    c[f.grid.modes < 0] = 0.0
-    return SpectralField(f.grid, c)
+    out = c.copy()
+    out[: c.size // 2] = 0.0
+    return out
 
 
-def project_minus(f: SpectralField) -> SpectralField:
-    """Complement of project_plus; project_plus(f) + project_minus(f) = f."""
-    c = f.coeff.copy()
-    c[f.grid.modes >= 0] = 0.0
-    return SpectralField(f.grid, c)
+def project_minus(c: np.ndarray) -> np.ndarray:
+    """Complement of project_plus; project_plus(c) + project_minus(c) = c."""
+    out = c.copy()
+    out[c.size // 2 :] = 0.0
+    return out
 
 
-def apply_inv_D_minus(f: SpectralField) -> SpectralField:
-    """(1/D) Pi_-: divide by freq(k) for k <= -1, zero for k >= 0.
+def apply_inv_D_minus(c: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """(1/D) Pi_-: divide by freqs(k) for k <= -1, zero for k >= 0.
 
     Never singular: mode 0 belongs to Pi_+.  On a big box the k = -1 mode
     divides by -2*pi/L, an O(L) amplification that callers report rather
     than reject.
     """
-    modes = f.grid.modes
-    c = np.zeros_like(f.coeff)
-    neg = modes < 0
-    c[neg] = f.coeff[neg] / f.grid.freqs[neg]
-    return SpectralField(f.grid, c)
+    n = c.size // 2
+    out = np.zeros_like(c)
+    out[:n] = c[:n] / freqs[:n]
+    return out
 
 
 def free_flow(f: SpectralField, t: float) -> SpectralField:
@@ -275,10 +276,6 @@ def free_flow(f: SpectralField, t: float) -> SpectralField:
 
 # ---------------------------------------------------------------------------
 # norms and conserved quantities
-
-
-def l2_norm_sq(f: SpectralField) -> float:
-    return float(np.sum(np.abs(f.coeff) ** 2))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -296,14 +293,14 @@ def negative_mode_mass(f: SpectralField) -> float:
 
 def quartic_mean(f: SpectralField) -> float:
     """(1/length) * int |u|^4 dx, exact on the padded grid."""
-    u = to_physical(f)
+    u = to_physical(f.coeff)
     with np.errstate(over="ignore"):  # blown-up states evaluate to inf
         return float(np.mean(np.abs(u) ** 4))
 
 
 def mass(f: SpectralField) -> float:
     """Q = sum |c(k)|^2."""
-    return l2_norm_sq(f)
+    return float(np.sum(np.abs(f.coeff) ** 2))
 
 
 def momentum(f: SpectralField) -> float:

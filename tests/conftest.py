@@ -30,7 +30,8 @@ def rand_torus8(torus8, rng):
 
 
 def max_coeff_diff(a, b):
-    return float(np.max(np.abs(a.coeff - b.coeff)))
+    """Largest coefficient difference of two fields or coefficient arrays."""
+    return float(np.max(np.abs(getattr(a, "coeff", a) - getattr(b, "coeff", b))))
 
 
 @pytest.fixture

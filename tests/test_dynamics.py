@@ -95,7 +95,7 @@ class TestRightHandSides:
     def test_first_order_hardy_is_szego(self, torus8, rng):
         w = random_field(torus8, rng, hardy=True)
         eps = 0.2
-        expected = -1j * eps**2 * project_plus(cubic_product(w)).coeff
+        expected = -1j * eps**2 * project_plus(cubic_product(w.coeff))
         got = nonlinear(Flow.FIRST_ORDER_RG, torus8, eps)(w.coeff)
         assert np.max(np.abs(got - expected)) <= 1e-14
 
@@ -143,6 +143,23 @@ class TestRightHandSides:
             integrate(
                 spec(Flow.SECOND_ORDER_AVERAGED, rand_torus8.grid, 0.2, 0.1, 1.0), rand_torus8
             )
+
+    @pytest.mark.parametrize("flow", list(Flow), ids=lambda f: f.value)
+    def test_stages_build_no_fields(self, flow, torus8, monkeypatch):
+        # the right-hand sides work on arrays: integrate builds one field per
+        # snapshot and a fixed number besides, however many steps it takes
+        built = []
+        real = SpectralField.__post_init__
+        monkeypatch.setattr(SpectralField, "__post_init__", lambda f: built.append(1) or real(f))
+        w0 = field_from_modes(torus8, {0: 0.6, 1: 1.0, 2: 0.5})
+        extra, steps = [], []
+        for dt in (0.1, 0.025):
+            built.clear()
+            traj = integrate(spec(flow, torus8, 0.2, dt, 1.0, snapshot_stride=0.5), w0)
+            extra.append(len(built) - len(traj.states))
+            steps.append(traj.steps)
+        assert steps == [10, 40]
+        assert extra[0] == extra[1]
 
 
 class TestIntegrator:
@@ -314,8 +331,8 @@ class TestAnsatz:
             )
             cal_w = eps * traj.state_at(t)
             v_app = free_flow(cal_w, t)
-            defect = cubic_product(v_app).coeff - free_flow(
-                project_plus(cubic_product(cal_w)), t
+            defect = cubic_product(v_app.coeff) - free_flow(
+                SpectralField(torus8, project_plus(cubic_product(cal_w.coeff))), t
             ).coeff
             defects.append(float(np.linalg.norm(defect)))
         assert defects[0] / defects[1] >= 7.0
@@ -360,7 +377,7 @@ class TestResidual:
         # |eps^4 dF_osc . f_res| <= C (sqrt(t) + |W|^5) on Hardy box data
         g = make_grid(24, Domain.BIGBOX, 128.0 * np.pi)
         w = random_field(g, rng, hardy=True, decay=1.5)
-        h = rs.f_res_closed_line(w)
+        h = SpectralField(g, rs.f_res_closed_line(w.coeff))
         den = sobolev_norm(w, 1.0) ** 5
         ratios = [
             sobolev_norm(rs.dF_osc(w, t, h), 1.0) / (np.sqrt(t) + den)

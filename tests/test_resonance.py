@@ -123,36 +123,36 @@ class TestResonantKernel:
     def test_closed_torus_equals_bruteforce(self, torus8, rng, coeff_diff):
         for _ in range(5):
             u = random_field(torus8, rng)
-            assert coeff_diff(rs.f_res_closed_torus(u), rs.f_res_bruteforce(u)) <= 1e-10
+            assert coeff_diff(rs.f_res_closed_torus(u.coeff), rs.f_res_bruteforce(u)) <= 1e-10
 
     def test_closed_torus_hardy_reduces_to_szego(self, torus8, rng, coeff_diff):
         u = random_field(torus8, rng, hardy=True)
-        expected = SpectralField(torus8, -1j * project_plus(cubic_product(u)).coeff)
-        assert coeff_diff(rs.f_res_closed_torus(u), expected) <= 1e-14
+        expected = -1j * project_plus(cubic_product(u.coeff))
+        assert coeff_diff(rs.f_res_closed_torus(u.coeff), expected) <= 1e-14
 
     def test_closed_torus_pure_minus(self, torus8):
         u = field_from_modes(torus8, {-1: 1.0})
-        f = rs.f_res_closed_torus(u)
-        assert f[-1] == pytest.approx(-1j)
-        assert np.sum(np.abs(f.coeff)) == pytest.approx(1.0)
+        f = rs.f_res_closed_torus(u.coeff)
+        assert f[torus8.index(-1)] == pytest.approx(-1j)
+        assert np.sum(np.abs(f)) == pytest.approx(1.0)
 
     def test_closed_line_positive_support(self, box8, rng, coeff_diff):
         u = random_field(box8, rng, hardy=True)
-        expected = SpectralField(box8, -1j * project_plus(cubic_product(u)).coeff)
-        assert coeff_diff(rs.f_res_closed_line(u), expected) <= 1e-14
+        expected = -1j * project_plus(cubic_product(u.coeff))
+        assert coeff_diff(rs.f_res_closed_line(u.coeff), expected) <= 1e-14
 
     def test_closed_line_equals_sign_uniform_bruteforce(self, box8, rng, coeff_diff):
         for _ in range(5):
             u = random_field(box8, rng)
             assert (
                 coeff_diff(
-                    rs.f_res_closed_line(u), rs.f_res_bruteforce(u, sign_uniform_only=True)
+                    rs.f_res_closed_line(u.coeff), rs.f_res_bruteforce(u, sign_uniform_only=True)
                 )
                 <= 1e-10
             )
 
     def test_closed_line_zero_field(self, box8):
-        assert np.all(rs.f_res_closed_line(field_from_modes(box8, {})).coeff == 0.0)
+        assert np.all(rs.f_res_closed_line(field_from_modes(box8, {}).coeff) == 0.0)
 
     def test_cubic_oracles_reject_large_grid(self):
         for domain, length in ((Domain.TORUS, None), (Domain.BIGBOX, 16.0 * np.pi)):
@@ -220,7 +220,7 @@ class TestSzegoCubic:
         for grid in (torus8, box8):
             u = random_field(grid, rng)
             out = spectral.szego_cubic(u.coeff)
-            assert np.array_equal(out, spectral.szego_cubic(project_plus(u).coeff))
+            assert np.array_equal(out, spectral.szego_cubic(project_plus(u.coeff)))
             assert np.all(out[: grid.n_max] == 0.0)
 
 
@@ -307,7 +307,7 @@ class TestFOscTorus:
         w = random_field(torus8, rng, hardy=True)
         neg = torus8.modes < 0
         expected = np.zeros(torus8.size, dtype=complex)
-        expected[neg] = np.exp(0.0) / (2.0 * torus8.freqs[neg]) * cubic_product(w).coeff[neg]
+        expected[neg] = np.exp(0.0) / (2.0 * torus8.freqs[neg]) * cubic_product(w.coeff)[neg]
         f = rs.F_osc(w, 0.0)
         assert np.all(f.coeff == expected)
         assert np.max(np.abs(f.coeff)) > 0.0
@@ -360,12 +360,12 @@ class TestOscPrimitiveLine:
         # the box branch is the earlier box-only closed form, token for token
         grid = make_grid(32, Domain.BIGBOX, 64.0 * np.pi)
         w = random_field(grid, rng, hardy=True)
-        cube = cubic_product(w)
+        cube = cubic_product(w.coeff)
         xi = grid.freqs
         neg = grid.modes < 0
         for t in (0.7, 38.4):
             expected = np.zeros(grid.size, dtype=np.complex128)
-            expected[neg] = (np.exp(-2j * t * xi[neg]) - 1.0) / (2.0 * xi[neg]) * cube.coeff[neg]
+            expected[neg] = (np.exp(-2j * t * xi[neg]) - 1.0) / (2.0 * xi[neg]) * cube[neg]
             assert np.array_equal(rs.F_osc(w, t).coeff, expected)
 
 
@@ -422,8 +422,8 @@ class TestTransformCounts:
     v and g for fprime_dot) and each product once back (3, 4 and 2)."""
 
     KERNELS = {
-        "r2_closed_hardy": (lambda w, u, h: rs.r2_closed_hardy(w), 5),
-        "f_res_closed_torus": (lambda w, u, h: rs.f_res_closed_torus(u), 6),
+        "r2_closed_hardy": (lambda w, u, h: rs.r2_closed_hardy(w.coeff), 5),
+        "f_res_closed_torus": (lambda w, u, h: rs.f_res_closed_torus(u.coeff), 6),
         "fprime_dot": (lambda w, u, h: rs.fprime_dot(u, 0.37, h), 4),
     }
 
@@ -454,21 +454,21 @@ class TestQuinticKernels:
     def test_r2_single_mode_vanishes(self, torus6):
         w = field_from_modes(torus6, {1: 1.3})
         assert np.all(rs.r2_bruteforce(w).coeff == 0.0)
-        assert np.max(np.abs(rs.r2_closed_hardy(w).coeff)) < 1e-14
+        assert np.max(np.abs(rs.r2_closed_hardy(w.coeff))) < 1e-14
 
     def test_r2_hand_case(self, torus8):
         # W = 1 + e^{ix}: the inner minus-projected cubic is -e^{-ix}, giving
         # i at mode 0, i/2 at mode 1, i at mode 2, i/2 at mode 3
         w = field_from_modes(torus8, {0: 1.0, 1: 1.0})
-        r = rs.r2_closed_hardy(w)
+        r = rs.r2_closed_hardy(w.coeff)
         expected = {0: 1j, 1: 0.5j, 2: 1j, 3: 0.5j}
         for k in torus8.modes:
-            assert r[k] == pytest.approx(expected.get(int(k), 0.0), abs=1e-12)
+            assert r[torus8.index(k)] == pytest.approx(expected.get(int(k), 0.0), abs=1e-12)
 
     def test_r2_closed_equals_bruteforce(self, torus8, rng, coeff_diff):
         for _ in range(5):
             w = random_field(torus8, rng, hardy=True)
-            assert coeff_diff(rs.r2_closed_hardy(w), rs.r2_bruteforce(w)) <= 1e-10
+            assert coeff_diff(rs.r2_closed_hardy(w.coeff), rs.r2_bruteforce(w)) <= 1e-10
 
     # gate 10's N2 identity runs r2_bruteforce on generic data, so the
     # reference covers both kinds
@@ -498,7 +498,7 @@ class TestQuinticKernels:
 
     def test_r2_closed_rejects_non_hardy(self, torus8, rng):
         with pytest.raises(ValueError):
-            rs.r2_closed_hardy(random_field(torus8, rng))
+            rs.r2_closed_hardy(random_field(torus8, rng).coeff)
 
     def test_r2_rejects_large_grid(self):
         g = make_grid(16, Domain.TORUS)
@@ -533,6 +533,15 @@ class TestN2:
         g = make_grid(6, Domain.TORUS)
         w = field_from_modes(g, {1: 1.0})
         assert np.max(np.abs(rs.n2_field(w, 0.7).coeff)) <= 1e-15
+
+    def test_phases_are_the_nonzero_integers_up_to_2n(self, w6):
+        # every sextuple phase |x|+|y|+|z| - (|p|+|q|+|r|), x+y+z = p+q+r,
+        # lies in [-2n, 2n]
+        n = w6.grid.n_max
+        phases, coef = rs.n2_phase_coefficients(w6)
+        expected = np.arange(-2 * n, 2 * n + 1)
+        assert np.array_equal(phases, expected[expected != 0])
+        assert coef.shape == (w6.grid.size, phases.size)
 
 
 class TestTimeAverageIdentity:
