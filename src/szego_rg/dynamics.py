@@ -150,20 +150,20 @@ def _nonlinear_term(spec: FlowSpec) -> Callable[[np.ndarray], np.ndarray]:
 
     # the effective flows take Hardy data, which stays Hardy along them, and
     # on Hardy fields every f_res term except -i P+(|u|^2 u) is identically
-    # zero; szego_cubic computes that term alone, on a grid of
-    # next_fast_len(2n_max+1) points, about half the general padding.
-    eps2, eps4 = spec.eps**2, spec.eps**4
+    # zero; szego_cubic computes that term alone, on 2 next_fast_len(n_max+1)
+    # points, about half the general padding.
+    minus_i_eps2, eps4 = -1j * spec.eps**2, spec.eps**4
     if spec.flow is Flow.FIRST_ORDER_RG:
-        return lambda c: eps2 * (-1j * szego_cubic(c))
-    return lambda c: eps2 * (-1j * szego_cubic(c)) + eps4 * r2_closed_hardy(c)
+        return lambda c: minus_i_eps2 * szego_cubic(c)
+    return lambda c: minus_i_eps2 * szego_cubic(c) + eps4 * r2_closed_hardy(c)
 
 
 def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
     """Fixed-step Lawson RK4 with the linear part applied exactly.
 
     The propagator exp(-i|D|t) is diagonal in Fourier space, so only the
-    nonlinearity is stepped; the effective flows have no stiff linear part
-    and reduce to plain RK4.  Snapshots are stored on the configured stride
+    nonlinearity is stepped; the effective flows have no linear part and
+    take plain RK4 stages.  Snapshots are stored on the configured stride
     (FlowSpec.schedule), always including t = 0 and t_end.  A gap of g fast
     steps of size h between two snapshots is covered by m = ceil(g h eps^2 /
     slow_dt) equal substeps of size g h / m when spec.slow_dt is set and
@@ -178,13 +178,12 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
 
     h, snap_steps = spec.schedule()
     grid = spec.grid
-    omega = np.abs(grid.freqs) if spec.flow is Flow.FULL_NLW else np.zeros(grid.size)
-    # exactly 1 for the effective flows, so their substeps may take any
-    # size; the full flow only ever steps h
-    e_half = np.exp(-1j * omega * (h / 2.0))
-    e_full = e_half * e_half
-
-    if spec.flow is not Flow.FULL_NLW:
+    lawson = spec.flow is Flow.FULL_NLW
+    if lawson:
+        # the full flow only ever steps h
+        e_half = np.exp(-1j * np.abs(grid.freqs) * (h / 2.0))
+        e_full = e_half * e_half
+    else:
         require_hardy(v0.coeff)
     nonlin = _nonlinear_term(spec)
 
@@ -213,10 +212,18 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for k, step in substeps:
             n1 = nonlin(c)
-            n2 = nonlin(e_half * (c + (k / 2.0) * n1))
-            n3 = nonlin(e_half * c + (k / 2.0) * n2)
-            n4 = nonlin(e_full * c + k * e_half * n3)
-            c = e_full * c + (k / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+            if lawson:
+                n2 = nonlin(e_half * (c + (k / 2.0) * n1))
+                n3 = nonlin(e_half * c + (k / 2.0) * n2)
+                n4 = nonlin(e_full * c + k * e_half * n3)
+                c = e_full * c + (k / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+            else:
+                # the effective flows have no linear part, so their
+                # substeps may take any size
+                n2 = nonlin(c + (k / 2.0) * n1)
+                n3 = nonlin(c + (k / 2.0) * n2)
+                n4 = nonlin(c + k * n3)
+                c = c + (k / 6.0) * (n1 + 2.0 * (n2 + n3) + n4)
             steps += 1
 
             if step:

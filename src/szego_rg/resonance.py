@@ -419,8 +419,11 @@ def r2_closed_hardy(c: np.ndarray) -> np.ndarray:
 
         r2(W) = -i P+(|W|^2 (1/D) P-(|W|^2 W))
                 - (i/2) P+(W^2 conj((1/D) P-(|W|^2 W))).
+
+    Precondition, not checked here: c is Hardy (modes k < 0 zero), as
+    integrate checks the initial data and its stages stay Hardy.  On other
+    data the result is not r2.
     """
-    require_hardy(c)
     W = to_physical(c)
     cube = from_physical(np.abs(W) ** 2 * W, c.size)
     G = to_physical(apply_inv_D_minus(cube, _grid_freqs(c.size // 2, TWO_PI)))

@@ -23,8 +23,11 @@ next_fast_len(2*(2n_max+1)) points and truncated back to |k| <= n_max.  That
 padding makes every product of up to three factors, and the quartic mean,
 exact (no aliasing into retained modes), so a kernel transforms each distinct
 factor once and forms its products from the samples.  The one exception is
-szego_cubic, the Szego term P+(|u|^2 u) of Hardy data: it transforms modes
-0..n_max on next_fast_len(2n_max+1) points, which is exact for that product.
+szego_cubic, the Szego term P+(|u|^2 u) of Hardy data: its product spectrum
+is [-n_max, 2n_max], so 2M >= 2n_max+1 points, M = next_fast_len(n_max+1),
+alias nothing into modes 0..n_max.  It transforms the 2M points as two rows
+of M, the even and the odd samples (decimation in time), one row per FFT
+worker; the odd row's half-sample shift exp(i pi k/M) makes the split exact.
 """
 
 from __future__ import annotations
@@ -221,20 +224,46 @@ def cubic_product(c: np.ndarray) -> np.ndarray:
     return from_physical(np.abs(u) ** 2 * u, c.size)
 
 
+@lru_cache(maxsize=32)
+def _odd_twiddle(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """w(k) = exp(i pi k/M) and conj(w(k)) for k = 0..n_max, M =
+    next_fast_len(n_max+1): the half-sample shift of the odd grid points."""
+    w = np.exp(1j * np.pi / next_fast_len(n_max + 1) * np.arange(n_max + 1))
+    w_conj = np.conj(w)
+    w.setflags(write=False)
+    w_conj.setflags(write=False)
+    return w, w_conj
+
+
 def szego_cubic(coeff: np.ndarray) -> np.ndarray:
     """Coefficients of P+(|P+u|^2 P+u) in the -n_max..n_max layout.
 
     Reads only modes 0..n_max.  For Hardy u the product spectrum is
-    [-n_max, 2n_max], so next_fast_len(2n_max+1) points alias nothing into
-    0..n_max: one ifft and one fft on about half the general padding.
+    [-n_max, 2n_max], so 2M >= 2n_max+1 points, M = next_fast_len(n_max+1),
+    alias nothing into 0..n_max: about half the general padding.  The 2M
+    points are transformed as their even and odd samples, two rows of M
+    (decimation in time): row 0 holds c(k) and row 1 holds w(k) c(k),
+    w(k) = exp(i pi k/M), so one batched ifft samples u at x_2m and x_2m+1.
+    The cube is formed in place, one batched fft returns the row spectra
+    G_0 and G_1, and the 2M-point coefficient is (G_0(k) + conj(w(k)) G_1(k))/2
+    (exact, as n_max < M).  pocketfft gives each row its own worker once a
+    row has about 1,000 points; below that both rows run on one thread.
     """
     n = coeff.size // 2
-    n_pts = next_fast_len(2 * n + 1)
-    spec = np.zeros(n_pts, dtype=np.complex128)
-    spec[: n + 1] = coeff[n:]
-    u = ifft(spec) * n_pts
+    w, w_conj = _odd_twiddle(n)
+    spec = np.zeros((2, next_fast_len(n + 1)), dtype=np.complex128)
+    spec[0, : n + 1] = coeff[n:]
+    np.multiply(coeff[n:], w, out=spec[1, : n + 1])
+    u = ifft(spec, axis=-1, norm="forward", workers=2, overwrite_x=True)
+    sq = np.abs(u)
+    sq *= sq
+    u *= sq
+    g = fft(u, axis=-1, norm="forward", workers=2, overwrite_x=True)
     out = np.zeros(coeff.size, dtype=np.complex128)
-    out[n:] = fft(np.abs(u) ** 2 * u)[: n + 1] / n_pts
+    half = out[n:]
+    np.multiply(g[1, : n + 1], w_conj, out=half)
+    half += g[0, : n + 1]
+    half *= 0.5
     return out
 
 

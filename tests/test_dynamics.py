@@ -121,28 +121,63 @@ class TestRightHandSides:
         assert negative_mode_mass(SpectralField(torus8, out)) == 0.0
 
     def test_first_order_hardy_transforms_half_grid(self, rng, monkeypatch):
-        # P+(|W|^2 W) of Hardy W needs next_fast_len(2*2048+1) = 4116 points,
-        # half the general padding of next_fast_len(2*4097) = 8232
+        # P+(|W|^2 W) of Hardy W needs 2 next_fast_len(2048+1) = 4116 points,
+        # half the general padding of next_fast_len(2*4097) = 8232, taken as
+        # two rows of 2058 (even and odd samples)
         grid = make_grid(2048, Domain.BIGBOX, 256.0 * np.pi)
         w = random_field(grid, rng, hardy=True)
-        sizes = []
+        shapes = []
         for fn in ("fft", "ifft"):
             real = getattr(spectral, fn)
             monkeypatch.setattr(
-                spectral, fn, lambda x, real=real: sizes.append(x.size) or real(x)
+                spectral, fn,
+                lambda x, *a, real=real, **kw: shapes.append(x.shape) or real(x, *a, **kw),
             )
         nonlinear(Flow.FIRST_ORDER_RG, grid, 0.2)(w.coeff)
-        assert sizes == [4116, 4116]
+        assert shapes == [(2, 2058), (2, 2058)]
+        assert [np.prod(s) for s in shapes] == [4116, 4116]
 
     def test_first_order_rejects_non_hardy(self, rand_torus8):
         with pytest.raises(ValueError, match="Hardy"):
             integrate(spec(Flow.FIRST_ORDER_RG, rand_torus8.grid, 0.2, 0.1, 1.0), rand_torus8)
 
     def test_second_order_rejects_non_hardy(self, rand_torus8):
-        with pytest.raises(ValueError):
+        # integrate is the only check: r2_closed_hardy assumes Hardy input
+        with pytest.raises(ValueError, match="Hardy"):
             integrate(
                 spec(Flow.SECOND_ORDER_AVERAGED, rand_torus8.grid, 0.2, 0.1, 1.0), rand_torus8
             )
+
+    @pytest.mark.parametrize("flow", list(Flow), ids=lambda f: f.value)
+    def test_one_step_is_textbook(self, flow, torus8, rng):
+        # the effective flows take plain RK4 stages (their propagator is
+        # exactly 1); the full flow takes Lawson stages around exp(-i|D|h)
+        h = 0.1  # eps = 0.5: eps^2 = 0.25, eps^4 = 0.0625
+        f = {
+            Flow.FULL_NLW: lambda c: -1j * cubic_product(c),
+            Flow.FIRST_ORDER_RG: lambda c: -1j * 0.25 * spectral.szego_cubic(c),
+            Flow.SECOND_ORDER_AVERAGED: lambda c: (
+                -1j * 0.25 * spectral.szego_cubic(c) + 0.0625 * rs.r2_closed_hardy(c)
+            ),
+        }[flow]
+        w0 = random_field(torus8, rng, hardy=True)
+        c = w0.coeff
+        k1 = f(c)
+        if flow is Flow.FULL_NLW:
+            e_half = np.exp(-1j * np.abs(torus8.freqs) * (h / 2.0))
+            e_full = e_half * e_half
+            k2 = f(e_half * (c + h / 2.0 * k1))
+            k3 = f(e_half * c + h / 2.0 * k2)
+            k4 = f(e_full * c + h * e_half * k3)
+            expected = e_full * c + h / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+        else:
+            k2 = f(c + h / 2.0 * k1)
+            k3 = f(c + h / 2.0 * k2)
+            k4 = f(c + h * k3)
+            expected = c + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        traj = integrate(spec(flow, torus8, 0.5, h, h), w0)
+        assert traj.steps == 1
+        assert np.array_equal(traj.states[-1].coeff, expected)
 
     @pytest.mark.parametrize("flow", list(Flow), ids=lambda f: f.value)
     def test_stages_build_no_fields(self, flow, torus8, monkeypatch):
