@@ -59,6 +59,13 @@ _float = _finite(float)
 _complex = _finite(complex)
 
 
+def _nonnegative_int(raw: str) -> int:
+    """Parser of a non-negative integer."""
+    if int(raw) < 0:
+        raise ValueError("non-negative integer expected")
+    return int(raw)
+
+
 def _list(conv: Callable[[str], Any]) -> Callable[[str], tuple]:
     """Parser of a comma-separated list of conv values."""
     return lambda raw: tuple(conv(x) for x in raw.split(",") if x.strip())
@@ -83,7 +90,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
             "scaling_first_order_torus", Experiment,
             "experiment name for the scaling/growth/audit commands",
         ),
-        "seed": Key("20240", int, "seed for seeded random initial data"),
+        "seed": Key("20240", _nonnegative_int, "seed for seeded random initial data"),
         "output_dir": Key("out", str, "run directory (flag --out overrides)"),
         "emit_svg": Key("false", _bool, "also write SVG plots (flag --svg overrides)"),
     },
@@ -230,23 +237,14 @@ def initial_data_from_config(cfg: RunConfig) -> InitialDataSpec:
     return InitialDataSpec(seed=cfg.value("run", "seed"), **cfg.section("initial_data"))
 
 
-def _check_modes(data: InitialDataSpec, n_max: int) -> None:
-    """Reject polynomial data with a mode outside the grid range."""
-    if data.kind is DataKind.HARDY_POLYNOMIAL and max(data.modes, default=0) > n_max:
-        raise ConfigError(
-            f"key 'modes' in section [initial_data]: mode {max(data.modes)} lies outside "
-            f"the grid range +-{n_max}"
-        )
-
-
 def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
     grid = {"n_max": 32, "domain": Domain.TORUS, "length": None, **_set(cfg.section("grid"))}
     try:
         spec = FlowSpec(grid=make_grid(**grid), **cfg.section("flow"))
         data = initial_data_from_config(cfg)
+        data.build(spec.grid)  # reject data off the grid or overflowing, eagerly
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _check_modes(data, spec.grid.n_max)
     return spec, data
 
 
@@ -268,8 +266,7 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
         plan = dc_replace(
             plan, initial_data=data, audit_seed=seed, **_set(cfg.section("experiment")), **grid
         )
-        plan.grid()  # validate grid parameters eagerly
+        plan.initial_data.build(plan.grid())  # validate grid and data eagerly
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _check_modes(plan.initial_data, plan.n_max)
     return plan

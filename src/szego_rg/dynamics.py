@@ -86,6 +86,8 @@ class FlowSpec:
             raise ValueError("t_end must be positive")
         if self.s < 0.5:
             raise ValueError("diagnostic norm index s must be >= 1/2")
+        if self.snapshot_stride is not None and not self.snapshot_stride > 0.0:
+            raise ValueError(f"snapshot_stride must be positive, got {self.snapshot_stride}")
         if self.t_end * self.eps**2 > self.slow_time_cap * (1 + 1e-12):
             raise ValueError(
                 f"slow horizon {self.t_end * self.eps ** 2:.3g} exceeds cap "

@@ -29,11 +29,13 @@ from .dynamics import (
     second_order_ansatz,
 )
 from .spectral import (
+    TWO_PI,
     Domain,
     FrequencyGrid,
     SpectralField,
     ConservedReport,
     conserved_series,
+    field_from_modes,
     make_grid,
     mass,
     negative_mode_mass,
@@ -41,7 +43,6 @@ from .spectral import (
     sobolev_norm,
 )
 
-TWO_PI = 2.0 * np.pi
 ERROR_FLOOR = 1e-15
 
 
@@ -110,9 +111,9 @@ class InitialDataSpec:
 
     def build(self, grid: FrequencyGrid) -> SpectralField:
         if self.kind is DataKind.HARDY_POLYNOMIAL:
-            c = np.zeros(grid.size, dtype=np.complex128)
-            for k, a in zip(self.modes, self.amplitudes):
-                c[grid.index(k)] = a
+            if max(self.modes, default=0) > grid.n_max:
+                raise ValueError(f"modes {self.modes} reach outside the grid range +-{grid.n_max}")
+            f = field_from_modes(grid, dict(zip(self.modes, self.amplitudes)))
         elif self.kind is DataKind.RATIONAL_NONGENERIC:
             # coefficients (1/L) * F(W0)(xi_k) of the periodized profile;
             # F(1/(x+ia))(xi) = -2*pi*i*exp(-a*xi) for xi >= 0.
@@ -122,13 +123,23 @@ class InitialDataSpec:
                 -2j * np.pi * (np.exp(-xi) - 2.0 * np.exp(-2.0 * xi)) / grid.length,
                 0.0,
             )
+            f = SpectralField(grid, c)
         else:
-            c = random_field(grid, np.random.default_rng(self.seed), self.decay, hardy=True).coeff
-        f = SpectralField(grid, c)
+            with np.errstate(over="ignore"):  # overflow ends in the named error below
+                f = random_field(grid, np.random.default_rng(self.seed), self.decay, hardy=True)
+            if not np.all(np.isfinite(f.coeff)):
+                raise ValueError(
+                    f"decay = {self.decay:g} overflows: the seeded data has non-finite "
+                    f"coefficients at n_max = {grid.n_max}"
+                )
         if self.normalization is not None:
-            q = np.sqrt(mass(f))
-            if q == 0:
-                raise ValueError("cannot normalize identically-zero initial data")
+            with np.errstate(over="ignore"):  # an overflowing norm ends in the error below
+                q = np.sqrt(mass(f))
+            if not 0.0 < q < np.inf:
+                raise ValueError(
+                    f"cannot rescale initial data of L2 norm {q:g} to normalization = "
+                    f"{self.normalization:g}"
+                )
             f = (self.normalization / q) * f
         if self.scale != 1.0:
             f = self.scale * f
@@ -469,8 +480,9 @@ def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
     """Sweep eps: integrate the full flow and the resonant flow from eps*W0,
     record sup_t ||v(t) - exp(-i|D|t) eps W(t)||_{H^s}, fit the log-log slope.
 
-    On the big box the report carries the line-approximation caveat plus the
-    size of the resonant terms the two-term kernel drops.
+    On the big box the report carries the line-approximation caveat.  The
+    data are Hardy, on which the two-term line kernel is the whole resonant
+    kernel, so the kernel drops no term.
     """
     (rows,) = _sweep(
         plan, Flow.FULL_NLW, lambda eps, w0: eps * w0,
@@ -480,15 +492,9 @@ def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
         slope_min = 2.7 if plan.slope_threshold is None else plan.slope_threshold
         residual_max = 0.15 if plan.residual_max is None else plan.residual_max
         return _finish_scaling(plan, rows, slope_min=slope_min, residual_max=residual_max)
-    # the dropped measure-zero terms are evaluated on a small companion grid:
-    # their relative size is the discrete-leftover diagnostic
-    probe = make_grid(8, Domain.BIGBOX, plan.length)
-    split = rs.measure_zero_split(plan.initial_data.build(probe))
     caveats = (
         f"big-box approximation of the line: L={plan.length:.6g}, "
         f"small-divisor amplification at the first negative mode = L/(2*pi) = {plan.length / TWO_PI:.6g}",
-        f"resonant terms dropped by the two-term kernel (n_max=8 probe, L2 size): "
-        f"diagonal={split['diagonal']:.3e}, zero_coupled={split['zero_coupled']:.3e}",
     )
     slope_min = 1.7 if plan.slope_threshold is None else plan.slope_threshold
     return _finish_scaling(
@@ -672,19 +678,10 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
             err = max(err, max_diff(c, oracle(u).coeff))
         rows.append(AuditRow(check, err, 1e-10, err <= 1e-10))
 
-    # resonance lemmas against phase() == 0, exhaustively
-    bad = 0
-    for k in gt.modes:
-        for l in gt.modes:
-            for m in gt.modes:
-                j = k - l + m
-                if abs(j) > n:
-                    continue
-                vanishes = abs(k) - abs(l) + abs(m) - abs(j) == 0
-                if rs.is_resonant_torus(k, l, m, j) != vanishes:
-                    bad += 1
-                if rs.is_resonant_line(gb, k, l, m, j) != vanishes:
-                    bad += 1
+    # resonance lemmas against phi == 0 on every in-grid quadruple
+    K, L, M, J, phi = rs._quadruples(n)
+    lemmas = (rs.is_resonant_torus(K, L, M, J), rs.is_resonant_line(gb, K, L, M, J))
+    bad = sum(np.count_nonzero(lemma != (phi == 0)) for lemma in lemmas)
     rows.append(AuditRow("resonance_lemmas_exhaustive", float(bad), 0.5, bad == 0))
 
     # split consistency f_full = f_res + f_osc

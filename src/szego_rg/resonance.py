@@ -31,8 +31,8 @@ oracles take SpectralFields.  Every closed form has a direct-summation
 brute-force oracle here, and the oracles (r2_time_average, n2_rhs) use only
 the brute-force primitive.  The oracles select the resonant set by its
 definition, phi = 0; the sign-pattern lemmas is_resonant_torus and
-is_resonant_line, which the closed forms rest on, are checked against that
-definition by the kernel audit and acceptance gate 2.
+is_resonant_line, which the closed forms rest on, act on mode arrays and are
+checked against that definition by the kernel audit and acceptance gate 2.
 
 In brute-force sums the inner mode indices are confined to the grid range
 |k| <= n_max, consistent with compositions through grid-truncated fields
@@ -95,40 +95,39 @@ def phase(grid, k: int, l: int, m: int, j: int) -> float:
     )
 
 
-def _check_momentum(k: int, l: int, m: int, j: int):
-    if k - l + m - j != 0:
-        raise ValueError(f"momentum constraint violated: {k}-{l}+{m}-{j} != 0")
+def _check_momentum(k, l, m, j):
+    if np.any(k - l + m - j != 0):
+        raise ValueError("momentum constraint violated: k - l + m - j != 0")
 
 
-def is_resonant_torus(k: int, l: int, m: int, j: int) -> bool:
-    """Integer-mode resonance test on the torus.
+def is_resonant_torus(k, l, m, j):
+    """Integer-mode resonance test on the torus, for mode integers or arrays
+    (elementwise).
 
     With k - l + m - j = 0, the phase |k|-|l|+|m|-|j| vanishes exactly when
     k > 0 and (l,m,j all >= 0, or k = l, or k = j); k = 0 and l,m,j share a
     sign class; k < 0 and the mirrored conditions hold.
     """
     _check_momentum(k, l, m, j)
-    if k > 0:
-        return (l >= 0 and m >= 0 and j >= 0) or k == l or k == j
-    if k < 0:
-        return (l <= 0 and m <= 0 and j <= 0) or k == l or k == j
-    return (l >= 0 and m >= 0 and j >= 0) or (l <= 0 and m <= 0 and j <= 0)
+    plus = (l >= 0) & (m >= 0) & (j >= 0)
+    minus = (l <= 0) & (m <= 0) & (j <= 0)
+    diagonal = (k == l) | (k == j)
+    return np.where(k > 0, plus | diagonal, np.where(k < 0, minus | diagonal, plus | minus))
 
 
-def is_resonant_line(grid, k: int, l: int, m: int, j: int) -> bool:
-    """Resonance test for box frequencies: all four in one (closed) sign
-    class, or the diagonal cases k = l, k = j.
+def is_resonant_line(grid, k, l, m, j):
+    """Resonance test for box frequencies, for mode integers or arrays
+    (elementwise): all four in one (closed) sign class, or the diagonal
+    cases k = l, k = j.
 
     Frequencies are integer multiples of 2*pi/length, so the test is exact
     integer arithmetic; no floating-point classification.
     """
     del grid  # frequencies are rational multiples of one unit; signs suffice
     _check_momentum(k, l, m, j)
-    if k == l or k == j:
-        return True
-    if k >= 0 and l >= 0 and m >= 0 and j >= 0:
-        return True
-    return k <= 0 and l <= 0 and m <= 0 and j <= 0
+    plus = (k >= 0) & (l >= 0) & (m >= 0) & (j >= 0)
+    minus = (k <= 0) & (l <= 0) & (m <= 0) & (j <= 0)
+    return (k == l) | (k == j) | plus | minus
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +194,6 @@ def _primitive_weight(t: float, from_zero: bool):
     return weight
 
 
-def _sign_uniform(K, L, M, J) -> np.ndarray:
-    """Support of the two-term line closed form: all four modes non-negative,
-    or all four strictly negative (mode 0 counts as the + class)."""
-    return np.where(K >= 0, (L >= 0) & (M >= 0) & (J >= 0), (L < 0) & (M < 0) & (J < 0))
-
-
 # ---------------------------------------------------------------------------
 # the full nonlinearity and its resonant part
 
@@ -222,7 +215,9 @@ def f_res_bruteforce(u: SpectralField, sign_uniform_only: bool = False) -> Spect
     """
     grid = u.grid
     K, L, M, J, phi = _quadruples(grid.n_max)
-    sel = _sign_uniform(K, L, M, J) if sign_uniform_only else phi == 0
+    sel = phi == 0
+    if sign_uniform_only:  # mode 0 counts as the + class
+        sel = np.where(K >= 0, (L >= 0) & (M >= 0) & (J >= 0), (L < 0) & (M < 0) & (J < 0))
     return SpectralField(grid, -1j * _bin(K[sel] + grid.n_max, _terms(u.coeff, sel), grid.size))
 
 
@@ -262,28 +257,10 @@ def f_res_closed_torus(c: np.ndarray) -> np.ndarray:
 def f_res_closed_line(c: np.ndarray) -> np.ndarray:
     """Two-term line closed form -i(P+(|u+|^2 u+) + P-(|u-|^2 u-)).
 
-    Equals the sign-uniform brute-force sum; the diagonal and zero-coupled
-    quadruples it drops are reported by measure_zero_split.
+    Equals the sign-uniform brute-force sum.  Every resonant quadruple it
+    drops has a negative-mode factor: on Hardy data it is the whole kernel.
     """
     return -1j * (szego_cubic(c) + project_minus(cubic_product(project_minus(c))))
-
-
-def measure_zero_split(u: SpectralField) -> dict[str, float]:
-    """L2 size of the resonant contributions the line closed form drops.
-
-    Returns the norms of the diagonal part ({l=k} or {j=k} outside the
-    sign-uniform set) and of the zero-mode-coupled part, each weighted by a
-    single 1/L-spaced mode layer in the continuum limit.
-    """
-    grid = u.grid
-    K, L, M, J, phi = _quadruples(grid.n_max)
-    extra = (phi == 0) & ~_sign_uniform(K, L, M, J)
-    diag = extra & ((L == K) | (J == K))
-
-    def norm(sel):  # the -i of f leaves the norm unchanged
-        return float(np.linalg.norm(_bin(K[sel] + grid.n_max, _terms(u.coeff, sel), grid.size)))
-
-    return {"diagonal": norm(diag), "zero_coupled": norm(extra & ~diag)}
 
 
 # ---------------------------------------------------------------------------

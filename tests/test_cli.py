@@ -202,6 +202,31 @@ BAD_INPUTS = {
     "infinite_length": (
         "growth", "[run]\nexperiment = fosc_growth\n\n[grid]\nlength = inf\n", "length",
     ),
+    "snapshot_stride_zero": (
+        "simulate", "[flow]\nt_end = 10\nsnapshot_stride = 0\n", "snapshot_stride",
+    ),
+    "snapshot_stride_negative": (
+        "simulate", "[flow]\nt_end = 10\nsnapshot_stride = -1\n", "snapshot_stride",
+    ),
+    "negative_seed_simulate": (
+        "simulate", "[run]\nseed = -1\n\n[initial_data]\nkind = seeded_random_hardy\n", "seed",
+    ),
+    "negative_seed_audit": ("audit", "[run]\nseed = -1\n\n[grid]\nn_max = 4\n", "seed"),
+    "overflowing_decay_simulate": (
+        "simulate",
+        "[flow]\nt_end = 10\n\n[initial_data]\nkind = seeded_random_hardy\ndecay = -400\n",
+        "decay",
+    ),
+    "overflowing_norm": (
+        "simulate", "[flow]\nt_end = 1\n\n[initial_data]\namplitudes = 1e200,1,1\n",
+        "normalization",
+    ),
+    "overflowing_decay_scaling": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n"
+        "[initial_data]\nkind = seeded_random_hardy\ndecay = -400\n",
+        "decay",
+    ),
 }
 
 

@@ -64,6 +64,11 @@ class TestFlowSpec:
         with pytest.raises(ValueError, match="slow_dt"):
             spec(Flow.FIRST_ORDER_RG, torus8, eps=0.1, dt=0.1, t_end=1.0, slow_dt=slow_dt)
 
+    @pytest.mark.parametrize("stride", [0.0, -1.0])
+    def test_snapshot_stride_positive(self, torus8, stride):
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, snapshot_stride=stride)
+
     def test_slow_dt_rejected_for_full_flow(self, torus8):
         with pytest.raises(ValueError, match="slow_dt"):
             spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, slow_dt=SLOW_DT)

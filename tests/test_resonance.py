@@ -73,6 +73,13 @@ class TestPhaseAndPredicates:
                     assert rs.is_resonant_torus(k, l, m, j) == vanishes
                     assert rs.is_resonant_line(box8, k, l, m, j) == vanishes
 
+    def test_predicates_on_quadruple_arrays(self, box8):
+        K, L, M, J, phi = rs._quadruples(8)
+        assert np.array_equal(rs.is_resonant_torus(K, L, M, J), phi == 0)
+        assert np.array_equal(rs.is_resonant_line(box8, K, L, M, J), phi == 0)
+        with pytest.raises(ValueError, match="momentum"):
+            rs.is_resonant_line(box8, K, L, M, J + 1)
+
 
 class TestFullNonlinearity:
     def test_single_mode_at_zero(self, torus8):
@@ -157,20 +164,9 @@ class TestResonantKernel:
     def test_cubic_oracles_reject_large_grid(self):
         for domain, length in ((Domain.TORUS, None), (Domain.BIGBOX, 16.0 * np.pi)):
             u = field_from_modes(make_grid(rs.MAX_CUBIC_N_MAX + 1, domain, length), {})
-            for oracle in (rs.f_res_bruteforce, lambda u: rs.f_osc(u, 0.5), rs.measure_zero_split):
+            for oracle in (rs.f_res_bruteforce, lambda u: rs.f_osc(u, 0.5)):
                 with pytest.raises(ValueError, match="n_max"):
                     oracle(u)
-
-    def test_measure_zero_split_accounts_for_difference(self, box8, rng):
-        u = random_field(box8, rng)
-        full = rs.f_res_bruteforce(u)
-        uniform = rs.f_res_bruteforce(u, sign_uniform_only=True)
-        gap = float(np.linalg.norm(full.coeff - uniform.coeff))
-        split = rs.measure_zero_split(u)
-        # diagonal and zero-coupled parts are disjoint term sets, so their
-        # norms bound the gap from both sides
-        assert gap <= split["diagonal"] + split["zero_coupled"] + 1e-12
-        assert split["diagonal"] > 0.0 and split["zero_coupled"] > 0.0
 
     def test_gauge_covariance(self, rand_torus8, coeff_diff):
         theta = 0.83
@@ -567,19 +563,17 @@ class TestTimeAverageIdentity:
 
 class TestOracleSplit:
     """The production path calls no brute-force oracle: only the kernel audit
-    does, plus the n_max = 8 measure_zero_split probe of the box sweep."""
+    does."""
 
     ORACLE = re.compile(
         r"\b(f_res_bruteforce|f_osc|osc_primitive_bruteforce|dF_osc|fprime_dot"
-        r"|r2_bruteforce|r2_time_average|n2_\w+|measure_zero_split)\b"
+        r"|r2_bruteforce|r2_time_average|n2_\w+)\b"
     )
 
     def test_production_names_no_oracle(self):
         audit = inspect.getsource(experiments.run_kernel_audit)
-        sweep = inspect.getsource(experiments.run_scaling_first_order)
         production = (dynamics, spectral, config, cli, reporting)
         sources = {m.__name__: inspect.getsource(m) for m in production}
-        sources["experiments"] = inspect.getsource(experiments).replace(audit, "").replace(sweep, "")
+        sources["experiments"] = inspect.getsource(experiments).replace(audit, "")
         found = {name: set(self.ORACLE.findall(src)) for name, src in sources.items()}
-        found["run_scaling_first_order"] = set(self.ORACLE.findall(sweep)) - {"measure_zero_split"}
         assert not any(found.values()), found
