@@ -90,7 +90,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
             "scaling_first_order_torus", Experiment,
             "experiment name for the scaling/growth/audit commands",
         ),
-        "seed": Key("20240", _nonnegative_int, "seed for seeded random initial data"),
+        "seed": Key("20240", _nonnegative_int, "seed of seeded random data and the audit"),
         "output_dir": Key("out", str, "run directory (flag --out overrides)"),
         "emit_svg": Key("false", _bool, "also write SVG plots (flag --svg overrides)"),
     },
@@ -253,7 +253,6 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
     non-empty [experiment] and [grid] value, and by the whole [initial_data]
     section once any of its values differs from the schema default."""
     plan = default_plan(cfg.value("run", "experiment"))
-    seed = cfg.value("run", "seed")
     grid = _set(cfg.section("grid"))
     if grid.get("domain") is Domain.TORUS:
         grid["length"] = TWO_PI
@@ -262,10 +261,8 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
         if any(cfg.get("initial_data", k) != key.default for k, key in data_keys):
             data = initial_data_from_config(cfg)
         else:
-            data = dc_replace(plan.initial_data, seed=seed)
-        plan = dc_replace(
-            plan, initial_data=data, audit_seed=seed, **_set(cfg.section("experiment")), **grid
-        )
+            data = dc_replace(plan.initial_data, seed=cfg.value("run", "seed"))
+        plan = dc_replace(plan, initial_data=data, **_set(cfg.section("experiment")), **grid)
         plan.initial_data.build(plan.grid())  # validate grid and data eagerly
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

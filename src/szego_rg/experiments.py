@@ -75,9 +75,16 @@ _REQUIRED_DOMAIN = {
     Experiment.Y_VS_U: Domain.TORUS,
     Experiment.SOBOLEV_GROWTH: Domain.BIGBOX,
 }
-# first-order sweeps, which get the box checks on the big box
-_FIRST_ORDER = (Experiment.SCALING1_TORUS, Experiment.SCALING1_BOX)
-_GROWTH = (Experiment.FOSC_GROWTH, Experiment.SOBOLEV_GROWTH)
+# the command that runs each experiment; only the tests run conservation
+COMMAND = {
+    Experiment.SCALING1_TORUS: "scaling",
+    Experiment.SCALING1_BOX: "scaling",
+    Experiment.SCALING2_TORUS: "scaling",
+    Experiment.Y_VS_U: "scaling",
+    Experiment.FOSC_GROWTH: "growth",
+    Experiment.SOBOLEV_GROWTH: "growth",
+    Experiment.KERNEL_AUDIT: "audit",
+}
 
 
 @dataclass(frozen=True)
@@ -105,8 +112,10 @@ class InitialDataSpec:
             raise ValueError("Hardy polynomial data requires modes k >= 0")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes {self.modes} name a mode twice")
-        if self.kind is DataKind.HARDY_POLYNOMIAL and self.normalization is not None:
-            if not any(self.amplitudes):
+        if self.normalization is not None:
+            if not self.normalization > 0.0:
+                raise ValueError(f"normalization must be > 0, got {self.normalization:g}")
+            if self.kind is DataKind.HARDY_POLYNOMIAL and not any(self.amplitudes):
                 raise ValueError("amplitudes are all zero: zero data cannot be normalized")
 
     def build(self, grid: FrequencyGrid) -> SpectralField:
@@ -142,7 +151,10 @@ class InitialDataSpec:
                 )
             f = (self.normalization / q) * f
         if self.scale != 1.0:
-            f = self.scale * f
+            with np.errstate(over="ignore"):  # overflow ends in the named error below
+                f = self.scale * f
+            if not np.all(np.isfinite(f.coeff)):
+                raise ValueError(f"scale = {self.scale:g} overflows the initial data")
         return f
 
 
@@ -176,7 +188,6 @@ class ExperimentPlan:
     residual_max: float | None = None
     hypothesis_factor: float = 3.0
     audit_fields: int = 20
-    audit_seed: int = 20240
     negative_control: bool = False
 
     def __post_init__(self):
@@ -212,10 +223,15 @@ class ExperimentPlan:
         required = _REQUIRED_DOMAIN.get(self.experiment)
         if required is not None and self.domain is not required:
             raise ValueError(f"{self.experiment.value} requires domain = {required.value}")
-        box = self.domain is Domain.BIGBOX
-        if self.experiment in _FIRST_ORDER and box and self.length < 64.0 * np.pi:
+        command = COMMAND.get(self.experiment)
+        if command == "scaling" and len(self.eps_list) < 3:
+            raise ValueError(
+                f"eps_list needs >= 3 eps values for the log-log fit, got {len(self.eps_list)}"
+            )
+        # the box scaling sweeps are first order: the others require the torus
+        if command == "scaling" and self.domain is Domain.BIGBOX and self.length < 64.0 * np.pi:
             raise ValueError("box scaling expects length >= 64*pi")
-        if self.experiment in _GROWTH:
+        if command == "growth":
             self._check_growth_window()
 
     def _check_growth_window(self):
@@ -249,67 +265,41 @@ class ExperimentPlan:
     def horizon(self, eps: float) -> float:
         if self.horizon_mode is HorizonMode.FIXED_SLOW_TIME:
             return self.slow_time_cap / eps**2
-        log_factor = np.log(1.0 / eps**self.delta)
-        if log_factor <= 0:
-            raise ValueError("horizon log factor must be positive (eps too close to 1)")
-        return float(log_factor ** (1.0 - 2.0 * self.alpha) / eps**2)
+        return float(np.log(1.0 / eps**self.delta) ** (1.0 - 2.0 * self.alpha) / eps**2)
+
+
+_RATIONAL = InitialDataSpec(kind=DataKind.RATIONAL_NONGENERIC, normalization=None)
+
+# each experiment's tuned defaults, as overrides of the ExperimentPlan fields
+_DEFAULTS = {
+    Experiment.SCALING2_TORUS: dict(eps_list=(0.2, 0.14, 0.1, 0.07)),
+    # alpha = 1/2 removes the log factor from the horizon; the Y-U gap is
+    # purely secular, so any log factor would contaminate the fitted slope
+    Experiment.Y_VS_U: dict(eps_list=(0.2, 0.1, 0.05), alpha=0.5),
+    Experiment.SCALING1_BOX: dict(
+        eps_list=(0.2, 0.1, 0.05), alpha=0.5, domain=Domain.BIGBOX, length=64.0 * np.pi,
+        n_max=384, initial_data=_RATIONAL,
+    ),
+    # amplitude chosen inside the spectrally-resolved regime for the
+    # pinned (n_max=32, dt=0.05, t=1e3) gate; at roughly twice this norm
+    # the truncation cascade reaches marginally-resolved modes and the
+    # fixed-step quadrature error dominates the drift
+    Experiment.CONSERVATION: dict(eps_list=(0.1,), initial_data=InitialDataSpec(normalization=0.4)),
+    Experiment.FOSC_GROWTH: dict(
+        domain=Domain.BIGBOX, length=512.0 * np.pi, n_max=1024, initial_data=_RATIONAL,
+    ),
+    Experiment.SOBOLEV_GROWTH: dict(
+        domain=Domain.BIGBOX, length=256.0 * np.pi, n_max=32768, dt=0.1, t_end=40.0,
+        growth_t_max=40.0, initial_data=replace(_RATIONAL, scale=2.0),
+    ),
+    Experiment.KERNEL_AUDIT: dict(n_max=8),
+}
 
 
 def default_plan(experiment: Experiment) -> ExperimentPlan:
     """Tuned defaults per experiment (all overridable via the config layer);
     each plan is built in one step, so its domain rules see it whole."""
-    if experiment is Experiment.SCALING2_TORUS:
-        return ExperimentPlan(experiment, eps_list=(0.2, 0.14, 0.1, 0.07))
-    if experiment is Experiment.Y_VS_U:
-        # alpha = 1/2 removes the log factor from the horizon; the Y-U gap is
-        # purely secular, so any log factor would contaminate the fitted slope
-        return ExperimentPlan(experiment, eps_list=(0.2, 0.1, 0.05), alpha=0.5)
-    if experiment is Experiment.SCALING1_BOX:
-        return ExperimentPlan(
-            experiment,
-            eps_list=(0.2, 0.1, 0.05),
-            alpha=0.5,
-            domain=Domain.BIGBOX,
-            length=64.0 * np.pi,
-            n_max=384,
-            initial_data=InitialDataSpec(kind=DataKind.RATIONAL_NONGENERIC, normalization=None),
-        )
-    if experiment is Experiment.CONSERVATION:
-        # amplitude chosen inside the spectrally-resolved regime for the
-        # pinned (n_max=32, dt=0.05, t=1e3) gate; at roughly twice this norm
-        # the truncation cascade reaches marginally-resolved modes and the
-        # fixed-step quadrature error dominates the drift
-        return ExperimentPlan(
-            experiment,
-            eps_list=(0.1,),
-            initial_data=InitialDataSpec(normalization=0.4),
-            t_end=1000.0,
-        )
-    if experiment is Experiment.FOSC_GROWTH:
-        return ExperimentPlan(
-            experiment,
-            domain=Domain.BIGBOX,
-            length=512.0 * np.pi,
-            n_max=1024,
-            initial_data=InitialDataSpec(kind=DataKind.RATIONAL_NONGENERIC, normalization=None),
-        )
-    if experiment is Experiment.SOBOLEV_GROWTH:
-        return ExperimentPlan(
-            experiment,
-            domain=Domain.BIGBOX,
-            length=256.0 * np.pi,
-            n_max=32768,
-            dt=0.1,
-            t_end=40.0,
-            growth_t_min=10.0,
-            growth_t_max=40.0,
-            initial_data=InitialDataSpec(
-                kind=DataKind.RATIONAL_NONGENERIC, normalization=None, scale=2.0
-            ),
-        )
-    if experiment is Experiment.KERNEL_AUDIT:
-        return ExperimentPlan(experiment, n_max=8)
-    return ExperimentPlan(experiment)
+    return ExperimentPlan(experiment, **_DEFAULTS.get(experiment, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +641,7 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
     then report a failing row (exit path check for the CLI).
     """
     n = plan.n_max
-    rng = np.random.default_rng(plan.audit_seed)
+    rng = np.random.default_rng(plan.initial_data.seed)
     gt = make_grid(n, Domain.TORUS)
     gb = make_grid(n, Domain.BIGBOX, 16.0 * np.pi)
     rows: list[AuditRow] = []

@@ -75,12 +75,12 @@ MAX_QUINTIC_N_MAX = 12
 MAX_CUBIC_N_MAX = 32
 
 
-def require_hardy(c: np.ndarray, tol: float = HARDY_TOL, what: str = "input"):
-    """Reject coefficients whose negative-mode mass exceeds tol (relative)."""
+def require_hardy(c: np.ndarray):
+    """Reject coefficients whose negative-mode mass exceeds HARDY_TOL (relative)."""
     neg = float(np.sum(np.abs(c[: c.size // 2]) ** 2))
-    if neg > tol * max(float(np.sum(np.abs(c) ** 2)), 1e-300):
+    if neg > HARDY_TOL * max(float(np.sum(np.abs(c) ** 2)), 1e-300):
         raise ValueError(
-            f"{what} must be a Hardy field (negative-mode mass {neg:.3e} above tolerance)"
+            f"input must be a Hardy field (negative-mode mass {neg:.3e} above tolerance)"
         )
 
 
@@ -409,17 +409,17 @@ def r2_closed_hardy(c: np.ndarray) -> np.ndarray:
     return -1j * term1 - 0.5j * term2
 
 
-def r2_time_average(w_field: SpectralField, n_samples: int | None = None) -> SpectralField:
+def r2_time_average(w_field: SpectralField) -> SpectralField:
     """Averaging oracle: (1/R) sum_r f'(W, t_r).F_osc(W, t_r) over one period.
 
     All phases are integers bounded by 2*n_max (see n2_phase_coefficients),
-    so the default R = 6*n_max + 2 > 2*n_max nodes kill every oscillatory
-    term exactly and the average is the resonant part.
+    so R = 6*n_max + 2 > 2*n_max nodes kill every oscillatory term exactly
+    and the average is the resonant part.
     """
     grid = w_field.grid
     if grid.domain is not Domain.TORUS:
         raise ValueError("r2_time_average is defined on the torus grid")
-    r_nodes = n_samples or (6 * grid.n_max + 2)
+    r_nodes = 6 * grid.n_max + 2
     acc = np.zeros(grid.size, dtype=np.complex128)
     for r in range(r_nodes):
         t = 2.0 * np.pi * r / r_nodes

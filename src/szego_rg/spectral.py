@@ -135,7 +135,8 @@ class SpectralField:
     """Complex Fourier coefficients on a FrequencyGrid.
 
     Immutable: the coefficient array is copied on construction and marked
-    read-only, so fields can be shared freely across threads.
+    read-only, so snapshots and initial data are shared without defensive
+    copies.
     """
 
     grid: FrequencyGrid

@@ -227,6 +227,25 @@ BAD_INPUTS = {
         "[initial_data]\nkind = seeded_random_hardy\ndecay = -400\n",
         "decay",
     ),
+    "zero_normalization": (
+        "simulate", "[flow]\nt_end = 1\n\n[initial_data]\nnormalization = 0\n", "normalization",
+    ),
+    "negative_normalization": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n[initial_data]\nnormalization = -1\n",
+        "normalization",
+    ),
+    "overflowing_scale_simulate": (
+        "simulate",
+        "[flow]\nt_end = 1\n\n[initial_data]\nnormalization = 1e200\nscale = 1e200\n",
+        "scale",
+    ),
+    "overflowing_scale_scaling": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n"
+        "[initial_data]\nnormalization = 1e10\nscale = 1e300\n",
+        "scale",
+    ),
 }
 
 

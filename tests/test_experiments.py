@@ -92,6 +92,15 @@ class TestPlan:
         with pytest.raises(ValueError):
             ExperimentPlan(Experiment.SCALING1_TORUS, alpha=0.7)
 
+    @pytest.mark.parametrize(
+        "experiment",
+        [Experiment.SCALING1_TORUS, Experiment.SCALING1_BOX, Experiment.SCALING2_TORUS,
+         Experiment.Y_VS_U],
+    )
+    def test_scaling_sweep_needs_three_eps(self, experiment):
+        with pytest.raises(ValueError, match="eps_list"):
+            replace(default_plan(experiment), eps_list=(0.2, 0.1))
+
 
 class TestFit:
     def test_exact_cubic(self):
