@@ -1,6 +1,7 @@
 """Command-line surface: simulate | scaling | audit | growth.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric guard tripped
+Exit codes: 0 success, 1 configuration error (also a configuration file or
+output directory the system cannot read or create), 2 numeric guard tripped
 (blow-up, or a growth window emptied by the boundary-band guard; CSV
 retained), 3 audit failure.
 """
@@ -145,8 +146,8 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = _prepare(args)
-    plan = plan_from_config(cfg.with_value("run", "experiment", Experiment.KERNEL_AUDIT.value))
+    cfg = _prepare(args).with_value("run", "experiment", Experiment.KERNEL_AUDIT.value)
+    plan = plan_from_config(cfg)
     meta = _start("audit", cfg)
     out_dir = meta.out_dir
     report = run_kernel_audit(plan)
@@ -228,10 +229,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -26,7 +26,6 @@ from .experiments import (
     DataKind,
     Experiment,
     ExperimentPlan,
-    HorizonMode,
     InitialDataSpec,
     default_plan,
 )
@@ -124,19 +123,15 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "s": Key("1.0", _float, "Sobolev index of the measured error"),
         "alpha": Key("", _float, f"horizon log-power parameter in [0, 1/2]; {EMPTY}", True),
         "delta": Key("0.1", _float, "horizon log argument parameter"),
-        "horizon_mode": Key("log_corrected", HorizonMode, "log_corrected | fixed_slow_time"),
-        "slow_time_cap": Key("2.0", _float, "slow-time horizon for fixed_slow_time mode"),
         "dt": Key("", _float, f"time step, in (0, 0.5]; {EMPTY}", True),
         "snapshots_per_run": Key("150", int, "snapshots per trajectory"),
         "slope_threshold": Key("", _float, f"pass threshold for the fitted slope; {EMPTY}", True),
         "residual_max": Key("", _float, f"pass threshold for the fit residual; {EMPTY}", True),
-        "hypothesis_factor": Key("3.0", _float, "flag rows where sup|W| exceeds this factor"),
         "t_end": Key("", _float, f"horizon for conservation/growth runs; {EMPTY}", True),
         "growth_t_min": Key("", _float, f"lower end of the growth fit window; {EMPTY}", True),
         "growth_t_max": Key("", _float, f"upper end of the growth fit window; {EMPTY}", True),
         "growth_points": Key("25", int, "points on the logarithmic t grid"),
         "audit_fields": Key("20", int, "random fields per kernel-audit check"),
-        "negative_control": Key("false", _bool, "corrupt one closed form; audit must fail"),
     },
 }
 
@@ -233,12 +228,21 @@ def _set(values: dict[str, Any]) -> dict[str, Any]:
     return {k: v for k, v in values.items() if v is not None}
 
 
+def _grid(cfg: RunConfig, domain: Domain) -> dict[str, Any]:
+    """The non-empty [grid] values, with length 2*pi when the run's domain
+    (the section's, else domain) is the torus."""
+    grid = _set(cfg.section("grid"))
+    if grid.get("domain", domain) is Domain.TORUS:
+        grid["length"] = TWO_PI
+    return grid
+
+
 def initial_data_from_config(cfg: RunConfig) -> InitialDataSpec:
     return InitialDataSpec(seed=cfg.value("run", "seed"), **cfg.section("initial_data"))
 
 
 def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
-    grid = {"n_max": 32, "domain": Domain.TORUS, "length": None, **_set(cfg.section("grid"))}
+    grid = {"n_max": 32, "domain": Domain.TORUS, "length": None, **_grid(cfg, Domain.TORUS)}
     try:
         spec = FlowSpec(grid=make_grid(**grid), **cfg.section("flow"))
         data = initial_data_from_config(cfg)
@@ -253,9 +257,7 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
     non-empty [experiment] and [grid] value, and by the whole [initial_data]
     section once any of its values differs from the schema default."""
     plan = default_plan(cfg.value("run", "experiment"))
-    grid = _set(cfg.section("grid"))
-    if grid.get("domain") is Domain.TORUS:
-        grid["length"] = TWO_PI
+    grid = _grid(cfg, plan.domain)
     try:
         data_keys = SCHEMA["initial_data"].items()
         if any(cfg.get("initial_data", k) != key.default for k, key in data_keys):

@@ -44,6 +44,9 @@ from .spectral import (
 )
 
 ERROR_FLOOR = 1e-15
+# a sweep row is flagged when sup_t ||W(t)||_{H^s} exceeds this factor times
+# ||W0||_{H^s} (log(1/eps^delta))^alpha, the bounded-solution hypothesis
+HYPOTHESIS_FACTOR = 3.0
 
 
 class Experiment(enum.Enum):
@@ -63,13 +66,9 @@ class DataKind(enum.Enum):
     SEEDED_RANDOM_HARDY = "seeded_random_hardy"
 
 
-class HorizonMode(enum.Enum):
-    LOG_CORRECTED = "log_corrected"
-    FIXED_SLOW_TIME = "fixed_slow_time"
-
-
 # the domain an experiment is defined on; the others run on either
 _REQUIRED_DOMAIN = {
+    Experiment.SCALING1_TORUS: Domain.TORUS,
     Experiment.SCALING1_BOX: Domain.BIGBOX,
     Experiment.SCALING2_TORUS: Domain.TORUS,
     Experiment.Y_VS_U: Domain.TORUS,
@@ -162,8 +161,9 @@ class InitialDataSpec:
 class ExperimentPlan:
     """Resolved description of one experiment run.
 
-    alpha and delta enter the horizon T(eps) = eps^-2 (log(1/eps^delta))^(1-2*alpha)
-    in LOG_CORRECTED mode; FIXED_SLOW_TIME uses slow_time_cap/eps^2 instead.
+    alpha and delta enter the horizon T(eps) = eps^-2 (log(1/eps^delta))^(1-2*alpha).
+    A scaling sweep passes when its fitted slope is at least slope_threshold
+    and its fit residual at most residual_max.
     """
 
     experiment: Experiment
@@ -173,8 +173,6 @@ class ExperimentPlan:
     delta: float = 0.1
     n_max: int = 32
     initial_data: InitialDataSpec = field(default_factory=InitialDataSpec)
-    horizon_mode: HorizonMode = HorizonMode.LOG_CORRECTED
-    slow_time_cap: float = 2.0
     domain: Domain = Domain.TORUS
     length: float = TWO_PI
     dt: float = 0.05
@@ -184,11 +182,9 @@ class ExperimentPlan:
     growth_t_min: float = 10.0
     growth_t_max: float = 400.0
     growth_points: int = 25
-    slope_threshold: float | None = None
-    residual_max: float | None = None
-    hypothesis_factor: float = 3.0
+    slope_threshold: float = 0.0
+    residual_max: float = np.inf
     audit_fields: int = 20
-    negative_control: bool = False
 
     def __post_init__(self):
         if len(self.eps_list) != len(set(self.eps_list)):
@@ -209,8 +205,6 @@ class ExperimentPlan:
             raise ValueError(f"snapshots_per_run must be >= 1, got {self.snapshots_per_run}")
         if self.audit_fields < 1:
             raise ValueError(f"audit_fields must be >= 1, got {self.audit_fields}")
-        if not self.slow_time_cap > 0.0:
-            raise ValueError(f"slow_time_cap must be positive, got {self.slow_time_cap}")
         if self.experiment is Experiment.KERNEL_AUDIT and self.n_max > rs.MAX_QUINTIC_N_MAX:
             raise ValueError(
                 f"the kernel audit's quintic brute force needs n_max <= "
@@ -228,8 +222,7 @@ class ExperimentPlan:
             raise ValueError(
                 f"eps_list needs >= 3 eps values for the log-log fit, got {len(self.eps_list)}"
             )
-        # the box scaling sweeps are first order: the others require the torus
-        if command == "scaling" and self.domain is Domain.BIGBOX and self.length < 64.0 * np.pi:
+        if self.experiment is Experiment.SCALING1_BOX and self.length < 64.0 * np.pi:
             raise ValueError("box scaling expects length >= 64*pi")
         if command == "growth":
             self._check_growth_window()
@@ -263,8 +256,6 @@ class ExperimentPlan:
         )
 
     def horizon(self, eps: float) -> float:
-        if self.horizon_mode is HorizonMode.FIXED_SLOW_TIME:
-            return self.slow_time_cap / eps**2
         return float(np.log(1.0 / eps**self.delta) ** (1.0 - 2.0 * self.alpha) / eps**2)
 
 
@@ -272,13 +263,14 @@ _RATIONAL = InitialDataSpec(kind=DataKind.RATIONAL_NONGENERIC, normalization=Non
 
 # each experiment's tuned defaults, as overrides of the ExperimentPlan fields
 _DEFAULTS = {
-    Experiment.SCALING2_TORUS: dict(eps_list=(0.2, 0.14, 0.1, 0.07)),
+    Experiment.SCALING1_TORUS: dict(slope_threshold=2.7, residual_max=0.15),
+    Experiment.SCALING2_TORUS: dict(eps_list=(0.2, 0.14, 0.1, 0.07), slope_threshold=4.3),
     # alpha = 1/2 removes the log factor from the horizon; the Y-U gap is
     # purely secular, so any log factor would contaminate the fitted slope
-    Experiment.Y_VS_U: dict(eps_list=(0.2, 0.1, 0.05), alpha=0.5),
+    Experiment.Y_VS_U: dict(eps_list=(0.2, 0.1, 0.05), alpha=0.5, slope_threshold=1.7),
     Experiment.SCALING1_BOX: dict(
         eps_list=(0.2, 0.1, 0.05), alpha=0.5, domain=Domain.BIGBOX, length=64.0 * np.pi,
-        n_max=384, initial_data=_RATIONAL,
+        n_max=384, initial_data=_RATIONAL, slope_threshold=1.7,
     ),
     # amplitude chosen inside the spectrally-resolved regime for the
     # pinned (n_max=32, dt=0.05, t=1e3) gate; at roughly twice this norm
@@ -394,7 +386,7 @@ def _flow_spec(
         t_end=t_end,
         s=plan.s,
         snapshot_stride=t_end / (plan.snapshots_per_run if snapshots is None else snapshots),
-        slow_time_cap=max(plan.slow_time_cap, t_end * eps**2 + 1.0),
+        slow_time_cap=np.inf,
         slow_dt=SLOW_DT if slow and flow is not Flow.FULL_NLW else None,
     )
 
@@ -405,7 +397,7 @@ def _growth_spec(plan: ExperimentPlan, grid) -> FlowSpec:
     return _flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 1.0, plan.t_end, snapshots)
 
 
-def _finish_scaling(plan, rows, caveats=(), slope_min=0.0, residual_max=None):
+def _finish_scaling(plan, rows, slope_min=0.0, residual_max=np.inf, caveats=()):
     usable = [(r.eps, r.sup_error) for r in rows if not r.failed]
     if len(usable) >= 3:
         slope, resid, _ = fit_loglog([u[0] for u in usable], [u[1] for u in usable])
@@ -415,7 +407,7 @@ def _finish_scaling(plan, rows, caveats=(), slope_min=0.0, residual_max=None):
         len(usable) == len(rows)
         and np.isfinite(slope)
         and slope >= slope_min
-        and (residual_max is None or resid <= residual_max)
+        and resid <= residual_max
     )
     return ScalingReport(
         experiment=plan.experiment,
@@ -451,7 +443,7 @@ def _sweep(plan: ExperimentPlan, truth: Flow, start, arms, slow: bool = False):
             failed = ScalingRow(eps, t_end, float("nan"), float("nan"), True, failed=True)
             return [failed] * len(arms)
         sup_w = max(sobolev_norm(f, plan.s) for f in trajs[0].states)
-        bound = plan.hypothesis_factor * w0_norm * np.log(1.0 / eps**plan.delta) ** plan.alpha
+        bound = HYPOTHESIS_FACTOR * w0_norm * np.log(1.0 / eps**plan.delta) ** plan.alpha
         out = []
         for traj, (_, ansatz_of) in zip(trajs, arms):
             ansatz = ansatz_of(traj)
@@ -478,18 +470,13 @@ def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
         plan, Flow.FULL_NLW, lambda eps, w0: eps * w0,
         [(Flow.FIRST_ORDER_RG, first_order_ansatz)], slow=True,
     )
-    if plan.domain is Domain.TORUS:
-        slope_min = 2.7 if plan.slope_threshold is None else plan.slope_threshold
-        residual_max = 0.15 if plan.residual_max is None else plan.residual_max
-        return _finish_scaling(plan, rows, slope_min=slope_min, residual_max=residual_max)
-    caveats = (
-        f"big-box approximation of the line: L={plan.length:.6g}, "
-        f"small-divisor amplification at the first negative mode = L/(2*pi) = {plan.length / TWO_PI:.6g}",
-    )
-    slope_min = 1.7 if plan.slope_threshold is None else plan.slope_threshold
-    return _finish_scaling(
-        plan, rows, caveats=caveats, slope_min=slope_min, residual_max=plan.residual_max
-    )
+    caveats = ()
+    if plan.domain is Domain.BIGBOX:
+        caveats = (
+            f"big-box approximation of the line: L={plan.length:.6g}, "
+            f"small-divisor amplification at the first negative mode = L/(2*pi) = {plan.length / TWO_PI:.6g}",
+        )
+    return _finish_scaling(plan, rows, plan.slope_threshold, plan.residual_max, caveats)
 
 
 def run_scaling_second_order(plan: ExperimentPlan) -> tuple[ScalingReport, ScalingReport]:
@@ -508,9 +495,8 @@ def run_scaling_second_order(plan: ExperimentPlan) -> tuple[ScalingReport, Scali
             (Flow.FIRST_ORDER_RG, first_order_ansatz),
         ],
     )
-    first = _finish_scaling(plan, rows1, slope_min=0.0)
-    slope_min = 4.3 if plan.slope_threshold is None else plan.slope_threshold
-    second = _finish_scaling(plan, rows2, slope_min=slope_min)
+    first = _finish_scaling(plan, rows1)
+    second = _finish_scaling(plan, rows2, plan.slope_threshold, plan.residual_max)
     if second.passed and np.isfinite(first.fitted_slope):
         # gate: the second-order slope must beat the first-order one by >= 1.5
         second = replace(
@@ -526,8 +512,7 @@ def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
         plan, Flow.SECOND_ORDER_AVERAGED, lambda eps, w0: w0,
         [(Flow.FIRST_ORDER_RG, lambda traj: traj.state_at)], slow=True,
     )
-    slope_min = 1.7 if plan.slope_threshold is None else plan.slope_threshold
-    return _finish_scaling(plan, rows, slope_min=slope_min)
+    return _finish_scaling(plan, rows, plan.slope_threshold, plan.residual_max)
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +621,6 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
 def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
     """Closed-form-vs-brute-force equivalences and the resonance-set lemmas,
     bundled into one reproducible pass/fail table.
-
-    negative_control corrupts one closed form on purpose; the audit must
-    then report a failing row (exit path check for the CLI).
     """
     n = plan.n_max
     rng = np.random.default_rng(plan.initial_data.seed)
@@ -662,10 +644,7 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
         err = 0.0
         for _ in range(plan.audit_fields):
             u = random_field(grid, rng, hardy=hardy)
-            c = closed(u.coeff)
-            if plan.negative_control and closed is rs.f_res_closed_torus:
-                c = c + 1e-6
-            err = max(err, max_diff(c, oracle(u).coeff))
+            err = max(err, max_diff(closed(u.coeff), oracle(u).coeff))
         rows.append(AuditRow(check, err, 1e-10, err <= 1e-10))
 
     # resonance lemmas against phi == 0 on every in-grid quadruple

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from szego_rg import resonance
 from szego_rg.cli import main
 from szego_rg.config import (
     SCHEMA,
@@ -90,6 +91,19 @@ class TestConfig:
         assert plan.n_max == 16
         assert plan.eps_list == (0.3, 0.2, 0.1)
 
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", "[grid]\nn_max = 4\nlength = 100\n\n[flow]\nt_end = 1.0\n"),
+        (
+            "scaling",
+            "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 4\nlength = 100\n\n"
+            "[experiment]\nsnapshots_per_run = 10\n",
+        ),
+    ], ids=["simulate", "y_vs_u"])
+    def test_length_ignored_on_default_torus(self, command, text, tmp_path):
+        # the torus is the resolved domain of both runs, so [grid] length is ignored
+        out = str(tmp_path / "run")
+        assert main([command, "--config", write(tmp_path, "t.cfg", text), "--out", out]) == 0
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -112,10 +126,15 @@ BAD_INPUTS = {
     "empty_audit_fields": ("audit", "[experiment]\naudit_fields =\n", "audit_fields"),
     "empty_scale": ("simulate", "[initial_data]\nscale =\n", "scale"),
     "empty_experiment_s": ("scaling", "[experiment]\ns =\n", "'s'"),
-    "empty_horizon_mode": ("scaling", "[experiment]\nhorizon_mode =\n", "horizon_mode"),
     "modes_without_amplitudes": ("simulate", "[initial_data]\nmodes = 1,2\n", "modes"),
     "y_vs_u_on_box": (
         "scaling", "[run]\nexperiment = y_vs_u\n\n[grid]\ndomain = bigbox\n", "domain",
+    ),
+    "first_order_torus_on_box": (
+        "scaling",
+        "[run]\nexperiment = scaling_first_order_torus\n\n[grid]\ndomain = bigbox\n"
+        "length = 201.1\n",
+        "domain",
     ),
     "dt_too_large": ("scaling", "[experiment]\ndt = 0.9\n", "dt"),
     "empty_seed": (
@@ -168,18 +187,6 @@ BAD_INPUTS = {
     ),
     "audit_fields_negative": (
         "audit", "[grid]\nn_max = 4\n\n[experiment]\naudit_fields = -3\n", "audit_fields",
-    ),
-    "fixed_horizon_negative": (
-        "scaling",
-        "[run]\nexperiment = y_vs_u\n\n[experiment]\nhorizon_mode = fixed_slow_time\n"
-        "slow_time_cap = -1\n",
-        "slow_time_cap",
-    ),
-    "fixed_horizon_zero": (
-        "scaling",
-        "[run]\nexperiment = y_vs_u\n\n[experiment]\nhorizon_mode = fixed_slow_time\n"
-        "slow_time_cap = 0\n",
-        "slow_time_cap",
     ),
     "nan_delta": ("scaling", "[grid]\nn_max = 8\n\n[experiment]\ndelta = nan\n", "delta"),
     "nan_norm_index": (
@@ -259,6 +266,24 @@ class TestBadInput:
         assert "config error" in err and key in err
         assert "Traceback" not in err
         assert not (out / "config_resolved.cfg").exists()
+
+    @pytest.mark.parametrize("case", ["out_is_file", "out_under_file", "config_is_dir"])
+    def test_os_error_is_config_error(self, case, tmp_path, capsys):
+        cfg = write(tmp_path, "sim.cfg", "[grid]\nn_max = 4\n\n[flow]\nt_end = 1.0\n")
+        afile = write(tmp_path, "afile", "")
+        out = str(tmp_path / "run")
+        if case == "out_is_file":
+            out = path = afile
+        elif case == "out_under_file":
+            out = path = os.path.join(afile, "sub")
+        else:
+            cfg = path = str(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and path in err
+        assert "Traceback" not in err
+        assert not any(name == "config_resolved.cfg" for _, _, names in os.walk(tmp_path)
+                       for name in names)
 
 
 SIM_CFG = """
@@ -414,13 +439,27 @@ class TestAudit:
         assert lines[0] == "check,max_error,passed"
         assert all(l.endswith("true") for l in lines[1:])
 
-    def test_negative_control_exit_three(self, tmp_path):
+    def test_negative_control_exit_three(self, tmp_path, capsys, monkeypatch):
+        # a closed form off by 1e-6 must fail the audit, first on its own row
+        closed = resonance.f_res_closed_torus
+        monkeypatch.setattr(resonance, "f_res_closed_torus", lambda c: closed(c) + 1e-6)
         cfg = write(
-            tmp_path,
-            "a.cfg",
-            "[grid]\nn_max = 6\n\n[experiment]\naudit_fields = 2\nnegative_control = true\n",
+            tmp_path, "a.cfg", "[grid]\nn_max = 6\n\n[experiment]\naudit_fields = 2\n"
         )
         assert main(["audit", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        failed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
+        assert failed[0].startswith("FAIL f_res_closed_torus_vs_bruteforce:")
+
+    def test_echo_names_the_audit(self, tmp_path):
+        # the echo is the configuration that ran, whatever experiment the file names
+        cfg = write(
+            tmp_path, "a.cfg",
+            "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 4\n\n[experiment]\naudit_fields = 2\n",
+        )
+        out = tmp_path / "r"
+        assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        echo = parse_config((out / "config_resolved.cfg").read_text())
+        assert echo.get("run", "experiment") == "kernel_audit"
 
     def test_runs_at_quintic_cap(self, tmp_path, capsys):
         cfg = write(

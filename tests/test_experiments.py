@@ -6,13 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
-from szego_rg import Domain, experiments, make_grid, mass, negative_mode_mass
+from szego_rg import Domain, experiments, make_grid, mass, negative_mode_mass, resonance
 from szego_rg.dynamics import Flow, integrate
 from szego_rg.experiments import (
     DataKind,
     Experiment,
     ExperimentPlan,
-    HorizonMode,
     InitialDataSpec,
     _flow_spec,
     default_plan,
@@ -21,6 +20,7 @@ from szego_rg.experiments import (
     run_fosc_growth,
     run_kernel_audit,
     run_scaling_first_order,
+    run_scaling_second_order,
     run_y_vs_u,
 )
 from dataclasses import replace
@@ -72,13 +72,19 @@ class TestPlan:
         expected = np.log(1.0 / eps**plan.delta) ** (1.0 - 2.0 * plan.alpha) / eps**2
         assert plan.horizon(eps) == expected  # to floating-point accuracy
 
-    def test_horizon_fixed_slow_time(self):
-        plan = replace(
-            default_plan(Experiment.SCALING1_TORUS),
-            horizon_mode=HorizonMode.FIXED_SLOW_TIME,
-            slow_time_cap=2.0,
-        )
-        assert plan.horizon(0.1) == pytest.approx(200.0)
+    @pytest.mark.parametrize(
+        "experiment, slope_threshold, residual_max",
+        [
+            (Experiment.SCALING1_TORUS, 2.7, 0.15),
+            (Experiment.SCALING1_BOX, 1.7, np.inf),
+            (Experiment.SCALING2_TORUS, 4.3, np.inf),
+            (Experiment.Y_VS_U, 1.7, np.inf),
+        ],
+    )
+    def test_scaling_verdicts_are_plan_values(self, experiment, slope_threshold, residual_max):
+        plan = default_plan(experiment)
+        assert plan.slope_threshold == slope_threshold
+        assert plan.residual_max == residual_max
 
     def test_eps_list_must_decrease(self):
         with pytest.raises(ValueError):
@@ -196,6 +202,20 @@ class TestScalingRuns:
         assert report.fitted_slope >= 0.0
         assert not report.passed
 
+    @pytest.mark.parametrize("experiment, runner", [
+        (Experiment.SCALING2_TORUS, lambda plan: run_scaling_second_order(plan)[0]),
+        (Experiment.Y_VS_U, run_y_vs_u),
+    ], ids=["scaling2", "y_vs_u"])
+    def test_torus_residual_bound_applied(self, experiment, runner):
+        # residual_max binds every scaling verdict, not only the first-order ones
+        plan = replace(
+            default_plan(experiment), eps_list=(0.4, 0.3, 0.2), n_max=8, snapshots_per_run=20,
+            slope_threshold=0.0, residual_max=-1.0,
+        )
+        report = runner(plan)
+        assert not any(r.failed for r in report.rows)
+        assert not report.passed
+
     def test_horizon_recorded_exactly(self):
         plan = _fast_torus_plan()
         report = run_scaling_first_order(plan)
@@ -302,13 +322,11 @@ class TestKernelAudit:
         assert "r2_closed_hardy_vs_bruteforce" in names
         assert "resonance_lemmas_exhaustive" in names
 
-    def test_negative_control_fails(self):
-        plan = replace(
-            default_plan(Experiment.KERNEL_AUDIT),
-            n_max=6,
-            audit_fields=2,
-            negative_control=True,
-        )
+    def test_negative_control_fails(self, monkeypatch):
+        # a closed form off by 1e-6 must fail its row
+        closed = resonance.f_res_closed_torus
+        monkeypatch.setattr(resonance, "f_res_closed_torus", lambda c: closed(c) + 1e-6)
+        plan = replace(default_plan(Experiment.KERNEL_AUDIT), n_max=6, audit_fields=2)
         report = run_kernel_audit(plan)
         assert not report.passed
         bad = [r for r in report.rows if not r.passed]
