@@ -49,8 +49,6 @@ def _prepare(args) -> RunConfig:
         cfg = cfg.with_value("run", "output_dir", args.out)
     if args.seed is not None:
         cfg = cfg.with_value("run", "seed", str(args.seed))
-    if args.svg:
-        cfg = cfg.with_value("run", "emit_svg", "true")
     return cfg
 
 
@@ -74,9 +72,10 @@ def cmd_simulate(args) -> int:
     if spec.flow is Flow.FULL_NLW:
         v0 = spec.eps * v0
     traj = integrate(spec, v0)
-    series = conserved_series(traj.times, traj.states, with_h_half=True)
+    series = conserved_series(traj.times, traj.states)
+    h_half = [sobolev_norm(f, 0.5) for f in traj.states]
     h_s = [sobolev_norm(f, spec.s) for f in traj.states]
-    rows = list(zip(series.times, series.h_half, h_s, series.energy, series.mass, series.momentum))
+    rows = list(zip(series.times, h_half, h_s, series.energy, series.mass, series.momentum))
     write_csv(os.path.join(out_dir, "simulate.csv"), ["t", "H_half", "H_s", "E", "Q", "M"], rows)
     meta.write([f"blown_up = {traj.blown_up}", f"snapshots = {len(traj.times)}"])
     if traj.blown_up:
@@ -126,15 +125,14 @@ def cmd_scaling(args) -> int:
     _require(plan, "scaling")
     meta = _start("scaling", cfg)
     out_dir = meta.out_dir
-    emit_svg = cfg.value("run", "emit_svg")
     if experiment is Experiment.SCALING2_TORUS:
         report, contrast = run_scaling_second_order(plan)
-        _write_scaling(contrast, out_dir, "scaling_first_order_contrast", emit_svg)
+        _write_scaling(contrast, out_dir, "scaling_first_order_contrast", args.svg)
     elif experiment is Experiment.Y_VS_U:
         report = run_y_vs_u(plan)
     else:
         report = run_scaling_first_order(plan)
-    _write_scaling(report, out_dir, "scaling", emit_svg)
+    _write_scaling(report, out_dir, "scaling", args.svg)
     meta.write([f"caveat = {c}" for c in report.caveats])
     print(
         f"scaling {experiment.value}: slope={report.fitted_slope:.4f} "
@@ -177,7 +175,7 @@ def cmd_growth(args) -> int:
     ]
     write_csv(os.path.join(out_dir, "growth.csv"), ["t", "norm", "window_flag"], rows, footer)
     fitted = not np.isnan(report.exponent)
-    if fitted and cfg.value("run", "emit_svg"):
+    if fitted and args.svg:
         svg_loglog(
             os.path.join(out_dir, "growth.svg"),
             report.times[report.in_window],

@@ -3,13 +3,16 @@
 SCHEMA holds one typed Key per configuration key: its default, its parser and
 its documentation.  Unknown sections or keys are rejected with the offending
 name; parse(emit(cfg)) == cfg.  RunConfig.value applies one rule to every key:
-an empty value is None only for an optional key, whose documentation says what
-empty means ("empty = ..."); any other empty value, and any value that does
-not parse (numbers must be finite), is a ConfigError naming the key.
+a key may be empty exactly when its default is empty, and its documentation
+then says what empty means ("empty = ..."): the value of the experiment's
+default plan, or for simulate of FlowSpec, InitialDataSpec and the n_max = 32
+torus.  Those hold every such default; SCHEMA restates none.  Any other empty value, and any value that does not parse (numbers must
+be finite), is a ConfigError naming the key.
 
 Every [flow], [initial_data], [grid] and [experiment] key is named after the
 field of FlowSpec, InitialDataSpec or ExperimentPlan that it fills, so the
-builders pass whole sections on as keyword arguments.
+builders pass the set keys of a section on as keyword arguments, and a set
+key overrides exactly its own field.
 """
 
 from __future__ import annotations
@@ -34,14 +37,6 @@ from .spectral import TWO_PI, Domain, make_grid
 
 class ConfigError(Exception):
     """Invalid configuration: unknown key, bad value, or broken invariant."""
-
-
-def _bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes", "on"):
-        return True
-    if raw.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ValueError("boolean expected")
 
 
 def _finite(conv: Callable[[str], Any]) -> Callable[[str], Any]:
@@ -72,16 +67,19 @@ def _list(conv: Callable[[str], Any]) -> Callable[[str], tuple]:
 
 @dataclass(frozen=True)
 class Key:
-    """One configuration key: default string, parser, documentation, and
-    whether an empty value is allowed (it then reads as None)."""
+    """One configuration key: default string, parser and documentation.  An
+    empty default (the key may then be left empty) stands for the value of
+    the dataclass field the key fills."""
 
     default: str
     parse: Callable[[str], Any]
     doc: str
-    optional: bool = False
 
 
-EMPTY = "empty = experiment default"
+def _empty(parse: Callable[[str], Any], doc: str, empty: str = "experiment default") -> Key:
+    """A key that may be left empty, meaning the dataclass field's value."""
+    return Key("", parse, f"{doc}; empty = {empty}")
+
 
 SCHEMA: dict[str, dict[str, Key]] = {
     "run": {
@@ -91,47 +89,42 @@ SCHEMA: dict[str, dict[str, Key]] = {
         ),
         "seed": Key("20240", _nonnegative_int, "seed of seeded random data and the audit"),
         "output_dir": Key("out", str, "run directory (flag --out overrides)"),
-        "emit_svg": Key("false", _bool, "also write SVG plots (flag --svg overrides)"),
     },
     "grid": {
-        "n_max": Key("", int, f"modes k = -n_max..n_max; {EMPTY}", True),
-        "domain": Key("", Domain, f"torus | bigbox; {EMPTY}", True),
-        "length": Key("", _float, f"box length L; ignored on the torus (2*pi); {EMPTY}", True),
+        "n_max": _empty(int, "modes k = -n_max..n_max"),
+        "domain": _empty(Domain, "torus | bigbox"),
+        "length": _empty(_float, "box length L; ignored on the torus (2*pi)"),
     },
     "flow": {
         "flow": Key("full_nlw", Flow, "full_nlw | first_order_rg | second_order_averaged"),
         "eps": Key("0.1", _float, "coupling amplitude, in (0, 1]"),
         "dt": Key("0.05", _float, "time step"),
         "t_end": Key("1000.0", _float, "integration horizon"),
-        "s": Key("1.0", _float, "diagnostic Sobolev index"),
-        "snapshot_stride": Key("", _float, "fast-time between snapshots; empty = 0.05/eps^2", True),
-        "slow_time_cap": Key("100.0", _float, "bound on eps^2 * t_end"),
+        "s": _empty(_float, "diagnostic Sobolev index", "FlowSpec default"),
+        "snapshot_stride": _empty(_float, "fast-time between snapshots", "0.05/eps^2"),
     },
     "initial_data": {
-        "kind": Key(
-            "hardy_polynomial", DataKind,
-            "hardy_polynomial | rational_nongeneric | seeded_random_hardy",
-        ),
-        "modes": Key("1,2,3", _list(int), "mode list for hardy_polynomial"),
-        "amplitudes": Key("2.0,1.0,0.5", _list(_complex), "complex amplitudes for hardy_polynomial"),
-        "decay": Key("1.5", _float, "spectral decay exponent for seeded_random_hardy"),
-        "normalization": Key("1.0", _float, "target L2 norm; empty = keep raw amplitudes", True),
-        "scale": Key("1.0", _float, "multiplier applied after normalization"),
+        "kind": _empty(DataKind, "hardy_polynomial | rational_nongeneric | seeded_random_hardy"),
+        "modes": _empty(_list(int), "mode list for hardy_polynomial"),
+        "amplitudes": _empty(_list(_complex), "complex amplitudes for hardy_polynomial"),
+        "decay": _empty(_float, "spectral decay exponent for seeded_random_hardy"),
+        "normalization": _empty(_float, "target L2 norm"),
+        "scale": _empty(_float, "multiplier applied after normalization"),
     },
     "experiment": {
-        "eps_list": Key("", _list(_float), f"decreasing sweep values; {EMPTY}", True),
-        "s": Key("1.0", _float, "Sobolev index of the measured error"),
-        "alpha": Key("", _float, f"horizon log-power parameter in [0, 1/2]; {EMPTY}", True),
-        "delta": Key("0.1", _float, "horizon log argument parameter"),
-        "dt": Key("", _float, f"time step, in (0, 0.5]; {EMPTY}", True),
-        "snapshots_per_run": Key("150", int, "snapshots per trajectory"),
-        "slope_threshold": Key("", _float, f"pass threshold for the fitted slope; {EMPTY}", True),
-        "residual_max": Key("", _float, f"pass threshold for the fit residual; {EMPTY}", True),
-        "t_end": Key("", _float, f"horizon for conservation/growth runs; {EMPTY}", True),
-        "growth_t_min": Key("", _float, f"lower end of the growth fit window; {EMPTY}", True),
-        "growth_t_max": Key("", _float, f"upper end of the growth fit window; {EMPTY}", True),
-        "growth_points": Key("25", int, "points on the logarithmic t grid"),
-        "audit_fields": Key("20", int, "random fields per kernel-audit check"),
+        "eps_list": _empty(_list(_float), "decreasing sweep values"),
+        "s": _empty(_float, "Sobolev index of the measured error"),
+        "alpha": _empty(_float, "horizon log-power parameter in [0, 1/2]"),
+        "delta": _empty(_float, "horizon log argument parameter"),
+        "dt": _empty(_float, "time step, in (0, 0.5]"),
+        "snapshots_per_run": _empty(int, "snapshots per trajectory"),
+        "slope_threshold": _empty(_float, "pass threshold for the fitted slope"),
+        "residual_max": _empty(_float, "pass threshold for the fit residual"),
+        "t_end": _empty(_float, "horizon for conservation/growth runs"),
+        "growth_t_min": _empty(_float, "lower end of the growth fit window"),
+        "growth_t_max": _empty(_float, "upper end of the growth fit window"),
+        "growth_points": _empty(int, "points on the logarithmic t grid"),
+        "audit_fields": _empty(int, "random fields per kernel-audit check"),
     },
 }
 
@@ -157,11 +150,11 @@ class RunConfig:
         return RunConfig(vals)
 
     def value(self, section: str, key: str) -> Any:
-        """Typed value of one key; None for an empty optional key."""
+        """Typed value of one key; None for an empty key whose default is empty."""
         spec = SCHEMA[section][key]
         raw = self.get(section, key).strip()
         if not raw:
-            if spec.optional:
+            if not spec.default:
                 return None
             raise ConfigError(f"key '{key}' in section [{section}] must not be empty")
         try:
@@ -224,12 +217,12 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def _set(values: dict[str, Any]) -> dict[str, Any]:
-    """The entries of a section that are not empty."""
+    """The set entries of a section: an empty key keeps the field's value."""
     return {k: v for k, v in values.items() if v is not None}
 
 
 def _grid(cfg: RunConfig, domain: Domain) -> dict[str, Any]:
-    """The non-empty [grid] values, with length 2*pi when the run's domain
+    """The set [grid] values, with length 2*pi when the run's domain
     (the section's, else domain) is the torus."""
     grid = _set(cfg.section("grid"))
     if grid.get("domain", domain) is Domain.TORUS:
@@ -237,15 +230,11 @@ def _grid(cfg: RunConfig, domain: Domain) -> dict[str, Any]:
     return grid
 
 
-def initial_data_from_config(cfg: RunConfig) -> InitialDataSpec:
-    return InitialDataSpec(seed=cfg.value("run", "seed"), **cfg.section("initial_data"))
-
-
 def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
     grid = {"n_max": 32, "domain": Domain.TORUS, "length": None, **_grid(cfg, Domain.TORUS)}
     try:
-        spec = FlowSpec(grid=make_grid(**grid), **cfg.section("flow"))
-        data = initial_data_from_config(cfg)
+        spec = FlowSpec(grid=make_grid(**grid), **_set(cfg.section("flow")))
+        data = InitialDataSpec(seed=cfg.value("run", "seed"), **_set(cfg.section("initial_data")))
         data.build(spec.grid)  # reject data off the grid or overflowing, eagerly
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -253,17 +242,15 @@ def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
 
 
 def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
-    """Experiment plan: the experiment's tuned defaults, overridden by every
-    non-empty [experiment] and [grid] value, and by the whole [initial_data]
-    section once any of its values differs from the schema default."""
+    """Experiment plan: the experiment's default plan, with the [run] seed and
+    every set [initial_data], [experiment] and [grid] value overriding exactly
+    the field it names."""
     plan = default_plan(cfg.value("run", "experiment"))
     grid = _grid(cfg, plan.domain)
     try:
-        data_keys = SCHEMA["initial_data"].items()
-        if any(cfg.get("initial_data", k) != key.default for k, key in data_keys):
-            data = initial_data_from_config(cfg)
-        else:
-            data = dc_replace(plan.initial_data, seed=cfg.value("run", "seed"))
+        data = dc_replace(
+            plan.initial_data, seed=cfg.value("run", "seed"), **_set(cfg.section("initial_data"))
+        )
         plan = dc_replace(plan, initial_data=data, **_set(cfg.section("experiment")), **grid)
         plan.initial_data.build(plan.grid())  # validate grid and data eagerly
     except ValueError as exc:

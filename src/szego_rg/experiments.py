@@ -197,6 +197,8 @@ class ExperimentPlan:
             raise ValueError("alpha must lie in [0, 1/2]")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        if not min(self.eps_list, default=1.0) ** self.delta > 0.0:
+            raise ValueError(f"delta = {self.delta:g} underflows eps^delta to 0")
         if not 0.0 < self.dt <= MAX_DT:
             raise ValueError(f"dt must lie in (0, {MAX_DT}], got {self.dt}")
         if self.s < 0.5:

@@ -471,16 +471,6 @@ def n2_from_coefficients(grid, phases: np.ndarray, coef: np.ndarray, t: float) -
     return SpectralField(grid, coef @ osc)
 
 
-def n2_field(w_field: SpectralField, t: float) -> SpectralField:
-    """The unique zero-t-mean antiderivative of the oscillatory quintic part.
-
-    Every oscillatory term of d/dt N2 is divided by i times its total phase;
-    resonant terms are excluded by construction.
-    """
-    phases, coef = n2_phase_coefficients(w_field)
-    return n2_from_coefficients(w_field.grid, phases, coef, t)
-
-
 def n2_rhs(w_field: SpectralField, t: float) -> SpectralField:
     """Defining right-hand side of d/dt N2, assembled from independent parts:
     f'(W,t).F_osc(W,t) minus its resonant part r2 minus F'_osc(W,t).f_res(W)."""

@@ -381,11 +381,9 @@ class ConservedReport:
         return out
 
 
-def conserved_series(times: Sequence[float], states: Sequence[SpectralField],
-                     with_h_half: bool = False) -> ConservedReport:
-    """Evaluate E, Q, M (and optionally the H^{1/2} norm) along a trajectory."""
+def conserved_series(times: Sequence[float], states: Sequence[SpectralField]) -> ConservedReport:
+    """Evaluate E, Q and M along a trajectory."""
     e = np.array([energy(f) for f in states])
     q = np.array([mass(f) for f in states])
     m = np.array([momentum(f) for f in states])
-    hh = np.array([sobolev_norm(f, 0.5) for f in states]) if with_h_half else None
-    return ConservedReport(np.asarray(times, dtype=float), e, q, m, hh)
+    return ConservedReport(np.asarray(times, dtype=float), e, q, m)

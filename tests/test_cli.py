@@ -23,6 +23,7 @@ from szego_rg.experiments import (
     Experiment,
     ExperimentPlan,
     InitialDataSpec,
+    default_plan,
     run_scaling_first_order,
     run_scaling_second_order,
     run_y_vs_u,
@@ -72,7 +73,7 @@ class TestConfig:
     def test_optional_keys_document_empty(self):
         for keys in SCHEMA.values():
             for name, key in keys.items():
-                assert key.optional == ("empty =" in key.doc), name
+                assert (key.default == "") == ("empty =" in key.doc), name
 
     def test_plan_defaults_preserved(self):
         cfg = default_config().with_value("run", "experiment", "sobolev_growth")
@@ -90,6 +91,44 @@ class TestConfig:
         plan = plan_from_config(cfg)
         assert plan.n_max == 16
         assert plan.eps_list == (0.3, 0.2, 0.1)
+
+    @pytest.mark.parametrize("experiment, section, key, expected", [
+        ("fosc_growth", "experiment", "growth_points", 25),
+        ("scaling_first_order_torus", "experiment", "snapshots_per_run", 150),
+        ("kernel_audit", "experiment", "audit_fields", 20),
+        ("scaling_first_order_torus", "experiment", "s", 1.0),
+        ("sobolev_growth", "initial_data", "scale", 2.0),
+    ], ids=[
+        "empty_growth_points", "empty_snapshots_per_run", "empty_audit_fields",
+        "empty_experiment_s", "empty_scale",
+    ])
+    def test_empty_key_keeps_plan_value(self, experiment, section, key, expected):
+        text = f"[run]\nexperiment = {experiment}\n\n[{section}]\n{key} =\n"
+        plan = plan_from_config(parse_config(text))
+        assert getattr(plan.initial_data if section == "initial_data" else plan, key) == expected
+
+    @pytest.mark.parametrize("experiment, text, changed", [
+        (Experiment.SOBOLEV_GROWTH, "scale = 3.0", {"scale": 3.0}),
+        (Experiment.SCALING1_BOX, "kind = rational_nongeneric", {}),
+    ], ids=["sobolev_scale", "box_kind"])
+    def test_set_key_overrides_only_its_field(self, experiment, text, changed):
+        # the rational profile keeps normalization None, whatever else is set
+        cfg = parse_config(f"[run]\nexperiment = {experiment.value}\n\n[initial_data]\n{text}\n")
+        data = plan_from_config(cfg).initial_data
+        assert data == dataclasses.replace(default_plan(experiment).initial_data, **changed)
+        assert data.normalization is None
+
+    @pytest.mark.parametrize("experiment", [e.value for e in Experiment])
+    def test_echo_states_the_plan_that_ran(self, experiment):
+        # every value the echo states is the plan's, and the echo reads back as the plan
+        cfg = default_config().with_value("run", "experiment", experiment)
+        plan = plan_from_config(cfg)
+        echo = parse_config(emit_config(cfg))
+        assert plan_from_config(echo) == plan
+        for section, owner in (("grid", plan), ("experiment", plan),
+                               ("initial_data", plan.initial_data)):
+            for key, value in echo.section(section).items():
+                assert value is None or getattr(owner, key) == value, (section, key)
 
     @pytest.mark.parametrize("command, text", [
         ("simulate", "[grid]\nn_max = 4\nlength = 100\n\n[flow]\nt_end = 1.0\n"),
@@ -113,19 +152,9 @@ def write(tmp_path, name, text):
 
 # (command, configuration, key the error must name)
 BAD_INPUTS = {
-    "empty_growth_points": (
-        "growth", "[run]\nexperiment = fosc_growth\n\n[experiment]\ngrowth_points =\n",
-        "growth_points",
-    ),
     "empty_flow_eps": ("simulate", "[flow]\neps =\n", "eps"),
     "empty_flow_flow": ("simulate", "[flow]\nflow =\n", "flow"),
     "empty_experiment": ("scaling", "[run]\nexperiment =\n", "experiment"),
-    "empty_snapshots_per_run": (
-        "scaling", "[experiment]\nsnapshots_per_run =\n", "snapshots_per_run",
-    ),
-    "empty_audit_fields": ("audit", "[experiment]\naudit_fields =\n", "audit_fields"),
-    "empty_scale": ("simulate", "[initial_data]\nscale =\n", "scale"),
-    "empty_experiment_s": ("scaling", "[experiment]\ns =\n", "'s'"),
     "modes_without_amplitudes": ("simulate", "[initial_data]\nmodes = 1,2\n", "modes"),
     "y_vs_u_on_box": (
         "scaling", "[run]\nexperiment = y_vs_u\n\n[grid]\ndomain = bigbox\n", "domain",
@@ -189,6 +218,7 @@ BAD_INPUTS = {
         "audit", "[grid]\nn_max = 4\n\n[experiment]\naudit_fields = -3\n", "audit_fields",
     ),
     "nan_delta": ("scaling", "[grid]\nn_max = 8\n\n[experiment]\ndelta = nan\n", "delta"),
+    "delta_underflows": ("scaling", "[experiment]\ndelta = 1000\n", "delta"),
     "nan_norm_index": (
         "scaling", "[run]\nexperiment = y_vs_u\n\n[experiment]\ns = nan\n", "'s'",
     ),
@@ -321,7 +351,7 @@ class TestSimulate:
             tmp_path,
             "blow.cfg",
             "[grid]\nn_max = 12\n\n[flow]\nflow = full_nlw\neps = 0.9\ndt = 0.4\n"
-            "t_end = 100.0\nsnapshot_stride = 0.4\nslow_time_cap = 100.0\n\n"
+            "t_end = 100.0\nsnapshot_stride = 0.4\n\n"
             "[initial_data]\nmodes = 1,2\namplitudes = 1.0,1.0\nnormalization = 113.0\n",
         )
         out = str(tmp_path / "run")

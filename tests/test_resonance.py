@@ -539,7 +539,8 @@ class TestN2:
     def test_single_mode_vanishes(self):
         g = make_grid(6, Domain.TORUS)
         w = field_from_modes(g, {1: 1.0})
-        assert np.max(np.abs(rs.n2_field(w, 0.7).coeff)) <= 1e-15
+        n2 = rs.n2_from_coefficients(g, *rs.n2_phase_coefficients(w), 0.7)
+        assert np.max(np.abs(n2.coeff)) <= 1e-15
 
     def test_phases_are_the_nonzero_integers_up_to_2n(self, w6):
         # every sextuple phase |x|+|y|+|z| - (|p|+|q|+|r|), x+y+z = p+q+r,
