@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random import default_rng  # load at start-up; numpy defers it to first use
 
 from . import resonance as rs
 from .dynamics import (
@@ -134,7 +135,7 @@ class InitialDataSpec:
             f = SpectralField(grid, c)
         else:
             with np.errstate(over="ignore"):  # overflow ends in the named error below
-                f = random_field(grid, np.random.default_rng(self.seed), self.decay, hardy=True)
+                f = random_field(grid, default_rng(self.seed), self.decay, hardy=True)
             if not np.all(np.isfinite(f.coeff)):
                 raise ValueError(
                     f"decay = {self.decay:g} overflows: the seeded data has non-finite "
@@ -199,6 +200,12 @@ class ExperimentPlan:
             raise ValueError("delta must be positive")
         if not min(self.eps_list, default=1.0) ** self.delta > 0.0:
             raise ValueError(f"delta = {self.delta:g} underflows eps^delta to 0")
+        for e in self.eps_list:
+            if not 0.0 < self.horizon(e) < np.inf:
+                raise ValueError(
+                    f"delta = {self.delta:g} and alpha = {self.alpha:g} give the horizon "
+                    f"T({e:g}) = {self.horizon(e):g}; it must be positive and finite"
+                )
         if not 0.0 < self.dt <= MAX_DT:
             raise ValueError(f"dt must lie in (0, {MAX_DT}], got {self.dt}")
         if self.s < 0.5:
@@ -625,7 +632,7 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
     bundled into one reproducible pass/fail table.
     """
     n = plan.n_max
-    rng = np.random.default_rng(plan.initial_data.seed)
+    rng = default_rng(plan.initial_data.seed)
     gt = make_grid(n, Domain.TORUS)
     gb = make_grid(n, Domain.BIGBOX, 16.0 * np.pi)
     rows: list[AuditRow] = []

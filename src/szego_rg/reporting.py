@@ -53,6 +53,7 @@ class RunMetadata:
             f"tool_version = szego-rg {__version__}",
             f"command = {self.command}",
             f"python = {platform.python_version()} ({platform.system()} {platform.machine()})",
+            f"numpy = {np.__version__}",
             f"started_unix = {self.started:.3f}",
             f"started_utc = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(self.started))}",
             f"elapsed_seconds = {elapsed:.3f}",

@@ -26,8 +26,13 @@ factor once and forms its products from the samples.  The one exception is
 szego_cubic, the Szego term P+(|u|^2 u) of Hardy data: its product spectrum
 is [-n_max, 2n_max], so 2M >= 2n_max+1 points, M = next_fast_len(n_max+1),
 alias nothing into modes 0..n_max.  It transforms the 2M points as two rows
-of M, the even and the odd samples (decimation in time), one row per FFT
-worker; the odd row's half-sample shift exp(i pi k/M) makes the split exact.
+of M, the even and the odd samples (decimation in time); the odd row's
+half-sample shift exp(i pi k/M) makes the split exact.  Rows of at least
+ROW_THREAD_POINTS points run their whole pipeline (ifft, cube, fft) on two
+threads, one row each; shorter rows are one batch on the calling thread.
+
+Transforms are numpy.fft's pocketfft (numpy >= 2, the first release with
+out=), on the 11-smooth lengths of next_fast_len.
 """
 
 from __future__ import annotations
@@ -38,9 +43,13 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft
 
 TWO_PI = 2.0 * np.pi
+
+# szego_cubic pipelines rows of at least this many points on two threads;
+# below it the hand-off costs more than the second thread saves (measured)
+ROW_THREAD_POINTS = 8192
 
 # Floor used in relative-drift denominators so identically-zero invariants
 # do not divide by zero.
@@ -204,25 +213,58 @@ def random_field(
 # transforms (coefficient arrays in the -n_max..n_max layout)
 
 
+@lru_cache(maxsize=64)
+def next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n: the lengths pocketfft transforms fast."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+@lru_cache(maxsize=32)
+def _mode_index(size: int, n_pts: int) -> np.ndarray:
+    """Positions of modes -n_max..n_max (size = 2n_max+1) in an n_pts-point spectrum."""
+    idx = _grid_modes(size // 2) % n_pts
+    idx.setflags(write=False)
+    return idx
+
+
 def to_physical(c: np.ndarray) -> np.ndarray:
     """Samples u(x_j) on an equispaced grid of next_fast_len(2*(2n+1)) points."""
     n_pts = next_fast_len(2 * c.size)
     spec = np.zeros(n_pts, dtype=np.complex128)
-    spec[_grid_modes(c.size // 2) % n_pts] = c
-    return ifft(spec) * n_pts
+    spec[_mode_index(c.size, n_pts)] = c
+    ifft(spec, out=spec)
+    spec *= n_pts
+    return spec
 
 
 def from_physical(samples: np.ndarray, size: int) -> np.ndarray:
     """Inverse of to_physical onto `size` modes; truncation to |k| <= n_max
     is the dealiasing."""
-    spec = fft(samples) / samples.size
-    return spec[_grid_modes(size // 2) % samples.size]
+    return _truncate(fft(samples), size)
+
+
+def _truncate(spec: np.ndarray, size: int) -> np.ndarray:
+    """Normalized coefficients of modes -n_max..n_max of an unnormalized spectrum."""
+    out = spec[_mode_index(size, spec.size)]
+    out /= spec.size
+    return out
 
 
 def cubic_product(c: np.ndarray) -> np.ndarray:
     """Dealiased |u|^2 u, evaluated pointwise on the padded physical grid."""
     u = to_physical(c)
-    return from_physical(np.abs(u) ** 2 * u, c.size)
+    sq = np.abs(u)
+    sq *= sq
+    u *= sq
+    return _truncate(fft(u, out=u), c.size)
 
 
 @lru_cache(maxsize=32)
@@ -236,6 +278,25 @@ def _odd_twiddle(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return w, w_conj
 
 
+@lru_cache(maxsize=1)
+def _row_thread():
+    """The one worker thread that pipelines szego_cubic's odd row; imported
+    and started on first use, so short runs never pay for it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="szego-row")
+
+
+def _cube_rows(u: np.ndarray) -> None:
+    """In place, per row along the last axis: the spectra (norm "forward") of
+    |v|^2 v, where v holds the samples whose spectra u holds."""
+    ifft(u, norm="forward", out=u)
+    sq = np.abs(u)
+    sq *= sq
+    u *= sq
+    fft(u, norm="forward", out=u)
+
+
 def szego_cubic(coeff: np.ndarray) -> np.ndarray:
     """Coefficients of P+(|P+u|^2 P+u) in the -n_max..n_max layout.
 
@@ -244,26 +305,29 @@ def szego_cubic(coeff: np.ndarray) -> np.ndarray:
     alias nothing into 0..n_max: about half the general padding.  The 2M
     points are transformed as their even and odd samples, two rows of M
     (decimation in time): row 0 holds c(k) and row 1 holds w(k) c(k),
-    w(k) = exp(i pi k/M), so one batched ifft samples u at x_2m and x_2m+1.
-    The cube is formed in place, one batched fft returns the row spectra
-    G_0 and G_1, and the 2M-point coefficient is (G_0(k) + conj(w(k)) G_1(k))/2
-    (exact, as n_max < M).  pocketfft gives each row its own worker once a
-    row has about 1,000 points; below that both rows run on one thread.
+    w(k) = exp(i pi k/M), so the rows' iffts sample u at x_2m and x_2m+1.
+    The cube is formed in place, the rows' ffts return their spectra G_0 and
+    G_1, and the 2M-point coefficient is (G_0(k) + conj(w(k)) G_1(k))/2
+    (exact, as n_max < M).  Once M >= ROW_THREAD_POINTS, row 0's whole
+    pipeline runs on the calling thread while row 1's runs on one worker
+    thread; shorter rows are one (2, M) batch on the calling thread.  Both
+    give the same bits.
     """
     n = coeff.size // 2
     w, w_conj = _odd_twiddle(n)
-    spec = np.zeros((2, next_fast_len(n + 1)), dtype=np.complex128)
-    spec[0, : n + 1] = coeff[n:]
-    np.multiply(coeff[n:], w, out=spec[1, : n + 1])
-    u = ifft(spec, axis=-1, norm="forward", workers=2, overwrite_x=True)
-    sq = np.abs(u)
-    sq *= sq
-    u *= sq
-    g = fft(u, axis=-1, norm="forward", workers=2, overwrite_x=True)
+    rows = np.zeros((2, next_fast_len(n + 1)), dtype=np.complex128)
+    rows[0, : n + 1] = coeff[n:]
+    np.multiply(coeff[n:], w, out=rows[1, : n + 1])
+    if rows.shape[1] >= ROW_THREAD_POINTS:
+        odd = _row_thread().submit(_cube_rows, rows[1])
+        _cube_rows(rows[0])
+        odd.result()
+    else:
+        _cube_rows(rows)
     out = np.zeros(coeff.size, dtype=np.complex128)
     half = out[n:]
-    np.multiply(g[1, : n + 1], w_conj, out=half)
-    half += g[0, : n + 1]
+    np.multiply(rows[1, : n + 1], w_conj, out=half)
+    half += rows[0, : n + 1]
     half *= 0.5
     return out
 

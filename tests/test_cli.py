@@ -219,6 +219,9 @@ BAD_INPUTS = {
     ),
     "nan_delta": ("scaling", "[grid]\nn_max = 8\n\n[experiment]\ndelta = nan\n", "delta"),
     "delta_underflows": ("scaling", "[experiment]\ndelta = 1000\n", "delta"),
+    "horizon_rounds_to_zero": (
+        "scaling", "[grid]\nn_max = 8\n\n[experiment]\ndelta = 1e-300\n", "horizon",
+    ),
     "nan_norm_index": (
         "scaling", "[run]\nexperiment = y_vs_u\n\n[experiment]\ns = nan\n", "'s'",
     ),

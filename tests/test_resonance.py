@@ -213,9 +213,9 @@ class TestSzegoCubic:
         self._check(field_from_modes(grid, {0: 0.8, n - 1: 0.6 - 0.3j, n: 1.0 + 0.5j}))
 
     def test_threaded_rows_match_cubic_product(self, rng):
-        # at n_max 2048 each of the two rows has 2058 points, past pocketfft's
-        # threshold for giving the rows one thread each
-        grid = make_grid(2048, Domain.BIGBOX, 256.0 * np.pi)
+        # at n_max 8192 each of the two rows has 8232 points, past
+        # ROW_THREAD_POINTS, so the rows run on two threads
+        grid = make_grid(8192, Domain.BIGBOX, 256.0 * np.pi)
         n = grid.n_max
         for u in (
             random_field(grid, rng, hardy=True),

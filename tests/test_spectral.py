@@ -1,8 +1,14 @@
 """Grids, transforms, projectors, multipliers, norms, invariants."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import szego_rg
+from szego_rg import spectral
 from szego_rg import (
     ConservedReport,
     Domain,
@@ -100,6 +106,56 @@ class TestTransforms:
         # |u|^2 u for u = 0.5 e^{ix} is 0.125 e^{ix}
         assert c[torus8.index(1)] == pytest.approx(0.125)
         assert np.sum(np.abs(c)) == pytest.approx(0.125)
+
+    @pytest.mark.parametrize("n_max", [8, 32, 384])
+    def test_kernels_never_write_their_input(self, n_max, rng):
+        c = random_field(make_grid(n_max, Domain.TORUS), rng).coeff
+        c.setflags(write=False)  # already read-only; a write would raise
+        u = to_physical(c)
+        cube = cubic_product(c)
+        samples = u.copy()
+        samples.setflags(write=False)
+        assert np.array_equal(from_physical(samples, c.size), from_physical(u, c.size))
+        assert np.array_equal(samples, u)
+        assert np.array_equal(cubic_product(c), cube)
+
+    def test_next_fast_len_is_next_11_smooth(self):
+        def smooth(m):
+            for p in (2, 3, 5, 7, 11):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        expected = 20000
+        for n in range(19999, 0, -1):
+            if smooth(n):
+                expected = n
+            assert spectral.next_fast_len(n) == expected
+
+
+class TestSzegoRows:
+    def test_threaded_rows_match_one_batch(self, rng, monkeypatch):
+        # n_max 8192 gives rows of 8232 points, past ROW_THREAD_POINTS
+        grid = make_grid(8192, Domain.BIGBOX, 256.0 * np.pi)
+        assert spectral.next_fast_len(grid.n_max + 1) >= spectral.ROW_THREAD_POINTS
+        c = random_field(grid, rng, hardy=True).coeff
+        before = spectral._row_thread.cache_info()
+        threaded = spectral.szego_cubic(c)
+        after = spectral._row_thread.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1
+        monkeypatch.setattr(spectral, "ROW_THREAD_POINTS", grid.size + 1)
+        assert np.array_equal(spectral.szego_cubic(c), threaded)
+        assert spectral._row_thread.cache_info() == after
+
+
+def test_cli_does_not_import_scipy():
+    # the transforms are numpy.fft's; importing scipy.fft outweighs the rest of start-up
+    src = os.path.dirname(os.path.dirname(szego_rg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, szego_rg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert res.stdout.strip() == "[]"
 
 
 class TestProjectors:
