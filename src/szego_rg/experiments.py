@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.random import default_rng  # load at start-up; numpy defers it to first use
 
+from . import oracles
 from . import resonance as rs
 from .dynamics import (
     MAX_DT,
@@ -214,10 +215,11 @@ class ExperimentPlan:
             raise ValueError(f"snapshots_per_run must be >= 1, got {self.snapshots_per_run}")
         if self.audit_fields < 1:
             raise ValueError(f"audit_fields must be >= 1, got {self.audit_fields}")
-        if self.experiment is Experiment.KERNEL_AUDIT and self.n_max > rs.MAX_QUINTIC_N_MAX:
+        quintic_cap = oracles.MAX_QUINTIC_N_MAX
+        if self.experiment is Experiment.KERNEL_AUDIT and self.n_max > quintic_cap:
             raise ValueError(
                 f"the kernel audit's quintic brute force needs n_max <= "
-                f"{rs.MAX_QUINTIC_N_MAX}, got n_max = {self.n_max}"
+                f"{quintic_cap}, got n_max = {self.n_max}"
             )
         if self.experiment is Experiment.FOSC_GROWTH and self.growth_points < 3:
             raise ValueError(
@@ -644,10 +646,10 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
     # closed forms carry no grid, so each is paired with its geometry here
     closed_forms = (
         ("f_res_closed_torus_vs_bruteforce", gt, False, rs.f_res_closed_torus,
-         rs.f_res_bruteforce),
+         oracles.f_res_bruteforce),
         ("f_res_closed_line_vs_bruteforce", gb, False, rs.f_res_closed_line,
-         lambda u: rs.f_res_bruteforce(u, sign_uniform_only=True)),
-        ("r2_closed_hardy_vs_bruteforce", gt, True, rs.r2_closed_hardy, rs.r2_bruteforce),
+         lambda u: oracles.f_res_bruteforce(u, sign_uniform_only=True)),
+        ("r2_closed_hardy_vs_bruteforce", gt, True, rs.r2_closed_hardy, oracles.r2_bruteforce),
     )
     for check, grid, hardy, closed, oracle in closed_forms:
         err = 0.0
@@ -657,8 +659,8 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
         rows.append(AuditRow(check, err, 1e-10, err <= 1e-10))
 
     # resonance lemmas against phi == 0 on every in-grid quadruple
-    K, L, M, J, phi = rs._quadruples(n)
-    lemmas = (rs.is_resonant_torus(K, L, M, J), rs.is_resonant_line(gb, K, L, M, J))
+    K, L, M, J, phi = oracles.quadruples(n)
+    lemmas = (rs.is_resonant_torus(K, L, M, J), rs.is_resonant_line(K, L, M, J))
     bad = sum(np.count_nonzero(lemma != (phi == 0)) for lemma in lemmas)
     rows.append(AuditRow("resonance_lemmas_exhaustive", float(bad), 0.5, bad == 0))
 
@@ -666,21 +668,21 @@ def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
     err = 0.0
     for t in (0.0, 0.1, 1.0, 10.0):
         u = random_field(gt, rng)
-        split = rs.f_res_bruteforce(u).coeff + rs.f_osc(u, t).coeff
-        err = max(err, max_diff(rs.f_full(u, t).coeff, split))
+        split = oracles.f_res_bruteforce(u).coeff + oracles.f_osc(u, t).coeff
+        err = max(err, max_diff(oracles.f_full(u, t).coeff, split))
     rows.append(AuditRow("f_full_equals_f_res_plus_f_osc", err, 1e-10, err <= 1e-10))
 
     # box primitive closed form vs the generic phase-weighted sum
     err = 0.0
     for t in (0.7, 2.3):
         w = random_field(gb, rng, hardy=True)
-        primitive = rs.osc_primitive_bruteforce(w, t, from_zero=True)
+        primitive = oracles.osc_primitive_bruteforce(w, t, from_zero=True)
         err = max(err, max_diff(rs.F_osc(w, t).coeff, primitive.coeff))
     rows.append(AuditRow("F_osc_line_vs_quadruple_sum", err, 1e-10, err <= 1e-10))
 
     # r2 via discrete time averaging of f'(W,t).F_osc(W,t)
     w = random_field(make_grid(6, Domain.TORUS), rng, hardy=True)
-    err = max_diff(rs.r2_bruteforce(w).coeff, rs.r2_time_average(w).coeff)
+    err = max_diff(oracles.r2_bruteforce(w).coeff, oracles.r2_time_average(w).coeff)
     rows.append(AuditRow("r2_time_average_oracle", err, 1e-8, err <= 1e-8))
 
     return AuditReport(tuple(rows))

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from szego_rg import Domain, SpectralField, make_grid, random_field
+from szego_rg import oracles
 from szego_rg import resonance as rs
 from szego_rg.dynamics import Flow, FlowSpec, integrate
 
@@ -30,6 +31,8 @@ SEED = st.integers(0, 2**32 - 1)
 ANGLE = st.floats(0.0, 2.0 * np.pi)
 SCALE = st.floats(0.25, 4.0)
 TIME = st.floats(0.0, 10.0)
+# no subnormals: b*w loses relative precision there, below any 1e-12 scale
+COEFF = st.floats(-2.0, 2.0, allow_subnormal=False)
 
 
 def _fields(n_max, seed):
@@ -69,7 +72,7 @@ def test_phase_covariance(n_max, seed, theta, t):
     z = cmath.exp(1j * theta)
     _assert_close(r2_closed_hardy(z * w), z * r2_closed_hardy(w))
     _assert_close(f_res_closed_torus(z * u), z * f_res_closed_torus(u))
-    _assert_close(rs.fprime_dot(z * u, t, z * h), z * rs.fprime_dot(u, t, h))
+    _assert_close(oracles.fprime_dot(z * u, t, z * h), z * oracles.fprime_dot(u, t, h))
 
 
 @PROPERTY
@@ -79,7 +82,8 @@ def test_translation_covariance(n_max, seed, a, t):
     _assert_close(r2_closed_hardy(_shift(w, a)), _shift(r2_closed_hardy(w), a))
     _assert_close(f_res_closed_torus(_shift(u, a)), _shift(f_res_closed_torus(u), a))
     _assert_close(
-        rs.fprime_dot(_shift(u, a), t, _shift(h, a)), _shift(rs.fprime_dot(u, t, h), a)
+        oracles.fprime_dot(_shift(u, a), t, _shift(h, a)),
+        _shift(oracles.fprime_dot(u, t, h), a),
     )
 
 
@@ -89,16 +93,16 @@ def test_homogeneity(n_max, seed, lam, t):
     w, u, h = _fields(n_max, seed)
     _assert_close(r2_closed_hardy(lam * w), lam**5 * r2_closed_hardy(w))
     _assert_close(f_res_closed_torus(lam * u), lam**3 * f_res_closed_torus(u))
-    _assert_close(rs.fprime_dot(lam * u, t, h), lam**2 * rs.fprime_dot(u, t, h))
+    _assert_close(oracles.fprime_dot(lam * u, t, h), lam**2 * oracles.fprime_dot(u, t, h))
 
 
 @PROPERTY
-@given(N_MAX, SEED, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), TIME)
+@given(N_MAX, SEED, COEFF, COEFF, TIME)
 def test_fprime_dot_real_linear_in_direction(n_max, seed, a, b, t):
     w, u, h = _fields(n_max, seed)
-    f1, f2 = rs.fprime_dot(u, t, h), rs.fprime_dot(u, t, w)
+    f1, f2 = oracles.fprime_dot(u, t, h), oracles.fprime_dot(u, t, w)
     scale = max(abs(a) * np.max(np.abs(f1.coeff)), abs(b) * np.max(np.abs(f2.coeff)))
-    _assert_close(rs.fprime_dot(u, t, a * h + b * w), a * f1 + b * f2, scale)
+    _assert_close(oracles.fprime_dot(u, t, a * h + b * w), a * f1 + b * f2, scale)
 
 
 @pytest.mark.parametrize(
