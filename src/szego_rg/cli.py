@@ -23,7 +23,6 @@ from .config import (
     load_config,
     plan_from_config,
 )
-from .dynamics import Flow, integrate
 from .experiments import (
     COMMAND,
     Experiment,
@@ -33,6 +32,7 @@ from .experiments import (
     run_scaling_second_order,
     run_sobolev_growth,
     run_y_vs_u,
+    simulate,
 )
 from .reporting import RunMetadata, fmt_float, svg_loglog, write_csv
 from .spectral import conserved_series, sobolev_norm
@@ -66,12 +66,9 @@ def _start(command: str, cfg: RunConfig) -> RunMetadata:
 def cmd_simulate(args) -> int:
     cfg = _prepare(args)
     spec, data = flow_spec_from_config(cfg)
-    v0 = data.build(spec.grid)
     meta = _start("simulate", cfg)
     out_dir = meta.out_dir
-    if spec.flow is Flow.FULL_NLW:
-        v0 = spec.eps * v0
-    traj = integrate(spec, v0)
+    traj = simulate(spec, data)
     series = conserved_series(traj.times, traj.states)
     h_half = [sobolev_norm(f, 0.5) for f in traj.states]
     h_s = [sobolev_norm(f, spec.s) for f in traj.states]
@@ -111,7 +108,7 @@ def _write_scaling(report, out_dir, name, emit_svg):
 
 def _require(plan, command: str) -> None:
     """Reject a plan whose experiment the command does not run."""
-    if COMMAND.get(plan.experiment) != command:
+    if COMMAND[plan.experiment] != command:
         raise ConfigError(
             f"key 'experiment' in section [run]: '{plan.experiment.value}' is not a "
             f"{command} experiment"

@@ -19,8 +19,8 @@ eps * W, which the ansatz constructors apply.  Fixed step size, deterministic
 snapshot schedule, and a blow-up guard that truncates instead of raising.
 
 The effective flows have no fast linear part: they evolve on the slow time
-tau = eps^2 t.  With FlowSpec.slow_dt set, integrate covers each gap between
-two snapshots with a few equal RK4 substeps of slow-time size at most slow_dt
+tau = eps^2 t.  With FlowSpec.slow set, integrate covers each gap between
+two snapshots with a few equal RK4 substeps of slow-time size at most SLOW_DT
 instead of every fast step; the snapshot times stay those of the fast step,
 so the trajectory still lines up with a full-flow trajectory of the same spec.
 """
@@ -47,7 +47,7 @@ from .spectral import (
 )
 
 MAX_DT = 0.5
-SLOW_DT = 0.005  # slow-time substep of the effective flows' sweeps
+SLOW_DT = 0.005  # largest slow-time substep of a slow FlowSpec
 BLOWUP_FACTOR = 1e3
 
 
@@ -62,9 +62,9 @@ class FlowSpec:
     """Which evolution to integrate, with step size and horizon.
 
     snapshot_stride is in fast-time units; None selects the default of 0.05
-    slow-time units (0.05/eps^2).  slow_dt, for the effective flows only,
-    bounds the slow-time size of the substeps that cover each gap between
-    snapshots (None steps every fast step).
+    slow-time units (0.05/eps^2).  slow, for the effective flows only, covers
+    each gap between snapshots with substeps of slow-time size at most
+    SLOW_DT (False steps every fast step).
     """
 
     flow: Flow
@@ -74,8 +74,7 @@ class FlowSpec:
     t_end: float
     s: float = 1.0
     snapshot_stride: float | None = None
-    slow_time_cap: float = 100.0
-    slow_dt: float | None = None
+    slow: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -88,18 +87,10 @@ class FlowSpec:
             raise ValueError("diagnostic norm index s must be >= 1/2")
         if self.snapshot_stride is not None and not self.snapshot_stride > 0.0:
             raise ValueError(f"snapshot_stride must be positive, got {self.snapshot_stride}")
-        if self.t_end * self.eps**2 > self.slow_time_cap * (1 + 1e-12):
-            raise ValueError(
-                f"slow horizon {self.t_end * self.eps ** 2:.3g} exceeds cap "
-                f"{self.slow_time_cap}"
-            )
         if self.flow is Flow.SECOND_ORDER_AVERAGED and self.grid.domain is not Domain.TORUS:
             raise ValueError("the second-order averaged flow is defined on the torus")
-        if self.slow_dt is not None:
-            if self.flow is Flow.FULL_NLW:
-                raise ValueError("slow_dt is for the effective flows; the full flow steps fast")
-            if not self.slow_dt > 0.0:
-                raise ValueError(f"slow_dt must be positive, got {self.slow_dt}")
+        if self.slow and self.flow is Flow.FULL_NLW:
+            raise ValueError("slow stepping is for the effective flows; the full flow steps fast")
 
     def schedule(self) -> tuple[float, list[int]]:
         """The fast step h = t_end/n_steps, n_steps = ceil(t_end/dt), and the
@@ -168,7 +159,7 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
     take plain RK4 stages.  Snapshots are stored on the configured stride
     (FlowSpec.schedule), always including t = 0 and t_end.  A gap of g fast
     steps of size h between two snapshots is covered by m = ceil(g h eps^2 /
-    slow_dt) equal substeps of size g h / m when spec.slow_dt is set and
+    SLOW_DT) equal substeps of size g h / m when spec.slow is set and
     m < g, and by the g fast steps otherwise, so a slow step no coarser than
     the fast one changes nothing.  A blow-up guard truncates the trajectory
     once the H^{1/2} norm exceeds 1e3 times its initial value.
@@ -197,8 +188,8 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
     for step in snap_steps:
         g = step - done
         n = g
-        if spec.slow_dt is not None:
-            n = min(g, math.ceil(g * h * spec.eps**2 / spec.slow_dt - 1e-12))
+        if spec.slow:
+            n = min(g, math.ceil(g * h * spec.eps**2 / SLOW_DT - 1e-12))
         k = h if n == g else g * h / n
         substeps += [(k, 0)] * (n - 1) + [(k, step)]
         done = step

@@ -1,7 +1,7 @@
 """Quantitative studies confronting the simulated half-wave flow with its
 effective dynamics: error-scaling sweeps, the Y-vs-U flow comparison,
-conservation audits, oscillatory-primitive growth laws, the qualitative
-Sobolev-growth study, and the kernel oracle audit.
+oscillatory-primitive growth laws, the qualitative Sobolev-growth study, and
+the kernel oracle audit; and simulate, the one single-trajectory run.
 
 One sweep routine serves the three error-scaling experiments: per eps, the
 sup-in-time H^s gap between a truth flow and its approximants from the same
@@ -23,9 +23,9 @@ from . import oracles
 from . import resonance as rs
 from .dynamics import (
     MAX_DT,
-    SLOW_DT,
     Flow,
     FlowSpec,
+    Trajectory,
     first_order_ansatz,
     integrate,
     second_order_ansatz,
@@ -35,12 +35,9 @@ from .spectral import (
     Domain,
     FrequencyGrid,
     SpectralField,
-    ConservedReport,
-    conserved_series,
     field_from_modes,
     make_grid,
     mass,
-    negative_mode_mass,
     random_field,
     sobolev_norm,
 )
@@ -56,7 +53,6 @@ class Experiment(enum.Enum):
     SCALING1_BOX = "scaling_first_order_box"
     SCALING2_TORUS = "scaling_second_order_torus"
     Y_VS_U = "y_vs_u"
-    CONSERVATION = "conservation"
     FOSC_GROWTH = "fosc_growth"
     SOBOLEV_GROWTH = "sobolev_growth"
     KERNEL_AUDIT = "kernel_audit"
@@ -76,7 +72,7 @@ _REQUIRED_DOMAIN = {
     Experiment.Y_VS_U: Domain.TORUS,
     Experiment.SOBOLEV_GROWTH: Domain.BIGBOX,
 }
-# the command that runs each experiment; only the tests run conservation
+# the command that runs each experiment
 COMMAND = {
     Experiment.SCALING1_TORUS: "scaling",
     Experiment.SCALING1_BOX: "scaling",
@@ -179,7 +175,6 @@ class ExperimentPlan:
     length: float = TWO_PI
     dt: float = 0.05
     snapshots_per_run: int = 150
-    flow: Flow = Flow.FULL_NLW
     t_end: float = 1000.0
     growth_t_min: float = 10.0
     growth_t_max: float = 400.0
@@ -228,7 +223,7 @@ class ExperimentPlan:
         required = _REQUIRED_DOMAIN.get(self.experiment)
         if required is not None and self.domain is not required:
             raise ValueError(f"{self.experiment.value} requires domain = {required.value}")
-        command = COMMAND.get(self.experiment)
+        command = COMMAND[self.experiment]
         if command == "scaling" and len(self.eps_list) < 3:
             raise ValueError(
                 f"eps_list needs >= 3 eps values for the log-log fit, got {len(self.eps_list)}"
@@ -283,11 +278,6 @@ _DEFAULTS = {
         eps_list=(0.2, 0.1, 0.05), alpha=0.5, domain=Domain.BIGBOX, length=64.0 * np.pi,
         n_max=384, initial_data=_RATIONAL, slope_threshold=1.7,
     ),
-    # amplitude chosen inside the spectrally-resolved regime for the
-    # pinned (n_max=32, dt=0.05, t=1e3) gate; at roughly twice this norm
-    # the truncation cascade reaches marginally-resolved modes and the
-    # fixed-step quadrature error dominates the drift
-    Experiment.CONSERVATION: dict(eps_list=(0.1,), initial_data=InitialDataSpec(normalization=0.4)),
     Experiment.FOSC_GROWTH: dict(
         domain=Domain.BIGBOX, length=512.0 * np.pi, n_max=1024, initial_data=_RATIONAL,
     ),
@@ -387,8 +377,8 @@ def _flow_spec(
     slow: bool = False,
 ) -> FlowSpec:
     """FlowSpec of one trajectory of the plan; snapshots defaults to
-    plan.snapshots_per_run.  slow steps an effective flow in slow time
-    (SLOW_DT); the full flow always takes the fast step."""
+    plan.snapshots_per_run.  slow steps an effective flow in slow time; the
+    full flow always takes the fast step."""
     return FlowSpec(
         flow=flow,
         grid=grid,
@@ -397,8 +387,7 @@ def _flow_spec(
         t_end=t_end,
         s=plan.s,
         snapshot_stride=t_end / (plan.snapshots_per_run if snapshots is None else snapshots),
-        slow_time_cap=np.inf,
-        slow_dt=SLOW_DT if slow and flow is not Flow.FULL_NLW else None,
+        slow=slow and flow is not Flow.FULL_NLW,
     )
 
 
@@ -527,27 +516,14 @@ def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
 
 
 # ---------------------------------------------------------------------------
-# conservation audit
+# single trajectory
 
 
-def run_conservation(plan: ExperimentPlan) -> ConservedReport:
-    """Time series of the invariants along one integrated flow, plus the
-    largest negative-mode mass (Hardy defect) along it.
-
-    For Hardy effective flows the reported h_half series is sqrt(Q + M),
-    which equals the (1+|k|)-weighted half-derivative norm on Hardy fields
-    and is exactly conserved; the standard Sobolev H^{1/2} norm is only
-    norm-equivalent to it and wanders within the equivalence.
-    """
-    grid = plan.grid()
-    eps = plan.eps_list[0]
-    w0 = plan.initial_data.build(grid)
-    v0 = eps * w0 if plan.flow is Flow.FULL_NLW else w0
-    traj = integrate(_flow_spec(plan, plan.flow, grid, eps, plan.t_end), v0)
-    report = conserved_series(traj.times, traj.states)
-    if plan.flow is not Flow.FULL_NLW:
-        report = replace(report, h_half=np.sqrt(report.mass + report.momentum))
-    return replace(report, hardy_defect=max(negative_mode_mass(f) for f in traj.states))
+def simulate(spec: FlowSpec, data: InitialDataSpec) -> Trajectory:
+    """One trajectory of spec from data W0: the full flow starts from
+    eps*W0, the effective flows from W0 (their states stay unscaled)."""
+    w0 = data.build(spec.grid)
+    return integrate(spec, spec.eps * w0 if spec.flow is Flow.FULL_NLW else w0)
 
 
 # ---------------------------------------------------------------------------

@@ -410,39 +410,26 @@ def energy(f: SpectralField) -> float:
 
 @dataclass(frozen=True)
 class ConservedReport:
-    """Time series of conserved quantities with relative drift statistics.
-
-    hardy_defect, when recorded, is the largest negative-mode mass along the
-    series.
-    """
+    """Time series of conserved quantities with relative drift statistics."""
 
     times: np.ndarray
     energy: np.ndarray
     mass: np.ndarray
     momentum: np.ndarray
-    h_half: np.ndarray | None = None
-    hardy_defect: float | None = None
 
     def __post_init__(self):
         n = len(self.times)
         for name in ("energy", "mass", "momentum"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} series length differs from times")
-        if self.h_half is not None and len(self.h_half) != n:
-            raise ValueError("h_half series length differs from times")
 
     def max_rel_drift(self, name: str) -> float:
         series = getattr(self, name)
-        if series is None:
-            raise ValueError(f"no series {name!r}")
         q0 = series[0]
         return float(np.max(np.abs(series - q0)) / max(abs(q0), DRIFT_FLOOR))
 
     def drifts(self) -> dict[str, float]:
-        out = {name: self.max_rel_drift(name) for name in ("energy", "mass", "momentum")}
-        if self.h_half is not None:
-            out["h_half"] = self.max_rel_drift("h_half")
-        return out
+        return {name: self.max_rel_drift(name) for name in ("energy", "mass", "momentum")}
 
 
 def conserved_series(times: Sequence[float], states: Sequence[SpectralField]) -> ConservedReport:

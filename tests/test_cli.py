@@ -362,6 +362,18 @@ class TestSimulate:
         lines = open(os.path.join(out, "simulate.csv")).read().splitlines()
         assert len(lines) >= 2  # header plus retained partial rows
 
+    def test_long_slow_horizon_runs(self, tmp_path):
+        # slow horizon t_end eps^2 = 150: simulate caps no horizon, like the experiments
+        cfg = write(
+            tmp_path, "long.cfg",
+            "[grid]\nn_max = 4\n\n[flow]\nflow = first_order_rg\neps = 1\nt_end = 150\n"
+            "dt = 0.5\n",
+        )
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        last = open(os.path.join(out, "simulate.csv")).read().splitlines()[-1]
+        assert float(last.split(",")[0]) == 150.0
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write(tmp_path, "sim.cfg", SIM_CFG)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

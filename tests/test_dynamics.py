@@ -35,7 +35,6 @@ from szego_rg.spectral import cubic_product
 
 
 def spec(flow, grid, eps, dt, t_end, **kw):
-    kw.setdefault("slow_time_cap", max(100.0, t_end * eps**2 + 1.0))
     return FlowSpec(flow=flow, grid=grid, eps=eps, dt=dt, t_end=t_end, **kw)
 
 
@@ -49,10 +48,6 @@ class TestFlowSpec:
         with pytest.raises(ValueError):
             spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.75, t_end=1.0)
 
-    def test_slow_time_cap(self, torus8):
-        with pytest.raises(ValueError):
-            FlowSpec(Flow.FULL_NLW, torus8, eps=0.5, dt=0.1, t_end=100.0, slow_time_cap=2.0)
-
     def test_s_minimum(self, torus8):
         with pytest.raises(ValueError):
             spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, s=0.25)
@@ -61,19 +56,14 @@ class TestFlowSpec:
         with pytest.raises(ValueError):
             spec(Flow.SECOND_ORDER_AVERAGED, box8, eps=0.1, dt=0.1, t_end=1.0)
 
-    @pytest.mark.parametrize("slow_dt", [0.0, -0.005])
-    def test_slow_dt_positive(self, torus8, slow_dt):
-        with pytest.raises(ValueError, match="slow_dt"):
-            spec(Flow.FIRST_ORDER_RG, torus8, eps=0.1, dt=0.1, t_end=1.0, slow_dt=slow_dt)
-
     @pytest.mark.parametrize("stride", [0.0, -1.0])
     def test_snapshot_stride_positive(self, torus8, stride):
         with pytest.raises(ValueError, match="snapshot_stride"):
             spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, snapshot_stride=stride)
 
-    def test_slow_dt_rejected_for_full_flow(self, torus8):
-        with pytest.raises(ValueError, match="slow_dt"):
-            spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, slow_dt=SLOW_DT)
+    def test_slow_rejected_for_full_flow(self, torus8):
+        with pytest.raises(ValueError, match="slow stepping"):
+            spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, slow=True)
 
 
 def nonlinear(flow, grid, eps):
@@ -305,18 +295,21 @@ class TestIntegrator:
             kw = dict(snapshot_stride=stride)
             v = integrate(spec(Flow.FULL_NLW, torus8, 0.1, 0.05, 30.0, **kw), 0.1 * w0)
             for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
-                w = integrate(spec(flow, torus8, 0.1, 0.05, 30.0, slow_dt=SLOW_DT, **kw), w0)
+                w = integrate(spec(flow, torus8, 0.1, 0.05, 30.0, slow=True, **kw), w0)
                 assert w.steps < v.steps
                 assert np.array_equal(w.times, v.times)
 
-    @pytest.mark.parametrize("eps, slow_dt", [(1.0, SLOW_DT), (0.5, 0.01)])
-    def test_slow_step_not_coarser_is_bitwise(self, torus8, rng, eps, slow_dt):
-        # eps = 1: tau = t; eps = 0.5: each gap needs ceil(1.25 g) >= g substeps
+    @pytest.mark.parametrize("eps", [1.0, 0.5])
+    def test_slow_step_not_coarser_is_bitwise(self, torus8, rng, eps):
+        # a fast step h = 0.05 spans slow time h eps^2 >= SLOW_DT, so each gap
+        # of g fast steps needs ceil(g h eps^2 / SLOW_DT) >= g substeps:
+        # 10 g at eps = 1, ceil(2.5 g) at eps = 0.5
+        assert 0.05 * eps**2 >= SLOW_DT
         w0 = random_field(torus8, rng, hardy=True)
         for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
             kw = dict(snapshot_stride=0.35)
             a = integrate(spec(flow, torus8, eps, 0.05, 2.0, **kw), w0)
-            b = integrate(spec(flow, torus8, eps, 0.05, 2.0, slow_dt=slow_dt, **kw), w0)
+            b = integrate(spec(flow, torus8, eps, 0.05, 2.0, slow=True, **kw), w0)
             assert a.steps == b.steps == 40
             assert np.array_equal(a.times, b.times)
             for x, y in zip(a.states, b.states):
@@ -329,7 +322,7 @@ class TestIntegrator:
         eps = 0.2
         for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
             fast = integrate(spec(flow, torus8, eps, 0.05, 1.0 / eps**2), w0)
-            slow = integrate(spec(flow, torus8, eps, 0.05, 1.0 / eps**2, slow_dt=SLOW_DT), w0)
+            slow = integrate(spec(flow, torus8, eps, 0.05, 1.0 / eps**2, slow=True), w0)
             assert fast.steps == 500 and slow.steps == 200
             worst = max(
                 float(np.max(np.abs(x.coeff - y.coeff))) for x, y in zip(fast.states, slow.states)

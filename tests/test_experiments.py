@@ -6,9 +6,18 @@ import weakref
 import numpy as np
 import pytest
 
-from szego_rg import Domain, experiments, make_grid, mass, negative_mode_mass, resonance
-from szego_rg.dynamics import Flow, integrate
+from szego_rg import (
+    Domain,
+    conserved_series,
+    experiments,
+    make_grid,
+    mass,
+    negative_mode_mass,
+    resonance,
+)
+from szego_rg.dynamics import Flow, FlowSpec, integrate
 from szego_rg.experiments import (
+    COMMAND,
     DataKind,
     Experiment,
     ExperimentPlan,
@@ -16,12 +25,12 @@ from szego_rg.experiments import (
     _flow_spec,
     default_plan,
     fit_loglog,
-    run_conservation,
     run_fosc_growth,
     run_kernel_audit,
     run_scaling_first_order,
     run_scaling_second_order,
     run_y_vs_u,
+    simulate,
 )
 from dataclasses import replace
 
@@ -251,38 +260,47 @@ class TestScalingRuns:
         assert integrate(fast, w0).steps == 500
 
 
+def _conserved(flow, t_end, snapshots, data=InitialDataSpec(normalization=0.4)):
+    """The invariants along one simulate trajectory at gate 3's eps and dt
+    on the n_max = 16 torus, and the trajectory."""
+    spec = FlowSpec(flow, make_grid(16, Domain.TORUS), eps=0.1, dt=0.05, t_end=t_end,
+                    snapshot_stride=t_end / snapshots)
+    traj = simulate(spec, data)
+    return conserved_series(traj.times, traj.states), traj
+
+
 class TestConservationRun:
     def test_full_nlw_short(self):
-        plan = replace(
-            default_plan(Experiment.CONSERVATION), n_max=16, t_end=50.0, snapshots_per_run=20
-        )
-        report = run_conservation(plan)
+        report, _ = _conserved(Flow.FULL_NLW, 50.0, 20)
         assert report.max_rel_drift("energy") <= 1e-7
         assert report.max_rel_drift("mass") <= 1e-7
-        assert report.h_half is None
 
     def test_first_order_reports_conserved_h_half(self):
-        plan = replace(
-            default_plan(Experiment.CONSERVATION),
-            flow=Flow.FIRST_ORDER_RG,
-            n_max=16,
-            t_end=50.0,
-            snapshots_per_run=20,
-        )
-        report = run_conservation(plan)
-        assert report.h_half is not None
-        assert report.hardy_defect <= 1e-12
-        assert report.max_rel_drift("h_half") <= 1e-9  # sqrt(Q+M) on Hardy data
+        report, traj = _conserved(Flow.FIRST_ORDER_RG, 50.0, 20)
+        assert max(negative_mode_mass(f) for f in traj.states) <= 1e-12
+        # sqrt(Q+M), the (1+|k|)-weighted H^1/2 norm on Hardy data, is conserved
+        h_half = np.sqrt(report.mass + report.momentum)
+        assert np.max(np.abs(h_half - h_half[0])) <= 1e-9 * h_half[0]
 
     def test_linear_only_zero_drift(self):
-        plan = replace(
-            default_plan(Experiment.CONSERVATION), n_max=16, t_end=20.0, snapshots_per_run=10
-        )
         # zero field: drifts identically zero through the floor
-        plan = replace(plan, initial_data=replace(plan.initial_data, normalization=None,
-                                                  amplitudes=(0.0, 0.0, 0.0)))
-        report = run_conservation(plan)
+        zero = InitialDataSpec(normalization=None, amplitudes=(0.0, 0.0, 0.0))
+        report, _ = _conserved(Flow.FULL_NLW, 20.0, 10, zero)
         assert report.max_rel_drift("energy") == 0.0
+
+    def test_full_flow_starts_from_eps_w0(self):
+        # the full flow's state is v = eps W, the effective flows' the bare W
+        data = InitialDataSpec()
+        w0 = data.build(make_grid(16, Domain.TORUS))
+        _, nlw = _conserved(Flow.FULL_NLW, 1.0, 1, data)
+        _, rg = _conserved(Flow.FIRST_ORDER_RG, 1.0, 1, data)
+        assert np.array_equal(nlw.states[0].coeff, 0.1 * w0.coeff)
+        assert np.array_equal(rg.states[0].coeff, w0.coeff)
+
+
+def test_every_experiment_has_a_command():
+    # no experiment exists for the tests alone
+    assert set(COMMAND) == set(Experiment)
 
 
 class TestGrowthRuns:
