@@ -5,7 +5,6 @@ with brute-force kernel oracles and error-scaling experiments."""
 __version__ = "0.1.0"
 
 from .spectral import (
-    ConservedReport,
     Domain,
     FrequencyGrid,
     SpectralField,
@@ -18,6 +17,7 @@ from .spectral import (
     from_physical,
     make_grid,
     mass,
+    max_rel_drift,
     momentum,
     negative_mode_mass,
     project_minus,
@@ -28,7 +28,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "ConservedReport",
     "Domain",
     "FrequencyGrid",
     "SpectralField",
@@ -42,6 +41,7 @@ __all__ = [
     "from_physical",
     "make_grid",
     "mass",
+    "max_rel_drift",
     "momentum",
     "negative_mode_mass",
     "project_minus",

@@ -69,10 +69,9 @@ def cmd_simulate(args) -> int:
     meta = _start("simulate", cfg)
     out_dir = meta.out_dir
     traj = simulate(spec, data)
-    series = conserved_series(traj.times, traj.states)
     h_half = [sobolev_norm(f, 0.5) for f in traj.states]
     h_s = [sobolev_norm(f, spec.s) for f in traj.states]
-    rows = list(zip(series.times, h_half, h_s, series.energy, series.mass, series.momentum))
+    rows = list(zip(traj.times, h_half, h_s, *conserved_series(traj.states)))
     write_csv(os.path.join(out_dir, "simulate.csv"), ["t", "H_half", "H_s", "E", "Q", "M"], rows)
     meta.write([f"blown_up = {traj.blown_up}", f"snapshots = {len(traj.times)}"])
     if traj.blown_up:
@@ -122,15 +121,17 @@ def cmd_scaling(args) -> int:
     _require(plan, "scaling")
     meta = _start("scaling", cfg)
     out_dir = meta.out_dir
+    caveats = []
     if experiment is Experiment.SCALING2_TORUS:
         report, contrast = run_scaling_second_order(plan)
         _write_scaling(contrast, out_dir, "scaling_first_order_contrast", args.svg)
+        caveats = [f"first-order contrast: {c}" for c in contrast.caveats]
     elif experiment is Experiment.Y_VS_U:
         report = run_y_vs_u(plan)
     else:
         report = run_scaling_first_order(plan)
     _write_scaling(report, out_dir, "scaling", args.svg)
-    meta.write([f"caveat = {c}" for c in report.caveats])
+    meta.write([f"caveat = {c}" for c in [*report.caveats, *caveats]])
     print(
         f"scaling {experiment.value}: slope={report.fitted_slope:.4f} "
         f"residual={report.fit_residual:.4f} passed={report.passed}"

@@ -120,9 +120,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "snapshots_per_run": _empty(int, "snapshots per trajectory"),
         "slope_threshold": _empty(_float, "pass threshold for the fitted slope"),
         "residual_max": _empty(_float, "pass threshold for the fit residual"),
-        "t_end": _empty(_float, "horizon of the sobolev_growth trajectory"),
         "growth_t_min": _empty(_float, "lower end of the growth fit window"),
-        "growth_t_max": _empty(_float, "upper end of the growth fit window"),
+        "growth_t_max": _empty(_float, "upper end of the growth fit window; sobolev_growth's horizon"),
         "growth_points": _empty(int, "points on the logarithmic t grid"),
         "audit_fields": _empty(int, "random fields per kernel-audit check"),
     },

@@ -43,6 +43,7 @@ from .spectral import (
 )
 
 ERROR_FLOOR = 1e-15
+_FLOORED = f"values below {ERROR_FLOOR:g} were raised to that floor for the log-log fit"
 # a sweep row is flagged when sup_t ||W(t)||_{H^s} exceeds this factor times
 # ||W0||_{H^s} (log(1/eps^delta))^alpha, the bounded-solution hypothesis
 HYPOTHESIS_FACTOR = 3.0
@@ -64,14 +65,9 @@ class DataKind(enum.Enum):
     SEEDED_RANDOM_HARDY = "seeded_random_hardy"
 
 
-# the domain an experiment is defined on; the others run on either
-_REQUIRED_DOMAIN = {
-    Experiment.SCALING1_TORUS: Domain.TORUS,
-    Experiment.SCALING1_BOX: Domain.BIGBOX,
-    Experiment.SCALING2_TORUS: Domain.TORUS,
-    Experiment.Y_VS_U: Domain.TORUS,
-    Experiment.SOBOLEV_GROWTH: Domain.BIGBOX,
-}
+# the experiments that run on either domain; every other one is defined on
+# the domain of its default plan
+_ANY_DOMAIN = {Experiment.FOSC_GROWTH, Experiment.KERNEL_AUDIT}
 # the command that runs each experiment
 COMMAND = {
     Experiment.SCALING1_TORUS: "scaling",
@@ -161,7 +157,8 @@ class ExperimentPlan:
 
     alpha and delta enter the horizon T(eps) = eps^-2 (log(1/eps^delta))^(1-2*alpha).
     A scaling sweep passes when its fitted slope is at least slope_threshold
-    and its fit residual at most residual_max.
+    and its fit residual at most residual_max.  The Sobolev growth trajectory
+    ends at growth_t_max, the end of its fit window [growth_t_min, growth_t_max].
     """
 
     experiment: Experiment
@@ -175,7 +172,6 @@ class ExperimentPlan:
     length: float = TWO_PI
     dt: float = 0.05
     snapshots_per_run: int = 150
-    t_end: float = 1000.0
     growth_t_min: float = 10.0
     growth_t_max: float = 400.0
     growth_points: int = 25
@@ -220,8 +216,8 @@ class ExperimentPlan:
             raise ValueError(
                 f"growth_points must be >= 3 for the log-log fit, got {self.growth_points}"
             )
-        required = _REQUIRED_DOMAIN.get(self.experiment)
-        if required is not None and self.domain is not required:
+        required = _DEFAULTS[self.experiment].get("domain", ExperimentPlan.domain)
+        if self.experiment not in _ANY_DOMAIN and self.domain is not required:
             raise ValueError(f"{self.experiment.value} requires domain = {required.value}")
         command = COMMAND[self.experiment]
         if command == "scaling" and len(self.eps_list) < 3:
@@ -282,8 +278,8 @@ _DEFAULTS = {
         domain=Domain.BIGBOX, length=512.0 * np.pi, n_max=1024, initial_data=_RATIONAL,
     ),
     Experiment.SOBOLEV_GROWTH: dict(
-        domain=Domain.BIGBOX, length=256.0 * np.pi, n_max=32768, dt=0.1, t_end=40.0,
-        growth_t_max=40.0, initial_data=replace(_RATIONAL, scale=2.0),
+        domain=Domain.BIGBOX, length=256.0 * np.pi, n_max=32768, dt=0.1, growth_t_max=40.0,
+        initial_data=replace(_RATIONAL, scale=2.0),
     ),
     Experiment.KERNEL_AUDIT: dict(n_max=8),
 }
@@ -392,15 +388,17 @@ def _flow_spec(
 
 
 def _growth_spec(plan: ExperimentPlan, grid) -> FlowSpec:
-    """The Sobolev growth study's trajectory: the eps = 1 resonant flow."""
+    """The Sobolev growth study's trajectory: the eps = 1 resonant flow to growth_t_max."""
     snapshots = max(plan.growth_points * 2, 40)
-    return _flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 1.0, plan.t_end, snapshots)
+    return _flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 1.0, plan.growth_t_max, snapshots)
 
 
 def _finish_scaling(plan, rows, slope_min=0.0, residual_max=np.inf, caveats=()):
     usable = [(r.eps, r.sup_error) for r in rows if not r.failed]
     if len(usable) >= 3:
-        slope, resid, _ = fit_loglog([u[0] for u in usable], [u[1] for u in usable])
+        slope, resid, floored = fit_loglog([u[0] for u in usable], [u[1] for u in usable])
+        if floored:
+            caveats = (*caveats, f"sup_error {_FLOORED}")
     else:
         slope, resid = float("nan"), float("nan")
     passed = bool(
@@ -536,8 +534,10 @@ def _growth_report(plan, ts, norms, in_window, qualitative, warnings) -> GrowthR
     caller reports."""
     slope, window = float("nan"), (float("nan"), float("nan"))
     if np.count_nonzero(in_window) >= 3:
-        slope, _, _ = fit_loglog(ts[in_window], norms[in_window])
+        slope, _, floored = fit_loglog(ts[in_window], norms[in_window])
         window = (float(ts[in_window][0]), float(ts[in_window][-1]))
+        if floored:
+            warnings = (*warnings, f"norms {_FLOORED}")
     return GrowthReport(
         plan.experiment, ts, norms, in_window, slope, window, qualitative, warnings
     )

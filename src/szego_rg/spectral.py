@@ -408,33 +408,15 @@ def energy(f: SpectralField) -> float:
     return kinetic + 0.25 * quartic_mean(f)
 
 
-@dataclass(frozen=True)
-class ConservedReport:
-    """Time series of conserved quantities with relative drift statistics."""
-
-    times: np.ndarray
-    energy: np.ndarray
-    mass: np.ndarray
-    momentum: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.times)
-        for name in ("energy", "mass", "momentum"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} series length differs from times")
-
-    def max_rel_drift(self, name: str) -> float:
-        series = getattr(self, name)
-        q0 = series[0]
-        return float(np.max(np.abs(series - q0)) / max(abs(q0), DRIFT_FLOOR))
-
-    def drifts(self) -> dict[str, float]:
-        return {name: self.max_rel_drift(name) for name in ("energy", "mass", "momentum")}
-
-
-def conserved_series(times: Sequence[float], states: Sequence[SpectralField]) -> ConservedReport:
-    """Evaluate E, Q and M along a trajectory."""
+def conserved_series(states: Sequence[SpectralField]) -> tuple[np.ndarray, ...]:
+    """The invariants E, Q and M along a trajectory, one array each."""
     e = np.array([energy(f) for f in states])
     q = np.array([mass(f) for f in states])
     m = np.array([momentum(f) for f in states])
-    return ConservedReport(np.asarray(times, dtype=float), e, q, m)
+    return e, q, m
+
+
+def max_rel_drift(series: np.ndarray) -> float:
+    """max_t |q(t) - q(0)| / max(|q(0)|, DRIFT_FLOOR) of one invariant's series."""
+    q0 = series[0]
+    return float(np.max(np.abs(series - q0)) / max(abs(q0), DRIFT_FLOOR))

@@ -198,8 +198,13 @@ BAD_INPUTS = {
     ),
     "sobolev_growth_window_too_short": (
         "growth",
-        "[run]\nexperiment = sobolev_growth\n\n[experiment]\ngrowth_t_min = 35\ngrowth_t_max = 36\n",
+        "[run]\nexperiment = sobolev_growth\n\n[experiment]\ngrowth_t_min = 39\ngrowth_t_max = 40\n",
         "growth_t_min",
+    ),
+    "experiment_t_end_removed": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 4\n\n[experiment]\nt_end = 5\n",
+        "t_end",
     ),
     "growth_window_reversed": (
         "growth",
@@ -410,6 +415,19 @@ class TestScaling:
         assert lines[-1].startswith("slope=")
         assert "passed=true" in lines[-1]
         ET.parse(os.path.join(out, "scaling.svg"))  # valid XML
+
+    def test_second_order_writes_both_floored_caveats(self, tmp_path):
+        # zero data: both sweeps fit floored errors alone, and run_info says so for each
+        cfg = write(
+            tmp_path, "z.cfg",
+            "[run]\nexperiment = scaling_second_order_torus\n\n[grid]\nn_max = 4\n\n"
+            "[initial_data]\nscale = 0\n",
+        )
+        out = str(tmp_path / "run")
+        assert main(["scaling", "--config", cfg, "--out", out]) == 0
+        caveats = [l for l in open(os.path.join(out, "run_info.txt")).read().splitlines()
+                   if l.startswith("caveat = ")]
+        assert len(caveats) == 2 and "first-order contrast" in caveats[1]
 
     def test_thread_variable_ignored(self, tmp_path, monkeypatch):
         # sweep rows run serially and no thread-count variable is read, so a

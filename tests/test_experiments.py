@@ -12,6 +12,7 @@ from szego_rg import (
     experiments,
     make_grid,
     mass,
+    max_rel_drift,
     negative_mode_mass,
     resonance,
 )
@@ -35,6 +36,7 @@ from szego_rg.experiments import (
 from dataclasses import replace
 
 TWO_PI = 2.0 * np.pi
+ZERO_DATA = InitialDataSpec(normalization=None, amplitudes=(0.0, 0.0, 0.0))
 
 
 class TestInitialData:
@@ -168,6 +170,13 @@ class TestScalingRuns:
         for x, y in zip(a.rows, b.rows):
             assert x == y  # bitwise-identical rows
 
+    def test_floored_fit_carries_caveat(self):
+        # zero data: every Y-U gap is 0, so the fit runs on floored errors alone
+        plan = replace(default_plan(Experiment.Y_VS_U), n_max=4, initial_data=ZERO_DATA)
+        report = run_y_vs_u(plan)
+        assert all(r.sup_error == 0.0 for r in report.rows)
+        assert any("floor" in c for c in report.caveats)
+
     def test_sweep_frees_previous_row(self, monkeypatch):
         # every trajectory of one eps row is freed before the next row's
         # truth flow starts, so a sweep holds one row at a time
@@ -261,32 +270,31 @@ class TestScalingRuns:
 
 
 def _conserved(flow, t_end, snapshots, data=InitialDataSpec(normalization=0.4)):
-    """The invariants along one simulate trajectory at gate 3's eps and dt
-    on the n_max = 16 torus, and the trajectory."""
+    """The invariants (E, Q, M) along one simulate trajectory at gate 3's
+    eps and dt on the n_max = 16 torus, and the trajectory."""
     spec = FlowSpec(flow, make_grid(16, Domain.TORUS), eps=0.1, dt=0.05, t_end=t_end,
                     snapshot_stride=t_end / snapshots)
     traj = simulate(spec, data)
-    return conserved_series(traj.times, traj.states), traj
+    return conserved_series(traj.states), traj
 
 
 class TestConservationRun:
     def test_full_nlw_short(self):
-        report, _ = _conserved(Flow.FULL_NLW, 50.0, 20)
-        assert report.max_rel_drift("energy") <= 1e-7
-        assert report.max_rel_drift("mass") <= 1e-7
+        (e, q, _), _ = _conserved(Flow.FULL_NLW, 50.0, 20)
+        assert max_rel_drift(e) <= 1e-7
+        assert max_rel_drift(q) <= 1e-7
 
     def test_first_order_reports_conserved_h_half(self):
-        report, traj = _conserved(Flow.FIRST_ORDER_RG, 50.0, 20)
+        (_, q, m), traj = _conserved(Flow.FIRST_ORDER_RG, 50.0, 20)
         assert max(negative_mode_mass(f) for f in traj.states) <= 1e-12
         # sqrt(Q+M), the (1+|k|)-weighted H^1/2 norm on Hardy data, is conserved
-        h_half = np.sqrt(report.mass + report.momentum)
+        h_half = np.sqrt(q + m)
         assert np.max(np.abs(h_half - h_half[0])) <= 1e-9 * h_half[0]
 
     def test_linear_only_zero_drift(self):
         # zero field: drifts identically zero through the floor
-        zero = InitialDataSpec(normalization=None, amplitudes=(0.0, 0.0, 0.0))
-        report, _ = _conserved(Flow.FULL_NLW, 20.0, 10, zero)
-        assert report.max_rel_drift("energy") == 0.0
+        (e, _, _), _ = _conserved(Flow.FULL_NLW, 20.0, 10, ZERO_DATA)
+        assert max_rel_drift(e) == 0.0
 
     def test_full_flow_starts_from_eps_w0(self):
         # the full flow's state is v = eps W, the effective flows' the bare W
@@ -321,6 +329,15 @@ class TestGrowthRuns:
         )
         report = run_fosc_growth(plan)
         assert abs(report.exponent) <= 0.05
+
+    def test_floored_fit_warns(self):
+        plan = replace(
+            default_plan(Experiment.FOSC_GROWTH), domain=Domain.TORUS, length=TWO_PI, n_max=8,
+            initial_data=ZERO_DATA,
+        )
+        report = run_fosc_growth(plan)
+        assert np.all(report.norms == 0.0)
+        assert any("floor" in w for w in report.warnings)
 
     def test_fosc_growth_t0_zero_on_box(self, box8):
         from szego_rg import resonance as rs
@@ -377,9 +394,13 @@ class TestSobolevGrowthHalf:
     def test_conserved_limit_exponent_near_zero(self):
         from szego_rg.experiments import run_sobolev_growth
 
-        plan = replace(
-            default_plan(Experiment.SOBOLEV_GROWTH), s=0.5, n_max=4096, t_end=40.0
-        )
+        plan = replace(default_plan(Experiment.SOBOLEV_GROWTH), s=0.5, n_max=4096)
         rep = run_sobolev_growth(plan)
         assert abs(rep.exponent) <= 0.05
         assert rep.qualitative
+
+    def test_trajectory_ends_at_window_end(self):
+        from szego_rg.experiments import run_sobolev_growth
+
+        plan = replace(default_plan(Experiment.SOBOLEV_GROWTH), n_max=256, growth_t_max=20.0)
+        assert run_sobolev_growth(plan).times[-1] == 20.0
