@@ -17,6 +17,8 @@ SpectralField only for each snapshot.
 States of the effective flows are stored unscaled (W); the physical field is
 eps * W, which the ansatz constructors apply.  Fixed step size, deterministic
 snapshot schedule, and a blow-up guard that truncates instead of raising.
+Trajectories are read by snapshot index: flows on one schedule share their
+snapshot times, and an ansatz maps i to its value at traj.times[i].
 
 The effective flows have no fast linear part: they evolve on the slow time
 tau = eps^2 t.  With FlowSpec.slow set, integrate covers each gap between
@@ -27,7 +29,6 @@ so the trajectory still lines up with a full-flow trajectory of the same spec.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -107,8 +108,8 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one integrated flow at strictly increasing times from 0;
-    steps counts the RK4 steps taken."""
+    """Snapshots of one integrated flow at strictly increasing times from 0:
+    snapshot i is states[i] at times[i].  steps counts the RK4 steps taken."""
 
     times: np.ndarray
     states: tuple[SpectralField, ...]
@@ -123,13 +124,6 @@ class Trajectory:
         if len(self.states) != len(t):
             raise ValueError("one state per snapshot time required")
         object.__setattr__(self, "times", t)
-
-    def state_at(self, t: float) -> SpectralField:
-        """State at a snapshot time (no interpolation)."""
-        i = bisect.bisect_left(self.times, t - 1e-9)
-        if i >= len(self.times) or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not a snapshot of this trajectory")
-        return self.states[i]
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +151,13 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
     The propagator exp(-i|D|t) is diagonal in Fourier space, so only the
     nonlinearity is stepped; the effective flows have no linear part and
     take plain RK4 stages.  Snapshots are stored on the configured stride
-    (FlowSpec.schedule), always including t = 0 and t_end.  A gap of g fast
-    steps of size h between two snapshots is covered by m = ceil(g h eps^2 /
-    SLOW_DT) equal substeps of size g h / m when spec.slow is set and
-    m < g, and by the g fast steps otherwise, so a slow step no coarser than
-    the fast one changes nothing.  A blow-up guard truncates the trajectory
-    once the H^{1/2} norm exceeds 1e3 times its initial value.
+    (FlowSpec.schedule), always including t = 0 and t_end.  The integrator
+    walks the schedule gap by gap: a gap of g fast steps of size h between
+    two snapshots is covered by m = ceil(g h eps^2 / SLOW_DT) equal
+    substeps of size g h / m when spec.slow is set and m < g, and by the g
+    fast steps otherwise, so a slow step no coarser than the fast one
+    changes nothing.  After each gap a blow-up guard truncates the
+    trajectory once the H^{1/2} norm exceeds 1e3 times its initial value.
     """
     if v0.grid != spec.grid:
         raise ValueError("initial field is not on the FlowSpec grid")
@@ -180,52 +175,47 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
         require_hardy(v0.coeff)
     nonlin = _nonlinear_term(spec)
 
-    # every RK4 step as (size, snapshot step index or 0); the stages stay
-    # inline in one loop, where each step's arrays are freed only as the
-    # next step replaces them
-    substeps = []
-    done = 0
-    for step in snap_steps:
-        g = step - done
-        n = g
-        if spec.slow:
-            n = min(g, math.ceil(g * h * spec.eps**2 / SLOW_DT - 1e-12))
-        k = h if n == g else g * h / n
-        substeps += [(k, 0)] * (n - 1) + [(k, step)]
-        done = step
-
     guard = BLOWUP_FACTOR * max(sobolev_norm(v0, 0.5), 1e-30)
     c = v0.coeff.copy()
     times = [0.0]
     states = [v0]
     blown_up = False
     steps = 0
+    done = 0
 
     # a diverging state overflows on its way to the guard
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, step in substeps:
-            n1 = nonlin(c)
-            if lawson:
-                n2 = nonlin(e_half * (c + (k / 2.0) * n1))
-                n3 = nonlin(e_half * c + (k / 2.0) * n2)
-                n4 = nonlin(e_full * c + k * e_half * n3)
-                c = e_full * c + (k / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
-            else:
-                # the effective flows have no linear part, so their
-                # substeps may take any size
-                n2 = nonlin(c + (k / 2.0) * n1)
-                n3 = nonlin(c + (k / 2.0) * n2)
-                n4 = nonlin(c + k * n3)
-                c = c + (k / 6.0) * (n1 + 2.0 * (n2 + n3) + n4)
-            steps += 1
+        for step in snap_steps:
+            # the gap's n RK4 steps of size k, with the stages inline, where
+            # each step's arrays are freed only as the next step replaces them
+            g = step - done
+            n = g
+            if spec.slow:
+                n = min(g, math.ceil(g * h * spec.eps**2 / SLOW_DT - 1e-12))
+            k = h if n == g else g * h / n
+            done = step
+            for _ in range(n):
+                n1 = nonlin(c)
+                if lawson:
+                    n2 = nonlin(e_half * (c + (k / 2.0) * n1))
+                    n3 = nonlin(e_half * c + (k / 2.0) * n2)
+                    n4 = nonlin(e_full * c + k * e_half * n3)
+                    c = e_full * c + (k / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+                else:
+                    # the effective flows have no linear part, so their
+                    # substeps may take any size
+                    n2 = nonlin(c + (k / 2.0) * n1)
+                    n3 = nonlin(c + (k / 2.0) * n2)
+                    n4 = nonlin(c + k * n3)
+                    c = c + (k / 6.0) * (n1 + 2.0 * (n2 + n3) + n4)
+            steps += n
 
-            if step:
-                state = SpectralField(grid, c)
-                times.append(step * h)
-                states.append(state)
-                if not np.all(np.isfinite(c)) or sobolev_norm(state, 0.5) > guard:
-                    blown_up = True
-                    break
+            state = SpectralField(grid, c)
+            times.append(step * h)
+            states.append(state)
+            if not np.all(np.isfinite(c)) or sobolev_norm(state, 0.5) > guard:
+                blown_up = True
+                break
 
     return Trajectory(np.array(times), tuple(states), spec, blown_up, steps)
 
@@ -234,20 +224,22 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
 # approximation ansatz constructors
 
 
-def first_order_ansatz(w_traj: Trajectory) -> Callable[[float], SpectralField]:
-    """t -> exp(-i|D|t) (eps * W(t)) from a FIRST_ORDER_RG trajectory."""
+def first_order_ansatz(w_traj: Trajectory) -> Callable[[int], SpectralField]:
+    """i -> exp(-i|D|t) (eps * W(t)) at snapshot i, t = times[i], of a
+    FIRST_ORDER_RG trajectory."""
     if w_traj.flow_spec.flow is not Flow.FIRST_ORDER_RG:
         raise ValueError("first_order_ansatz expects a FIRST_ORDER_RG trajectory")
     eps = w_traj.flow_spec.eps
 
-    def ansatz(t: float) -> SpectralField:
-        return free_flow(eps * w_traj.state_at(t), t)
+    def ansatz(i: int) -> SpectralField:
+        return free_flow(eps * w_traj.states[i], w_traj.times[i])
 
     return ansatz
 
 
-def second_order_ansatz(w_traj: Trajectory) -> Callable[[float], SpectralField]:
-    """t -> exp(-i|D|t) (cal_W(t) + F_osc(cal_W(t), t)), cal_W = eps * W.
+def second_order_ansatz(w_traj: Trajectory) -> Callable[[int], SpectralField]:
+    """i -> exp(-i|D|t) (cal_W(t) + F_osc(cal_W(t), t)) at snapshot i,
+    t = times[i], cal_W = eps * W, of a SECOND_ORDER_AVERAGED trajectory.
 
     F_osc is evaluated on the eps-scaled state; with the zero-t-mean
     convention it does not vanish at t = 0, so comparisons must start the
@@ -257,8 +249,8 @@ def second_order_ansatz(w_traj: Trajectory) -> Callable[[float], SpectralField]:
         raise ValueError("second_order_ansatz expects a SECOND_ORDER_AVERAGED trajectory")
     eps = w_traj.flow_spec.eps
 
-    def ansatz(t: float) -> SpectralField:
-        scaled = eps * w_traj.state_at(t)
+    def ansatz(i: int) -> SpectralField:
+        scaled, t = eps * w_traj.states[i], w_traj.times[i]
         return free_flow(scaled + F_osc(scaled, t), t)
 
     return ansatz

@@ -65,9 +65,6 @@ class DataKind(enum.Enum):
     SEEDED_RANDOM_HARDY = "seeded_random_hardy"
 
 
-# the experiments that run on either domain; every other one is defined on
-# the domain of its default plan
-_ANY_DOMAIN = {Experiment.FOSC_GROWTH, Experiment.KERNEL_AUDIT}
 # the command that runs each experiment
 COMMAND = {
     Experiment.SCALING1_TORUS: "scaling",
@@ -216,8 +213,10 @@ class ExperimentPlan:
             raise ValueError(
                 f"growth_points must be >= 3 for the log-log fit, got {self.growth_points}"
             )
+        # the F_osc growth study runs on either domain; every other
+        # experiment is defined on the domain of its default plan
         required = _DEFAULTS[self.experiment].get("domain", ExperimentPlan.domain)
-        if self.experiment not in _ANY_DOMAIN and self.domain is not required:
+        if self.experiment is not Experiment.FOSC_GROWTH and self.domain is not required:
             raise ValueError(f"{self.experiment.value} requires domain = {required.value}")
         command = COMMAND[self.experiment]
         if command == "scaling" and len(self.eps_list) < 3:
@@ -420,9 +419,10 @@ def _finish_scaling(plan, rows, slope_min=0.0, residual_max=np.inf, caveats=()):
 def _sweep(plan: ExperimentPlan, truth: Flow, start, arms, slow: bool = False):
     """One error-scaling sweep: for each eps, integrate the truth flow from
     start(eps, W0) and the flow of each arm (flow, ansatz_of) from W0, and
-    record sup_t ||truth(t) - ansatz_of(trajectory)(t)||_{H^s}.
+    record sup_i ||truth.states[i] - ansatz_of(trajectory)(i)||_{H^s}: the
+    row's trajectories share one schedule, so snapshot i is one time on each.
 
-    Returns one row list per arm.  Each row carries sup_t ||W(t)||_{H^s} of
+    Returns one row tuple per arm.  Each row carries sup_t ||W(t)||_{H^s} of
     the first arm's trajectory, flagged against the bounded-solution
     hypothesis; a blow-up in any trajectory fails that eps in every arm.
     """
@@ -445,15 +445,11 @@ def _sweep(plan: ExperimentPlan, truth: Flow, start, arms, slow: bool = False):
         out = []
         for traj, (_, ansatz_of) in zip(trajs, arms):
             ansatz = ansatz_of(traj)
-            sup = max(sobolev_norm(ref.state_at(t) - ansatz(t), plan.s) for t in ref.times)
+            sup = max(sobolev_norm(v - ansatz(i), plan.s) for i, v in enumerate(ref.states))
             out.append(ScalingRow(eps, t_end, sup, sup_w, sup_w > bound))
         return out
 
-    rows = [[] for _ in arms]
-    for eps in plan.eps_list:
-        for arm_rows, arm_row in zip(rows, row(eps)):
-            arm_rows.append(arm_row)
-    return rows
+    return list(zip(*(row(eps) for eps in plan.eps_list)))
 
 
 def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
@@ -508,7 +504,7 @@ def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
     bare resonant flow from the same data; the gap scales like eps^2."""
     (rows,) = _sweep(
         plan, Flow.SECOND_ORDER_AVERAGED, lambda eps, w0: w0,
-        [(Flow.FIRST_ORDER_RG, lambda traj: traj.state_at)], slow=True,
+        [(Flow.FIRST_ORDER_RG, lambda traj: traj.states.__getitem__)], slow=True,
     )
     return _finish_scaling(plan, rows, plan.slope_threshold, plan.residual_max)
 

@@ -177,9 +177,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeff)
-
     def _check_same_grid(self, other: "SpectralField"):
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")

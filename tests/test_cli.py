@@ -216,6 +216,7 @@ BAD_INPUTS = {
         "growth_t_min",
     ),
     "audit_above_quintic_cap": ("audit", "[grid]\nn_max = 13\n", "n_max"),
+    "audit_on_box": ("audit", "[grid]\ndomain = bigbox\nlength = 100\n", "domain"),
     "audit_fields_zero": (
         "audit", "[grid]\nn_max = 4\n\n[experiment]\naudit_fields = 0\n", "audit_fields",
     ),

@@ -206,8 +206,8 @@ class TestIntegrator:
         u0 = 1e-9 * random_field(torus8, rng)
         traj = integrate(spec(Flow.FULL_NLW, torus8, 0.1, 0.25, 30.0, snapshot_stride=3.0), u0)
         worst = max(
-            float(np.max(np.abs(traj.state_at(t).coeff - free_flow(u0, t).coeff)))
-            for t in traj.times
+            float(np.max(np.abs(v.coeff - free_flow(u0, t).coeff)))
+            for t, v in zip(traj.times, traj.states)
         )
         assert worst / 1e-9 <= 1e-13
 
@@ -248,14 +248,6 @@ class TestIntegrator:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(2.0)
         assert np.all(np.diff(traj.times) > 0)
-
-    def test_state_at_unknown_time(self, torus8):
-        traj = integrate(
-            spec(Flow.FIRST_ORDER_RG, torus8, 0.5, 0.1, 1.0),
-            field_from_modes(torus8, {1: 1.0}),
-        )
-        with pytest.raises(ValueError):
-            traj.state_at(0.123456)
 
     def test_wrong_grid_rejected(self, torus8):
         other = make_grid(6, Domain.TORUS)
@@ -336,16 +328,16 @@ class TestAnsatz:
         w0 = field_from_modes(torus8, {1: 1.0, 2: 0.5})
         eps = 0.2
         traj = integrate(spec(Flow.FIRST_ORDER_RG, torus8, eps, 0.1, 1.0, snapshot_stride=0.5), w0)
-        v = first_order_ansatz(traj)(0.0)
+        v = first_order_ansatz(traj)(0)
         assert np.max(np.abs(v.coeff - eps * w0.coeff)) <= 1e-15
 
     def test_first_order_isometry(self, torus8, rng):
         w0 = random_field(torus8, rng, hardy=True)
         traj = integrate(spec(Flow.FIRST_ORDER_RG, torus8, 0.2, 0.1, 5.0, snapshot_stride=1.0), w0)
         ansatz = first_order_ansatz(traj)
-        for t in traj.times:
-            lhs = sobolev_norm(ansatz(t), 1.0)
-            rhs = sobolev_norm(0.2 * traj.state_at(t), 1.0)
+        for i, w in enumerate(traj.states):
+            lhs = sobolev_norm(ansatz(i), 1.0)
+            rhs = sobolev_norm(0.2 * w, 1.0)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_first_order_flow_mismatch_rejected(self, torus8):
@@ -365,7 +357,8 @@ class TestAnsatz:
             traj = integrate(
                 spec(Flow.FIRST_ORDER_RG, torus8, eps, 0.1, 1.0, snapshot_stride=0.7), w0
             )
-            cal_w = eps * traj.state_at(t)
+            assert traj.times[1] == pytest.approx(t)
+            cal_w = eps * traj.states[1]
             v_app = free_flow(cal_w, t)
             defect = cubic_product(v_app.coeff) - free_flow(
                 SpectralField(torus8, project_plus(cubic_product(cal_w.coeff))), t
@@ -383,8 +376,8 @@ class TestAnsatz:
             spec(Flow.FIRST_ORDER_RG, torus8, eps, 0.1, 2.0, snapshot_stride=0.5), w0
         )
         a2, a1 = second_order_ansatz(tr2), first_order_ansatz(tr1)
-        for t in tr2.times:
-            assert np.max(np.abs(a2(t).coeff - a1(t).coeff)) <= 1e-12
+        for i in range(len(tr2.times)):
+            assert np.max(np.abs(a2(i).coeff - a1(i).coeff)) <= 1e-12
 
     def test_second_order_wiggle_bounded_by_cubic_norm(self, torus8, rng):
         w0 = random_field(torus8, rng, hardy=True, decay=1.5)
@@ -393,9 +386,9 @@ class TestAnsatz:
             spec(Flow.SECOND_ORDER_AVERAGED, torus8, eps, 0.1, 5.0, snapshot_stride=1.0), w0
         )
         ansatz = second_order_ansatz(traj)
-        for t in traj.times:
-            cal_w = eps * traj.state_at(t)
-            gap = sobolev_norm(ansatz(t) - free_flow(cal_w, t), 1.0)
+        for i, (t, w) in enumerate(zip(traj.times, traj.states)):
+            cal_w = eps * w
+            gap = sobolev_norm(ansatz(i) - free_flow(cal_w, t), 1.0)
             assert gap <= 10.0 * sobolev_norm(cal_w, 1.0) ** 3
 
     def test_second_order_nonzero_initial_wiggle(self, torus8):
@@ -404,8 +397,24 @@ class TestAnsatz:
         traj = integrate(
             spec(Flow.SECOND_ORDER_AVERAGED, torus8, eps, 0.1, 1.0, snapshot_stride=0.5), w0
         )
-        v0 = second_order_ansatz(traj)(0.0)
+        v0 = second_order_ansatz(traj)(0)
         assert np.max(np.abs(v0.coeff - eps * w0.coeff)) > 1e-6
+
+    def test_ansatz_indexes_snapshots(self, torus8, rng):
+        # ansatz(i) is the formula at snapshot i's time, bit for bit; at
+        # stride 0.3 no snapshot time is an integer after 0
+        w0 = random_field(torus8, rng, hardy=True)
+        eps = 0.2
+        for flow, make, formula in (
+            (Flow.FIRST_ORDER_RG, first_order_ansatz, free_flow),
+            (Flow.SECOND_ORDER_AVERAGED, second_order_ansatz,
+             lambda w, t: free_flow(w + rs.F_osc(w, t), t)),
+        ):
+            traj = integrate(spec(flow, torus8, eps, 0.1, 1.5, snapshot_stride=0.3), w0)
+            ansatz = make(traj)
+            assert len(traj.times) == 6
+            for i, (t, w) in enumerate(zip(traj.times, traj.states)):
+                assert np.array_equal(ansatz(i).coeff, formula(eps * w, t).coeff)
 
 
 class TestResidual:

@@ -6,13 +6,23 @@ Each workload of ``perfbench/workloads.py`` runs its seed-1 plan through
 ``matches_reference``, so the benchmark and the tests share one bound.  A
 failure is a numerical change above that bound, to be fixed or reported;
 the reference is never re-recorded to make it pass.
+
+The same runs pin byte identity: the sha256 of every CSV a run writes must
+equal ``csv_digests.json``, recorded once per numpy version and machine,
+because the bits come from numpy's FFT.  In an environment the table does
+not name, the test warns that the bytes went unchecked.  A change that
+moves bits on purpose records a new table and says which entries moved.
 """
 
+import hashlib
 import importlib.util
 import json
+import platform
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from szego_rg.cli import main
@@ -30,6 +40,8 @@ def _load_workloads():
 
 wl = _load_workloads()
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+DIGESTS = json.loads(Path(__file__).with_name("csv_digests.json").read_text())
+ENV_KEY = f"numpy {np.__version__} {platform.machine()}"
 
 
 def _drift(got, ref) -> tuple[float, float]:
@@ -58,3 +70,11 @@ def test_reference_values(name, tmp_path):
     relative, share = _drift(got, ref)
     print(f"{name}: largest relative drift {relative:.3g}, {share:.3g} of the bound")
     assert wl.matches_reference(got, ref), f"{name}: {got} differs from the reference {ref}"
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    if ENV_KEY in DIGESTS:
+        assert digests == DIGESTS[ENV_KEY][name], f"{name}: CSV bytes differ from {ENV_KEY}"
+    else:
+        warnings.warn(
+            f"{name}: CSV digests are recorded for {sorted(DIGESTS)}, not for {ENV_KEY!r}; "
+            f"byte identity went unchecked"
+        )
