@@ -191,8 +191,13 @@ def cmd_growth(args) -> int:
     )
     for w in report.warnings:
         print(f"warning: {w}")
+    guards = []
+    if report.blown_up:
+        guards.append("the H^1/2 blow-up guard stopped the trajectory")
     if not fitted:
-        print("numeric guard tripped: the boundary-band guard left < 3 fit rows; CSV retained")
+        guards.append("the boundary-band guard left < 3 fit rows")
+    if guards:
+        print(f"numeric guard tripped: {'; '.join(guards)}; CSV retained")
         return EXIT_GUARD
     return EXIT_OK
 

@@ -11,9 +11,12 @@ Three flows share one integrator:
     the averaged flow whose quintic correction is the resonant part of
     f'(W,t).F_osc(W,t).
 
-Both effective flows take Hardy data only (integrate rejects any other).
-The right-hand sides work on coefficient arrays; integrate builds a
-SpectralField only for each snapshot.
+Both effective flows take Hardy data only (the integrator rejects any
+other).  The right-hand sides work on coefficient arrays; the integrator
+builds a SpectralField only for each snapshot.
+The integrator is a stream: stream(spec, v0) yields each snapshot as soon as
+it is stepped and keeps no earlier one, and integrate collects the stream
+into a Trajectory.
 States of the effective flows are stored unscaled (W); the physical field is
 eps * W, which the ansatz constructors apply.  Fixed step size, deterministic
 snapshot schedule, and a blow-up guard that truncates instead of raising.
@@ -21,7 +24,7 @@ Trajectories are read by snapshot index: flows on one schedule share their
 snapshot times, and an ansatz maps i to its value at traj.times[i].
 
 The effective flows have no fast linear part: they evolve on the slow time
-tau = eps^2 t.  With FlowSpec.slow set, integrate covers each gap between
+tau = eps^2 t.  With FlowSpec.slow set, the integrator covers each gap between
 two snapshots with a few equal RK4 substeps of slow-time size at most SLOW_DT
 instead of every fast step; the snapshot times stay those of the fast step,
 so the trajectory still lines up with a full-flow trajectory of the same spec.
@@ -32,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -145,19 +148,33 @@ def _nonlinear_term(spec: FlowSpec) -> Callable[[np.ndarray], np.ndarray]:
     return lambda c: minus_i_eps2 * szego_cubic(c) + eps4 * r2_closed_hardy(c)
 
 
-def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
-    """Fixed-step Lawson RK4 with the linear part applied exactly.
+class Snapshot(NamedTuple):
+    """One item of a stream: the state at time t, the RK4 steps taken to
+    reach it, and whether it tripped the blow-up guard (then it is the last)."""
+
+    time: float
+    state: SpectralField
+    steps: int
+    blown_up: bool
+
+
+def stream(spec: FlowSpec, v0: SpectralField) -> Iterator[Snapshot]:
+    """Fixed-step Lawson RK4 with the linear part applied exactly, yielding
+    each snapshot as soon as its gap has been stepped, t = 0 first.
 
     The propagator exp(-i|D|t) is diagonal in Fourier space, so only the
     nonlinearity is stepped; the effective flows have no linear part and
-    take plain RK4 stages.  Snapshots are stored on the configured stride
+    take plain RK4 stages.  Snapshots fall on the configured stride
     (FlowSpec.schedule), always including t = 0 and t_end.  The integrator
     walks the schedule gap by gap: a gap of g fast steps of size h between
     two snapshots is covered by m = ceil(g h eps^2 / SLOW_DT) equal
     substeps of size g h / m when spec.slow is set and m < g, and by the g
     fast steps otherwise, so a slow step no coarser than the fast one
-    changes nothing.  After each gap a blow-up guard truncates the
-    trajectory once the H^{1/2} norm exceeds 1e3 times its initial value.
+    changes nothing.  After each gap a blow-up guard ends the stream once
+    the H^{1/2} norm exceeds 1e3 times its initial value; the snapshot that
+    tripped it is the last item.  The stream keeps no earlier snapshot, so
+    a consumer that reduces each one as it arrives never holds the whole
+    trajectory.
     """
     if v0.grid != spec.grid:
         raise ValueError("initial field is not on the FlowSpec grid")
@@ -177,23 +194,22 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
 
     guard = BLOWUP_FACTOR * max(sobolev_norm(v0, 0.5), 1e-30)
     c = v0.coeff.copy()
-    times = [0.0]
-    states = [v0]
-    blown_up = False
     steps = 0
     done = 0
+    yield Snapshot(0.0, v0, 0, False)
 
-    # a diverging state overflows on its way to the guard
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in snap_steps:
-            # the gap's n RK4 steps of size k, with the stages inline, where
-            # each step's arrays are freed only as the next step replaces them
-            g = step - done
-            n = g
-            if spec.slow:
-                n = min(g, math.ceil(g * h * spec.eps**2 / SLOW_DT - 1e-12))
-            k = h if n == g else g * h / n
-            done = step
+    for step in snap_steps:
+        # the gap's n RK4 steps of size k, with the stages inline, where each
+        # step's arrays are freed only as the next step replaces them
+        g = step - done
+        n = g
+        if spec.slow:
+            n = min(g, math.ceil(g * h * spec.eps**2 / SLOW_DT - 1e-12))
+        k = h if n == g else g * h / n
+        done = step
+        # a diverging state overflows on its way to the guard; the error
+        # state is left before each yield, so it never reaches the consumer
+        with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n):
                 n1 = nonlin(c)
                 if lawson:
@@ -209,15 +225,18 @@ def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
                     n4 = nonlin(c + k * n3)
                     c = c + (k / 6.0) * (n1 + 2.0 * (n2 + n3) + n4)
             steps += n
-
             state = SpectralField(grid, c)
-            times.append(step * h)
-            states.append(state)
-            if not np.all(np.isfinite(c)) or sobolev_norm(state, 0.5) > guard:
-                blown_up = True
-                break
+            blown_up = bool(not np.all(np.isfinite(c)) or sobolev_norm(state, 0.5) > guard)
+        yield Snapshot(step * h, state, steps, blown_up)
+        if blown_up:
+            return
 
-    return Trajectory(np.array(times), tuple(states), spec, blown_up, steps)
+
+def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
+    """The whole stream(spec, v0) collected into a Trajectory: every
+    snapshot, the blow-up flag and the steps taken up to the last one."""
+    times, states, steps, blown_up = zip(*stream(spec, v0))
+    return Trajectory(np.array(times), states, spec, blown_up[-1], steps[-1])
 
 
 # ---------------------------------------------------------------------------

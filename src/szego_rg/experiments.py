@@ -29,6 +29,7 @@ from .dynamics import (
     first_order_ansatz,
     integrate,
     second_order_ansatz,
+    stream,
 )
 from .spectral import (
     TWO_PI,
@@ -324,6 +325,7 @@ class GrowthReport:
     window: tuple[float, float]
     qualitative: bool
     warnings: tuple[str, ...] = ()
+    blown_up: bool = False
 
 
 @dataclass(frozen=True)
@@ -524,7 +526,9 @@ def simulate(spec: FlowSpec, data: InitialDataSpec) -> Trajectory:
 # growth studies
 
 
-def _growth_report(plan, ts, norms, in_window, qualitative, warnings) -> GrowthReport:
+def _growth_report(
+    plan, ts, norms, in_window, qualitative, warnings, blown_up=False
+) -> GrowthReport:
     """Fit the growth exponent on the rows in the window.  With fewer than 3
     of them the exponent and the window are NaN, a numeric guard that the
     caller reports."""
@@ -535,7 +539,7 @@ def _growth_report(plan, ts, norms, in_window, qualitative, warnings) -> GrowthR
         if floored:
             warnings = (*warnings, f"norms {_FLOORED}")
     return GrowthReport(
-        plan.experiment, ts, norms, in_window, slope, window, qualitative, warnings
+        plan.experiment, ts, norms, in_window, slope, window, qualitative, warnings, blown_up
     )
 
 
@@ -571,19 +575,26 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
     bounds the faithful time window: the fit runs on [growth_t_min,
     growth_t_max] and rows where the boundary band carries more than 1% of
     the mass are flagged and left out of the fit (a warning; a window left
-    with fewer than 3 rows trips a numeric guard).  Amplitude normalization
-    rescales effective time by its square (exact symmetry of the flow) and
-    leaves the exponent unchanged.
+    with fewer than 3 rows trips a numeric guard).  A snapshot that trips
+    the blow-up guard ends the trajectory and is never in the fit window.
+    Amplitude normalization rescales effective time by its square (exact
+    symmetry of the flow) and leaves the exponent unchanged.
+
+    The trajectory is read as a stream and each snapshot is reduced to its
+    norm and boundary-band share as it arrives, so the study never holds
+    the whole trajectory.
     """
     grid = plan.grid()
     w0 = plan.initial_data.build(grid)
-    traj = integrate(_growth_spec(plan, grid), w0)
-    ts = traj.times
-    norms = np.array([sobolev_norm(f, plan.s) for f in traj.states])
     band = np.abs(grid.modes) >= grid.n_max - max(grid.n_max // 64, 8)
-    boundary = np.array(
-        [float(np.sum(np.abs(f.coeff[band]) ** 2) / max(mass(f), 1e-300)) for f in traj.states]
-    )
+    ts, norms, boundary = [], [], []
+    for snap in stream(_growth_spec(plan, grid), w0):
+        f = snap.state
+        ts.append(snap.time)
+        norms.append(sobolev_norm(f, plan.s))
+        boundary.append(float(np.sum(np.abs(f.coeff[band]) ** 2) / max(mass(f), 1e-300)))
+    blown_up = snap.blown_up
+    ts, norms, boundary = np.array(ts), np.array(norms), np.array(boundary)
     faithful = boundary <= 0.01  # False on a non-finite state
     warnings = []
     if not np.all(faithful):
@@ -591,10 +602,11 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
         warnings.append(
             f"boundary-mode mass exceeds 1% from t = {t_bad:.6g}; truncation no longer faithful"
         )
-    if traj.blown_up:
-        warnings.append(f"H^1/2 blow-up guard stopped the trajectory at t = {ts[-1]:.6g}")
     in_window = (ts >= plan.growth_t_min) & (ts <= plan.growth_t_max) & faithful
-    return _growth_report(plan, ts, norms, in_window, True, tuple(warnings))
+    if blown_up:
+        in_window[-1] = False  # the snapshot that tripped the guard is never fitted
+        warnings.append(f"H^1/2 blow-up guard stopped the trajectory at t = {ts[-1]:.6g}")
+    return _growth_report(plan, ts, norms, in_window, True, tuple(warnings), blown_up)
 
 
 # ---------------------------------------------------------------------------

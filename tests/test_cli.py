@@ -561,6 +561,24 @@ class TestGrowth:
         assert "warning = boundary-mode mass exceeds 1%" in (out / "run_info.txt").read_text()
         assert not (out / "growth.svg").exists()
 
+    def test_sobolev_blow_up_exits_two_and_leaves_the_guard_row_unfitted(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "g.cfg",
+            "[run]\nexperiment = sobolev_growth\n\n[grid]\nn_max = 512\n\n"
+            "[experiment]\ndt = 0.45\ngrowth_t_min = 0.5\n\n[initial_data]\nscale = 5.4\n",
+        )
+        out = tmp_path / "run"
+        assert main(["growth", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr().out
+        assert "blow-up guard stopped the trajectory at t = 3.59551" in captured
+        assert "numeric guard tripped: the H^1/2 blow-up guard stopped the trajectory" in captured
+        lines = (out / "growth.csv").read_text().splitlines()
+        t_last, norm_last, flag_last = lines[-2].split(",")
+        assert float(norm_last) > 1e3 and flag_last == "false"
+        footer = dict(kv.split("=") for kv in lines[-1].split())
+        assert float(footer["window_hi"]) < float(t_last)
+
     def test_wrong_experiment_exits_one(self, tmp_path):
         cfg = write(tmp_path, "g.cfg", "[run]\nexperiment = y_vs_u\n")
         assert main(["growth", "--config", cfg, "--out", str(tmp_path / "r")]) == 1

@@ -30,6 +30,7 @@ from szego_rg.dynamics import (
     first_order_ansatz,
     integrate,
     second_order_ansatz,
+    stream,
 )
 from szego_rg.experiments import InitialDataSpec
 from szego_rg.spectral import cubic_product
@@ -239,6 +240,33 @@ class TestIntegrator:
         assert traj.blown_up
         assert traj.times[-1] < 100.0
         assert len(traj.states) == len(traj.times)
+
+    @pytest.mark.parametrize("case", ["fast", "slow", "blow_up"])
+    def test_stream_equals_collection(self, case, torus8, rng):
+        # integrate is the stream collected: the same times, states, steps
+        # and blow-up flag bit for bit, with the guard snapshot last
+        if case == "fast":
+            s = spec(Flow.FULL_NLW, torus8, 0.1, 0.05, 10.0, snapshot_stride=1.0)
+            v0 = 0.1 * random_field(torus8, rng, hardy=True)
+        elif case == "slow":
+            s = spec(Flow.FIRST_ORDER_RG, torus8, 0.1, 0.1, 20.0, snapshot_stride=2.0, slow=True)
+            v0 = random_field(torus8, rng, hardy=True)
+        else:
+            g = make_grid(12, Domain.TORUS)
+            s = spec(Flow.FULL_NLW, g, 0.9, 0.4, 100.0, snapshot_stride=0.4)
+            v0 = 80.0 * field_from_modes(g, {1: 1.0, 2: 1.0})
+        items = list(stream(s, v0))
+        traj = integrate(s, v0)
+        assert np.array_equal([i.time for i in items], traj.times)
+        assert len(items) == len(traj.states)
+        for item, state in zip(items, traj.states):
+            assert np.array_equal(item.state.coeff, state.coeff)
+        assert items[0].time == 0.0 and items[0].state is v0 and items[0].steps == 0
+        assert items[-1].steps == traj.steps
+        assert [i.blown_up for i in items] == [False] * (len(items) - 1) + [traj.blown_up]
+        assert traj.blown_up == (case == "blow_up")
+        if case == "slow":
+            assert traj.steps == 40  # 10 gaps of 4 slow substeps, not 200 fast steps
 
     def test_snapshot_times(self, torus8):
         traj = integrate(

@@ -1,6 +1,7 @@
 """Experiment plumbing: initial data, horizons, fits, reports, audit."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -398,6 +399,21 @@ class TestSobolevGrowthHalf:
         rep = run_sobolev_growth(plan)
         assert abs(rep.exponent) <= 0.05
         assert rep.qualitative
+
+    def test_growth_holds_one_state_at_a_time(self):
+        # the study reduces each snapshot as it arrives: its traced peak is a
+        # few states of RK4 stages, not one state per snapshot
+        from szego_rg.experiments import run_sobolev_growth
+
+        plan = replace(default_plan(Experiment.SOBOLEV_GROWTH), n_max=2048)
+        tracemalloc.start()
+        try:
+            rep = run_sobolev_growth(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rep.times) >= 40
+        assert peak < 20 * (2 * 2048 + 1) * 16
 
     def test_trajectory_ends_at_window_end(self):
         from szego_rg.experiments import run_sobolev_growth
