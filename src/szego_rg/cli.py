@@ -34,8 +34,8 @@ from .experiments import (
     run_y_vs_u,
     simulate,
 )
-from .reporting import RunMetadata, fmt_float, svg_loglog, write_csv
-from .spectral import conserved_series, sobolev_norm
+from .reporting import RunMetadata, fmt_float, write_csv
+from .spectral import energy, mass, momentum, sobolev_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,19 +68,24 @@ def cmd_simulate(args) -> int:
     spec, data = flow_spec_from_config(cfg)
     meta = _start("simulate", cfg)
     out_dir = meta.out_dir
-    traj = simulate(spec, data)
-    h_half = [sobolev_norm(f, 0.5) for f in traj.states]
-    h_s = [sobolev_norm(f, spec.s) for f in traj.states]
-    rows = list(zip(traj.times, h_half, h_s, *conserved_series(traj.states)))
+    rows = []
+    for snap in simulate(spec, data):
+        f = snap.state
+        # the guard snapshot may be non-finite: its row records inf/nan quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows.append((
+                snap.time, sobolev_norm(f, 0.5), sobolev_norm(f, spec.s),
+                energy(f), mass(f), momentum(f),
+            ))
     write_csv(os.path.join(out_dir, "simulate.csv"), ["t", "H_half", "H_s", "E", "Q", "M"], rows)
-    meta.write([f"blown_up = {traj.blown_up}", f"snapshots = {len(traj.times)}"])
-    if traj.blown_up:
+    meta.write([f"blown_up = {snap.blown_up}", f"snapshots = {len(rows)}"])
+    if snap.blown_up:
         print("numeric guard tripped: H^1/2 norm exceeded 1e3 x initial; partial CSV retained")
         return EXIT_GUARD
     return EXIT_OK
 
 
-def _write_scaling(report, out_dir, name, emit_svg):
+def _write_scaling(report, out_dir, name):
     rows = [
         (r.eps, r.horizon, r.sup_error, r.sup_w_norm, r.flagged) for r in report.rows
     ]
@@ -94,15 +99,6 @@ def _write_scaling(report, out_dir, name, emit_svg):
         rows,
         footer,
     )
-    ok_rows = [r for r in report.rows if not r.failed]
-    if emit_svg and len(ok_rows) >= 2:
-        svg_loglog(
-            os.path.join(out_dir, f"{name}.svg"),
-            [r.eps for r in ok_rows],
-            [r.sup_error for r in ok_rows],
-            report.fitted_slope,
-            title=name,
-        )
 
 
 def _require(plan, command: str) -> None:
@@ -124,13 +120,13 @@ def cmd_scaling(args) -> int:
     caveats = []
     if experiment is Experiment.SCALING2_TORUS:
         report, contrast = run_scaling_second_order(plan)
-        _write_scaling(contrast, out_dir, "scaling_first_order_contrast", args.svg)
+        _write_scaling(contrast, out_dir, "scaling_first_order_contrast")
         caveats = [f"first-order contrast: {c}" for c in contrast.caveats]
     elif experiment is Experiment.Y_VS_U:
         report = run_y_vs_u(plan)
     else:
         report = run_scaling_first_order(plan)
-    _write_scaling(report, out_dir, "scaling", args.svg)
+    _write_scaling(report, out_dir, "scaling")
     meta.write([f"caveat = {c}" for c in [*report.caveats, *caveats]])
     print(
         f"scaling {experiment.value}: slope={report.fitted_slope:.4f} "
@@ -172,17 +168,6 @@ def cmd_growth(args) -> int:
         f"qualitative={'true' if report.qualitative else 'false'}"
     ]
     write_csv(os.path.join(out_dir, "growth.csv"), ["t", "norm", "window_flag"], rows, footer)
-    fitted = not np.isnan(report.exponent)
-    if fitted and args.svg:
-        svg_loglog(
-            os.path.join(out_dir, "growth.svg"),
-            report.times[report.in_window],
-            np.maximum(report.norms[report.in_window], 1e-300),
-            report.exponent,
-            title=plan.experiment.value,
-            xlabel="t",
-            ylabel="norm",
-        )
     meta.write([f"warning = {w}" for w in report.warnings])
     tag = " (QUALITATIVE)" if report.qualitative else ""
     print(
@@ -194,7 +179,7 @@ def cmd_growth(args) -> int:
     guards = []
     if report.blown_up:
         guards.append("the H^1/2 blow-up guard stopped the trajectory")
-    if not fitted:
+    if np.isnan(report.exponent):
         guards.append("the boundary-band guard left < 3 fit rows")
     if guards:
         print(f"numeric guard tripped: {'; '.join(guards)}; CSV retained")
@@ -221,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="configuration file (key = value sections)")
         p.add_argument("--out", help="output directory (overrides [run] output_dir)")
         p.add_argument("--seed", type=int, help="seed override for seeded initial data")
-        p.add_argument("--svg", action="store_true", help="also emit SVG plots")
         p.set_defaults(fn=fn)
     return parser
 

@@ -15,19 +15,18 @@ Both effective flows take Hardy data only (the integrator rejects any
 other).  The right-hand sides work on coefficient arrays; the integrator
 builds a SpectralField only for each snapshot.
 The integrator is a stream: stream(spec, v0) yields each snapshot as soon as
-it is stepped and keeps no earlier one, and integrate collects the stream
-into a Trajectory.
-States of the effective flows are stored unscaled (W); the physical field is
+it is stepped and keeps no earlier one; every run is read off it.
+States of the effective flows are unscaled (W); the physical field is
 eps * W, which the ansatz constructors apply.  Fixed step size, deterministic
-snapshot schedule, and a blow-up guard that truncates instead of raising.
-Trajectories are read by snapshot index: flows on one schedule share their
-snapshot times, and an ansatz maps i to its value at traj.times[i].
+snapshot schedule, and a blow-up guard that ends the stream instead of
+raising.  Streams of one schedule share their snapshot times, and an ansatz
+maps a snapshot to its value at the snapshot's time.
 
 The effective flows have no fast linear part: they evolve on the slow time
 tau = eps^2 t.  With FlowSpec.slow set, the integrator covers each gap between
 two snapshots with a few equal RK4 substeps of slow-time size at most SLOW_DT
 instead of every fast step; the snapshot times stay those of the fast step,
-so the trajectory still lines up with a full-flow trajectory of the same spec.
+so the stream still lines up with a full-flow stream of the same spec.
 """
 
 from __future__ import annotations
@@ -107,26 +106,6 @@ class FlowSpec:
             stride = 0.05 / self.eps**2
         snap_every = max(1, round(stride / h))
         return h, [*range(snap_every, n_steps, snap_every), n_steps]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Snapshots of one integrated flow at strictly increasing times from 0:
-    snapshot i is states[i] at times[i].  steps counts the RK4 steps taken."""
-
-    times: np.ndarray
-    states: tuple[SpectralField, ...]
-    flow_spec: FlowSpec
-    blown_up: bool = False
-    steps: int = 0
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must start at 0 and increase strictly")
-        if len(self.states) != len(t):
-            raise ValueError("one state per snapshot time required")
-        object.__setattr__(self, "times", t)
 
 
 # ---------------------------------------------------------------------------
@@ -232,44 +211,37 @@ def stream(spec: FlowSpec, v0: SpectralField) -> Iterator[Snapshot]:
             return
 
 
-def integrate(spec: FlowSpec, v0: SpectralField) -> Trajectory:
-    """The whole stream(spec, v0) collected into a Trajectory: every
-    snapshot, the blow-up flag and the steps taken up to the last one."""
-    times, states, steps, blown_up = zip(*stream(spec, v0))
-    return Trajectory(np.array(times), states, spec, blown_up[-1], steps[-1])
-
-
 # ---------------------------------------------------------------------------
 # approximation ansatz constructors
 
 
-def first_order_ansatz(w_traj: Trajectory) -> Callable[[int], SpectralField]:
-    """i -> exp(-i|D|t) (eps * W(t)) at snapshot i, t = times[i], of a
-    FIRST_ORDER_RG trajectory."""
-    if w_traj.flow_spec.flow is not Flow.FIRST_ORDER_RG:
-        raise ValueError("first_order_ansatz expects a FIRST_ORDER_RG trajectory")
-    eps = w_traj.flow_spec.eps
+def first_order_ansatz(spec: FlowSpec) -> Callable[[Snapshot], SpectralField]:
+    """snap -> exp(-i|D|t) (eps * W(t)), t = snap.time, for the snapshots of a
+    FIRST_ORDER_RG stream of spec."""
+    if spec.flow is not Flow.FIRST_ORDER_RG:
+        raise ValueError("first_order_ansatz expects a FIRST_ORDER_RG flow")
+    eps = spec.eps
 
-    def ansatz(i: int) -> SpectralField:
-        return free_flow(eps * w_traj.states[i], w_traj.times[i])
+    def ansatz(snap: Snapshot) -> SpectralField:
+        return free_flow(eps * snap.state, snap.time)
 
     return ansatz
 
 
-def second_order_ansatz(w_traj: Trajectory) -> Callable[[int], SpectralField]:
-    """i -> exp(-i|D|t) (cal_W(t) + F_osc(cal_W(t), t)) at snapshot i,
-    t = times[i], cal_W = eps * W, of a SECOND_ORDER_AVERAGED trajectory.
+def second_order_ansatz(spec: FlowSpec) -> Callable[[Snapshot], SpectralField]:
+    """snap -> exp(-i|D|t) (cal_W(t) + F_osc(cal_W(t), t)), t = snap.time,
+    cal_W = eps * W, for the snapshots of a SECOND_ORDER_AVERAGED stream of spec.
 
     F_osc is evaluated on the eps-scaled state; with the zero-t-mean
     convention it does not vanish at t = 0, so comparisons must start the
     reference flow from the matching corrected data (see experiments).
     """
-    if w_traj.flow_spec.flow is not Flow.SECOND_ORDER_AVERAGED:
-        raise ValueError("second_order_ansatz expects a SECOND_ORDER_AVERAGED trajectory")
-    eps = w_traj.flow_spec.eps
+    if spec.flow is not Flow.SECOND_ORDER_AVERAGED:
+        raise ValueError("second_order_ansatz expects a SECOND_ORDER_AVERAGED flow")
+    eps = spec.eps
 
-    def ansatz(i: int) -> SpectralField:
-        scaled, t = eps * w_traj.states[i], w_traj.times[i]
+    def ansatz(snap: Snapshot) -> SpectralField:
+        scaled, t = eps * snap.state, snap.time
         return free_flow(scaled + F_osc(scaled, t), t)
 
     return ansatz

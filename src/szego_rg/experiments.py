@@ -8,13 +8,15 @@ sup-in-time H^s gap between a truth flow and its approximants from the same
 data.  One finisher fits the exponent of both growth studies.
 
 Every experiment is a pure function of its plan; identical plans produce
-identical reports.  Sweep rows run one after another in eps order.
+identical reports.  Sweep rows run one after another in eps order.  Every
+run is read off the integrator's snapshot stream and reduced as it arrives.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 from numpy.random import default_rng  # load at start-up; numpy defers it to first use
@@ -25,9 +27,8 @@ from .dynamics import (
     MAX_DT,
     Flow,
     FlowSpec,
-    Trajectory,
+    Snapshot,
     first_order_ansatz,
-    integrate,
     second_order_ansatz,
     stream,
 )
@@ -419,37 +420,43 @@ def _finish_scaling(plan, rows, slope_min=0.0, residual_max=np.inf, caveats=()):
 
 
 def _sweep(plan: ExperimentPlan, truth: Flow, start, arms, slow: bool = False):
-    """One error-scaling sweep: for each eps, integrate the truth flow from
+    """One error-scaling sweep: for each eps, stream the truth flow from
     start(eps, W0) and the flow of each arm (flow, ansatz_of) from W0, and
-    record sup_i ||truth.states[i] - ansatz_of(trajectory)(i)||_{H^s}: the
-    row's trajectories share one schedule, so snapshot i is one time on each.
+    record sup_t ||truth(t) - ansatz_of(spec)(snapshot at t)||_{H^s}.
 
-    Returns one row tuple per arm.  Each row carries sup_t ||W(t)||_{H^s} of
-    the first arm's trajectory, flagged against the bounded-solution
-    hypothesis; a blow-up in any trajectory fails that eps in every arm.
+    The row's streams share one schedule, so zipping them pairs snapshots of
+    one time; strict zipping raises on a schedule mismatch.  Each stream is
+    reduced as it arrives to running maxima, so a row holds one snapshot per
+    stream.  Returns one row tuple per arm.  Each row carries
+    sup_t ||W(t)||_{H^s} of the first arm's stream, flagged against the
+    bounded-solution hypothesis; a blow-up in any stream fails that eps in
+    every arm.
     """
     grid = plan.grid()
     w0 = plan.initial_data.build(grid)
     w0_norm = sobolev_norm(w0, plan.s)
 
     def row(eps):
-        # one ScalingRow per arm; the trajectories are locals of this call,
-        # so they are freed before the next eps integrates
         t_end = plan.horizon(eps)
         sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end, slow=slow)
-        ref = integrate(sp(truth), start(eps, w0))
-        trajs = [integrate(sp(flow), w0) for flow, _ in arms]
-        if ref.blown_up or any(t.blown_up for t in trajs):
-            failed = ScalingRow(eps, t_end, float("nan"), float("nan"), True, failed=True)
-            return [failed] * len(arms)
-        sup_w = max(sobolev_norm(f, plan.s) for f in trajs[0].states)
+        specs = [sp(flow) for flow, _ in arms]
+        ansatzes = [ansatz_of(spec) for spec, (_, ansatz_of) in zip(specs, arms)]
+        streams = [stream(sp(truth), start(eps, w0)), *(stream(spec, w0) for spec in specs)]
+        sups = None
+        for ref, *snaps in zip(*streams, strict=True):
+            if ref.blown_up or any(snap.blown_up for snap in snaps):
+                failed = ScalingRow(eps, t_end, float("nan"), float("nan"), True, failed=True)
+                return [failed] * len(arms)
+            norms = [sobolev_norm(snaps[0].state, plan.s)] + [
+                sobolev_norm(ref.state - ansatz(snap), plan.s)
+                for ansatz, snap in zip(ansatzes, snaps)
+            ]
+            # max()'s rule, which every recorded row was made with: keep the
+            # first value and replace it only on >
+            sups = norms if sups is None else [n if n > m else m for n, m in zip(norms, sups)]
+        sup_w, *sup_errors = sups
         bound = HYPOTHESIS_FACTOR * w0_norm * np.log(1.0 / eps**plan.delta) ** plan.alpha
-        out = []
-        for traj, (_, ansatz_of) in zip(trajs, arms):
-            ansatz = ansatz_of(traj)
-            sup = max(sobolev_norm(v - ansatz(i), plan.s) for i, v in enumerate(ref.states))
-            out.append(ScalingRow(eps, t_end, sup, sup_w, sup_w > bound))
-        return out
+        return [ScalingRow(eps, t_end, sup, sup_w, sup_w > bound) for sup in sup_errors]
 
     return list(zip(*(row(eps) for eps in plan.eps_list)))
 
@@ -506,7 +513,7 @@ def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
     bare resonant flow from the same data; the gap scales like eps^2."""
     (rows,) = _sweep(
         plan, Flow.SECOND_ORDER_AVERAGED, lambda eps, w0: w0,
-        [(Flow.FIRST_ORDER_RG, lambda traj: traj.states.__getitem__)], slow=True,
+        [(Flow.FIRST_ORDER_RG, lambda spec: lambda snap: snap.state)], slow=True,
     )
     return _finish_scaling(plan, rows, plan.slope_threshold, plan.residual_max)
 
@@ -515,11 +522,12 @@ def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
 # single trajectory
 
 
-def simulate(spec: FlowSpec, data: InitialDataSpec) -> Trajectory:
-    """One trajectory of spec from data W0: the full flow starts from
-    eps*W0, the effective flows from W0 (their states stay unscaled)."""
+def simulate(spec: FlowSpec, data: InitialDataSpec) -> Iterator[Snapshot]:
+    """The snapshot stream of spec from data W0: the full flow starts from
+    eps*W0, the effective flows from W0 (their states stay unscaled).  The
+    data are built at the call; the stream checks them at its first item."""
     w0 = data.build(spec.grid)
-    return integrate(spec, spec.eps * w0 if spec.flow is Flow.FULL_NLW else w0)
+    return stream(spec, spec.eps * w0 if spec.flow is Flow.FULL_NLW else w0)
 
 
 # ---------------------------------------------------------------------------

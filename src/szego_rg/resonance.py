@@ -169,7 +169,7 @@ def r2_closed_hardy(c: np.ndarray) -> np.ndarray:
                 - (i/2) P+(W^2 conj((1/D) P-(|W|^2 W))).
 
     Precondition, not checked here: c is Hardy (modes k < 0 zero), as
-    integrate checks the initial data and its stages stay Hardy.  On other
+    the integrator checks the initial data and its stages stay Hardy.  On other
     data the result is not r2.
     """
     W = to_physical(c)

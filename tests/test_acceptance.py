@@ -23,7 +23,7 @@ from szego_rg import (
 )
 from szego_rg import oracles
 from szego_rg import resonance as rs
-from szego_rg.dynamics import Flow, FlowSpec, first_order_ansatz, integrate
+from szego_rg.dynamics import Flow, FlowSpec, first_order_ansatz, stream
 from szego_rg.experiments import (
     Experiment,
     InitialDataSpec,
@@ -109,11 +109,11 @@ def test_03_conservation():
     kw = dict(grid=make_grid(32, Domain.TORUS), eps=0.1, dt=0.05, t_end=1000.0,
               snapshot_stride=1000.0 / 150)
     with Stopwatch() as sw:
-        nlw_traj = simulate(FlowSpec(Flow.FULL_NLW, **kw), data)
-        nlw_e, nlw_q, nlw_m = map(max_rel_drift, conserved_series(nlw_traj.states))
-        rg_traj = simulate(FlowSpec(Flow.FIRST_ORDER_RG, **kw), data)
-        _, rg_q, rg_m = map(max_rel_drift, conserved_series(rg_traj.states))
-        neg_mass = max(negative_mode_mass(f) for f in rg_traj.states)
+        nlw_states = [s.state for s in simulate(FlowSpec(Flow.FULL_NLW, **kw), data)]
+        nlw_e, nlw_q, nlw_m = map(max_rel_drift, conserved_series(nlw_states))
+        rg_states = [s.state for s in simulate(FlowSpec(Flow.FIRST_ORDER_RG, **kw), data)]
+        _, rg_q, rg_m = map(max_rel_drift, conserved_series(rg_states))
+        neg_mass = max(negative_mode_mass(f) for f in rg_states)
     ok_nlw = all(d <= 1e-6 for d in (nlw_e, nlw_q, nlw_m))
     ok_rg = rg_q <= 1e-8 and rg_m <= 1e-8
     ok = ok_nlw and ok_rg and neg_mass <= 1e-12 and sw.elapsed <= 120.0
@@ -230,23 +230,25 @@ def test_09_single_mode_exact_solution():
         t_end = float(np.log(1.0 / eps**0.1) / eps**2)
         kw = dict(grid=grid, eps=eps, dt=0.05, t_end=t_end,
                   snapshot_stride=t_end / 50)
-        v_traj = integrate(FlowSpec(Flow.FULL_NLW, **kw), eps * w0)
-        w_traj = integrate(FlowSpec(Flow.FIRST_ORDER_RG, **kw), w0)
-        ansatz = first_order_ansatz(w_traj)
+        w_spec = FlowSpec(Flow.FIRST_ORDER_RG, **kw)
+        v_snaps = list(stream(FlowSpec(Flow.FULL_NLW, **kw), eps * w0))
+        w_snaps = list(stream(w_spec, w0))
+        ansatz = first_order_ansatz(w_spec)
         sup = max(
-            sobolev_norm(v - ansatz(i), 1.0) for i, v in enumerate(v_traj.states)
+            sobolev_norm(v.state - ansatz(w), 1.0)
+            for v, w in zip(v_snaps, w_snaps, strict=True)
         )
         # cross-check against the closed-form phase rotation of the full flow
         exact = max(
             float(
                 np.max(
                     np.abs(
-                        v.coeff
-                        - eps * np.exp(-1j * t * (1.0 + eps**2)) * w0.coeff
+                        v.state.coeff
+                        - eps * np.exp(-1j * v.time * (1.0 + eps**2)) * w0.coeff
                     )
                 )
             )
-            for t, v in zip(v_traj.times, v_traj.states)
+            for v in v_snaps
         )
         worst = max(worst, sup, exact)
     report(

@@ -25,10 +25,8 @@ from szego_rg.dynamics import (
     SLOW_DT,
     Flow,
     FlowSpec,
-    Trajectory,
     _nonlinear_term,
     first_order_ansatz,
-    integrate,
     second_order_ansatz,
     stream,
 )
@@ -69,7 +67,7 @@ class TestFlowSpec:
 
 
 def nonlinear(flow, grid, eps):
-    """The nonlinearity integrate() steps for this flow (linear part excluded)."""
+    """The nonlinearity stream() steps for this flow (linear part excluded)."""
     return _nonlinear_term(spec(flow, grid, eps, 0.1, 1.0))
 
 
@@ -138,14 +136,14 @@ class TestRightHandSides:
 
     def test_first_order_rejects_non_hardy(self, rand_torus8):
         with pytest.raises(ValueError, match="Hardy"):
-            integrate(spec(Flow.FIRST_ORDER_RG, rand_torus8.grid, 0.2, 0.1, 1.0), rand_torus8)
+            list(stream(spec(Flow.FIRST_ORDER_RG, rand_torus8.grid, 0.2, 0.1, 1.0), rand_torus8))
 
     def test_second_order_rejects_non_hardy(self, rand_torus8):
-        # integrate is the only check: r2_closed_hardy assumes Hardy input
+        # the stream is the only check: r2_closed_hardy assumes Hardy input
         with pytest.raises(ValueError, match="Hardy"):
-            integrate(
+            list(stream(
                 spec(Flow.SECOND_ORDER_AVERAGED, rand_torus8.grid, 0.2, 0.1, 1.0), rand_torus8
-            )
+            ))
 
     @pytest.mark.parametrize("flow", list(Flow), ids=lambda f: f.value)
     def test_one_step_is_textbook(self, flow, torus8, rng):
@@ -174,13 +172,13 @@ class TestRightHandSides:
             k3 = f(c + h / 2.0 * k2)
             k4 = f(c + h * k3)
             expected = c + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-        traj = integrate(spec(flow, torus8, 0.5, h, h), w0)
-        assert traj.steps == 1
-        assert np.array_equal(traj.states[-1].coeff, expected)
+        last = list(stream(spec(flow, torus8, 0.5, h, h), w0))[-1]
+        assert last.steps == 1
+        assert np.array_equal(last.state.coeff, expected)
 
     @pytest.mark.parametrize("flow", list(Flow), ids=lambda f: f.value)
     def test_stages_build_no_fields(self, flow, torus8, monkeypatch):
-        # the right-hand sides work on arrays: integrate builds one field per
+        # the right-hand sides work on arrays: the stream builds one field per
         # snapshot and a fixed number besides, however many steps it takes
         built = []
         real = SpectralField.__post_init__
@@ -189,9 +187,9 @@ class TestRightHandSides:
         extra, steps = [], []
         for dt in (0.1, 0.025):
             built.clear()
-            traj = integrate(spec(flow, torus8, 0.2, dt, 1.0, snapshot_stride=0.5), w0)
-            extra.append(len(built) - len(traj.states))
-            steps.append(traj.steps)
+            snaps = list(stream(spec(flow, torus8, 0.2, dt, 1.0, snapshot_stride=0.5), w0))
+            extra.append(len(built) - len(snaps))
+            steps.append(snaps[-1].steps)
         assert steps == [10, 40]
         assert extra[0] == extra[1]
 
@@ -199,99 +197,75 @@ class TestRightHandSides:
 class TestIntegrator:
     def test_zero_data_stays_zero(self, torus8):
         zero = field_from_modes(torus8, {})
-        traj = integrate(spec(Flow.FULL_NLW, torus8, 0.1, 0.1, 5.0), zero)
-        assert all(np.all(f.coeff == 0.0) for f in traj.states)
+        snaps = stream(spec(Flow.FULL_NLW, torus8, 0.1, 0.1, 5.0), zero)
+        assert all(np.all(s.state.coeff == 0.0) for s in snaps)
 
     def test_linear_only_matches_free_flow(self, torus8, rng):
         # at amplitude 1e-9 the cubic term is 1e-18 of the linear one
         u0 = 1e-9 * random_field(torus8, rng)
-        traj = integrate(spec(Flow.FULL_NLW, torus8, 0.1, 0.25, 30.0, snapshot_stride=3.0), u0)
+        snaps = stream(spec(Flow.FULL_NLW, torus8, 0.1, 0.25, 30.0, snapshot_stride=3.0), u0)
         worst = max(
-            float(np.max(np.abs(v.coeff - free_flow(u0, t).coeff)))
-            for t, v in zip(traj.times, traj.states)
+            float(np.max(np.abs(s.state.coeff - free_flow(u0, s.time).coeff))) for s in snaps
         )
         assert worst / 1e-9 <= 1e-13
 
     def test_fourth_order_convergence(self):
         g = make_grid(16, Domain.TORUS)
         v0 = 0.2 * field_from_modes(g, {1: 2.0, 2: 1.0})
-        ref = integrate(spec(Flow.FULL_NLW, g, 0.2, 0.00125, 5.0, snapshot_stride=5.0), v0).states[-1]
+        final = lambda dt: list(
+            stream(spec(Flow.FULL_NLW, g, 0.2, dt, 5.0, snapshot_stride=5.0), v0)
+        )[-1].state
+        ref = final(0.00125)
         errs = []
         for dt in (0.02, 0.01):
-            st = integrate(spec(Flow.FULL_NLW, g, 0.2, dt, 5.0, snapshot_stride=5.0), v0).states[-1]
+            st = final(dt)
             errs.append(float(np.max(np.abs(st.coeff - ref.coeff))))
         assert errs[0] / errs[1] >= 12.0  # fourth order gives ~16
 
     def test_deterministic_bitwise(self, torus8, rng):
         v0 = 0.1 * random_field(torus8, rng, hardy=True)
         s = spec(Flow.FULL_NLW, torus8, 0.1, 0.05, 10.0, snapshot_stride=1.0)
-        a = integrate(s, v0)
-        b = integrate(s, v0)
-        assert np.array_equal(a.times, b.times)
-        for x, y in zip(a.states, b.states):
-            assert np.array_equal(x.coeff, y.coeff)
+        a = list(stream(s, v0))
+        b = list(stream(s, v0))
+        assert len(a) == len(b) == 11
+        for x, y in zip(a, b):
+            assert x.time == y.time and x.steps == y.steps
+            assert np.array_equal(x.state.coeff, y.state.coeff)
 
     def test_blow_up_guard_truncates(self):
         g = make_grid(12, Domain.TORUS)
         vbig = 80.0 * field_from_modes(g, {1: 1.0, 2: 1.0})
-        traj = integrate(
-            spec(Flow.FULL_NLW, g, 0.9, 0.4, 100.0, snapshot_stride=0.4), vbig
-        )
-        assert traj.blown_up
-        assert traj.times[-1] < 100.0
-        assert len(traj.states) == len(traj.times)
-
-    @pytest.mark.parametrize("case", ["fast", "slow", "blow_up"])
-    def test_stream_equals_collection(self, case, torus8, rng):
-        # integrate is the stream collected: the same times, states, steps
-        # and blow-up flag bit for bit, with the guard snapshot last
-        if case == "fast":
-            s = spec(Flow.FULL_NLW, torus8, 0.1, 0.05, 10.0, snapshot_stride=1.0)
-            v0 = 0.1 * random_field(torus8, rng, hardy=True)
-        elif case == "slow":
-            s = spec(Flow.FIRST_ORDER_RG, torus8, 0.1, 0.1, 20.0, snapshot_stride=2.0, slow=True)
-            v0 = random_field(torus8, rng, hardy=True)
-        else:
-            g = make_grid(12, Domain.TORUS)
-            s = spec(Flow.FULL_NLW, g, 0.9, 0.4, 100.0, snapshot_stride=0.4)
-            v0 = 80.0 * field_from_modes(g, {1: 1.0, 2: 1.0})
-        items = list(stream(s, v0))
-        traj = integrate(s, v0)
-        assert np.array_equal([i.time for i in items], traj.times)
-        assert len(items) == len(traj.states)
-        for item, state in zip(items, traj.states):
-            assert np.array_equal(item.state.coeff, state.coeff)
-        assert items[0].time == 0.0 and items[0].state is v0 and items[0].steps == 0
-        assert items[-1].steps == traj.steps
-        assert [i.blown_up for i in items] == [False] * (len(items) - 1) + [traj.blown_up]
-        assert traj.blown_up == (case == "blow_up")
-        if case == "slow":
-            assert traj.steps == 40  # 10 gaps of 4 slow substeps, not 200 fast steps
+        snaps = list(stream(spec(Flow.FULL_NLW, g, 0.9, 0.4, 100.0, snapshot_stride=0.4), vbig))
+        # the snapshot that tripped the guard is the last, and the only one flagged
+        assert [s.blown_up for s in snaps] == [False] * (len(snaps) - 1) + [True]
+        assert snaps[-1].time < 100.0
 
     def test_snapshot_times(self, torus8):
-        traj = integrate(
-            spec(Flow.FIRST_ORDER_RG, torus8, 0.5, 0.1, 2.0, snapshot_stride=0.5),
-            field_from_modes(torus8, {1: 1.0}),
-        )
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(2.0)
-        assert np.all(np.diff(traj.times) > 0)
+        w0 = field_from_modes(torus8, {1: 1.0})
+        s = spec(Flow.FIRST_ORDER_RG, torus8, 0.5, 0.1, 2.0, snapshot_stride=0.5)
+        snaps = list(stream(s, w0))
+        # the stream opens with the data itself, before any step
+        assert snaps[0].state is w0 and snaps[0].steps == 0
+        times = [s.time for s in snaps]
+        assert times[0] == 0.0
+        assert times[-1] == pytest.approx(2.0)
+        assert np.all(np.diff(times) > 0)
 
     def test_wrong_grid_rejected(self, torus8):
         other = make_grid(6, Domain.TORUS)
         with pytest.raises(ValueError):
-            integrate(spec(Flow.FULL_NLW, torus8, 0.1, 0.1, 1.0), field_from_modes(other, {}))
+            list(stream(spec(Flow.FULL_NLW, torus8, 0.1, 0.1, 1.0), field_from_modes(other, {})))
 
     def test_hardy_invariance_along_effective_flows(self, torus8, rng):
         w0 = random_field(torus8, rng, hardy=True)
         for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
-            traj = integrate(spec(flow, torus8, 0.3, 0.1, 20.0, snapshot_stride=2.0), w0)
-            assert max(negative_mode_mass(f) for f in traj.states) <= 1e-12
+            snaps = stream(spec(flow, torus8, 0.3, 0.1, 20.0, snapshot_stride=2.0), w0)
+            assert max(negative_mode_mass(s.state) for s in snaps) <= 1e-12
 
     def test_first_order_conserves_q_and_m(self, torus8, rng):
         w0 = random_field(torus8, rng, hardy=True, decay=1.5)
-        traj = integrate(spec(Flow.FIRST_ORDER_RG, torus8, 0.3, 0.05, 50.0, snapshot_stride=5.0), w0)
-        _, q, m = conserved_series(traj.states)
+        snaps = stream(spec(Flow.FIRST_ORDER_RG, torus8, 0.3, 0.05, 50.0, snapshot_stride=5.0), w0)
+        _, q, m = conserved_series([s.state for s in snaps])
         assert max_rel_drift(q) <= 1e-8
         assert max_rel_drift(m) <= 1e-8
 
@@ -299,14 +273,14 @@ class TestIntegrator:
         g = make_grid(12, Domain.TORUS)
         w = random_field(g, rng, hardy=True)
         eps = 0.3
-        a = integrate(spec(Flow.FIRST_ORDER_RG, g, eps, 0.1, 50.0, snapshot_stride=10.0), w)
-        b = integrate(
+        a = stream(spec(Flow.FIRST_ORDER_RG, g, eps, 0.1, 50.0, snapshot_stride=10.0), w)
+        b = stream(
             spec(Flow.FIRST_ORDER_RG, g, 1.0, 0.1 * eps**2, 50.0 * eps**2,
                  snapshot_stride=10.0 * eps**2),
             w,
         )
         worst = max(
-            float(np.max(np.abs(x.coeff - y.coeff))) for x, y in zip(a.states, b.states)
+            float(np.max(np.abs(x.state.coeff - y.state.coeff))) for x, y in zip(a, b)
         )
         assert worst <= 1e-12
 
@@ -314,11 +288,11 @@ class TestIntegrator:
         w0 = random_field(torus8, rng, hardy=True)
         for stride in (None, 0.7):
             kw = dict(snapshot_stride=stride)
-            v = integrate(spec(Flow.FULL_NLW, torus8, 0.1, 0.05, 30.0, **kw), 0.1 * w0)
+            v = list(stream(spec(Flow.FULL_NLW, torus8, 0.1, 0.05, 30.0, **kw), 0.1 * w0))
             for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
-                w = integrate(spec(flow, torus8, 0.1, 0.05, 30.0, slow=True, **kw), w0)
-                assert w.steps < v.steps
-                assert np.array_equal(w.times, v.times)
+                w = list(stream(spec(flow, torus8, 0.1, 0.05, 30.0, slow=True, **kw), w0))
+                assert w[-1].steps < v[-1].steps
+                assert [s.time for s in w] == [s.time for s in v]
 
     @pytest.mark.parametrize("eps", [1.0, 0.5])
     def test_slow_step_not_coarser_is_bitwise(self, torus8, rng, eps):
@@ -329,12 +303,13 @@ class TestIntegrator:
         w0 = random_field(torus8, rng, hardy=True)
         for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
             kw = dict(snapshot_stride=0.35)
-            a = integrate(spec(flow, torus8, eps, 0.05, 2.0, **kw), w0)
-            b = integrate(spec(flow, torus8, eps, 0.05, 2.0, slow=True, **kw), w0)
-            assert a.steps == b.steps == 40
-            assert np.array_equal(a.times, b.times)
-            for x, y in zip(a.states, b.states):
-                assert np.array_equal(x.coeff, y.coeff)
+            a = list(stream(spec(flow, torus8, eps, 0.05, 2.0, **kw), w0))
+            b = list(stream(spec(flow, torus8, eps, 0.05, 2.0, slow=True, **kw), w0))
+            assert a[-1].steps == b[-1].steps == 40
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert x.time == y.time
+                assert np.array_equal(x.state.coeff, y.state.coeff)
 
     def test_slow_stepping_matches_fast_stepping(self, torus8):
         # the package's default data (unit mass) to slow time tau = 1: RK4
@@ -342,11 +317,11 @@ class TestIntegrator:
         w0 = InitialDataSpec().build(torus8)
         eps = 0.2
         for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
-            fast = integrate(spec(flow, torus8, eps, 0.05, 1.0 / eps**2), w0)
-            slow = integrate(spec(flow, torus8, eps, 0.05, 1.0 / eps**2, slow=True), w0)
-            assert fast.steps == 500 and slow.steps == 200
+            fast = list(stream(spec(flow, torus8, eps, 0.05, 1.0 / eps**2), w0))
+            slow = list(stream(spec(flow, torus8, eps, 0.05, 1.0 / eps**2, slow=True), w0))
+            assert fast[-1].steps == 500 and slow[-1].steps == 200
             worst = max(
-                float(np.max(np.abs(x.coeff - y.coeff))) for x, y in zip(fast.states, slow.states)
+                float(np.max(np.abs(x.state.coeff - y.state.coeff))) for x, y in zip(fast, slow)
             )
             assert worst <= 1e-8
 
@@ -355,25 +330,24 @@ class TestAnsatz:
     def test_first_order_at_zero(self, torus8):
         w0 = field_from_modes(torus8, {1: 1.0, 2: 0.5})
         eps = 0.2
-        traj = integrate(spec(Flow.FIRST_ORDER_RG, torus8, eps, 0.1, 1.0, snapshot_stride=0.5), w0)
-        v = first_order_ansatz(traj)(0)
+        s = spec(Flow.FIRST_ORDER_RG, torus8, eps, 0.1, 1.0, snapshot_stride=0.5)
+        v = first_order_ansatz(s)(next(stream(s, w0)))
         assert np.max(np.abs(v.coeff - eps * w0.coeff)) <= 1e-15
 
     def test_first_order_isometry(self, torus8, rng):
         w0 = random_field(torus8, rng, hardy=True)
-        traj = integrate(spec(Flow.FIRST_ORDER_RG, torus8, 0.2, 0.1, 5.0, snapshot_stride=1.0), w0)
-        ansatz = first_order_ansatz(traj)
-        for i, w in enumerate(traj.states):
-            lhs = sobolev_norm(ansatz(i), 1.0)
-            rhs = sobolev_norm(0.2 * w, 1.0)
+        s = spec(Flow.FIRST_ORDER_RG, torus8, 0.2, 0.1, 5.0, snapshot_stride=1.0)
+        ansatz = first_order_ansatz(s)
+        for snap in stream(s, w0):
+            lhs = sobolev_norm(ansatz(snap), 1.0)
+            rhs = sobolev_norm(0.2 * snap.state, 1.0)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_first_order_flow_mismatch_rejected(self, torus8):
-        traj = integrate(
-            spec(Flow.FULL_NLW, torus8, 0.2, 0.1, 1.0), field_from_modes(torus8, {1: 0.2})
-        )
         with pytest.raises(ValueError):
-            first_order_ansatz(traj)
+            first_order_ansatz(spec(Flow.FULL_NLW, torus8, 0.2, 0.1, 1.0))
+        with pytest.raises(ValueError):
+            second_order_ansatz(spec(Flow.FIRST_ORDER_RG, torus8, 0.2, 0.1, 1.0))
 
     def test_ansatz_residual_in_equation_scales_cubically(self, torus8):
         # plug the first-order ansatz into the full equation: the defect is
@@ -382,11 +356,11 @@ class TestAnsatz:
         t = 0.7
         defects = []
         for eps in (0.2, 0.1):
-            traj = integrate(
-                spec(Flow.FIRST_ORDER_RG, torus8, eps, 0.1, 1.0, snapshot_stride=0.7), w0
-            )
-            assert traj.times[1] == pytest.approx(t)
-            cal_w = eps * traj.states[1]
+            snap = list(
+                stream(spec(Flow.FIRST_ORDER_RG, torus8, eps, 0.1, 1.0, snapshot_stride=0.7), w0)
+            )[1]
+            assert snap.time == pytest.approx(t)
+            cal_w = eps * snap.state
             v_app = free_flow(cal_w, t)
             defect = cubic_product(v_app.coeff) - free_flow(
                 SpectralField(torus8, project_plus(cubic_product(cal_w.coeff))), t
@@ -397,39 +371,31 @@ class TestAnsatz:
     def test_second_order_single_mode_reduces_to_first(self, torus8):
         w0 = field_from_modes(torus8, {1: 1.0})
         eps = 0.2
-        tr2 = integrate(
-            spec(Flow.SECOND_ORDER_AVERAGED, torus8, eps, 0.1, 2.0, snapshot_stride=0.5), w0
-        )
-        tr1 = integrate(
-            spec(Flow.FIRST_ORDER_RG, torus8, eps, 0.1, 2.0, snapshot_stride=0.5), w0
-        )
-        a2, a1 = second_order_ansatz(tr2), first_order_ansatz(tr1)
-        for i in range(len(tr2.times)):
-            assert np.max(np.abs(a2(i).coeff - a1(i).coeff)) <= 1e-12
+        s2 = spec(Flow.SECOND_ORDER_AVERAGED, torus8, eps, 0.1, 2.0, snapshot_stride=0.5)
+        s1 = spec(Flow.FIRST_ORDER_RG, torus8, eps, 0.1, 2.0, snapshot_stride=0.5)
+        a2, a1 = second_order_ansatz(s2), first_order_ansatz(s1)
+        for x, y in zip(stream(s2, w0), stream(s1, w0), strict=True):
+            assert np.max(np.abs(a2(x).coeff - a1(y).coeff)) <= 1e-12
 
     def test_second_order_wiggle_bounded_by_cubic_norm(self, torus8, rng):
         w0 = random_field(torus8, rng, hardy=True, decay=1.5)
         eps = 0.2
-        traj = integrate(
-            spec(Flow.SECOND_ORDER_AVERAGED, torus8, eps, 0.1, 5.0, snapshot_stride=1.0), w0
-        )
-        ansatz = second_order_ansatz(traj)
-        for i, (t, w) in enumerate(zip(traj.times, traj.states)):
-            cal_w = eps * w
-            gap = sobolev_norm(ansatz(i) - free_flow(cal_w, t), 1.0)
+        s = spec(Flow.SECOND_ORDER_AVERAGED, torus8, eps, 0.1, 5.0, snapshot_stride=1.0)
+        ansatz = second_order_ansatz(s)
+        for snap in stream(s, w0):
+            cal_w = eps * snap.state
+            gap = sobolev_norm(ansatz(snap) - free_flow(cal_w, snap.time), 1.0)
             assert gap <= 10.0 * sobolev_norm(cal_w, 1.0) ** 3
 
     def test_second_order_nonzero_initial_wiggle(self, torus8):
         w0 = field_from_modes(torus8, {0: 0.6, 1: 1.0, 2: 0.5})
         eps = 0.2
-        traj = integrate(
-            spec(Flow.SECOND_ORDER_AVERAGED, torus8, eps, 0.1, 1.0, snapshot_stride=0.5), w0
-        )
-        v0 = second_order_ansatz(traj)(0)
+        s = spec(Flow.SECOND_ORDER_AVERAGED, torus8, eps, 0.1, 1.0, snapshot_stride=0.5)
+        v0 = second_order_ansatz(s)(next(stream(s, w0)))
         assert np.max(np.abs(v0.coeff - eps * w0.coeff)) > 1e-6
 
     def test_ansatz_indexes_snapshots(self, torus8, rng):
-        # ansatz(i) is the formula at snapshot i's time, bit for bit; at
+        # ansatz(snap) is the formula at the snapshot's time, bit for bit; at
         # stride 0.3 no snapshot time is an integer after 0
         w0 = random_field(torus8, rng, hardy=True)
         eps = 0.2
@@ -438,11 +404,13 @@ class TestAnsatz:
             (Flow.SECOND_ORDER_AVERAGED, second_order_ansatz,
              lambda w, t: free_flow(w + rs.F_osc(w, t), t)),
         ):
-            traj = integrate(spec(flow, torus8, eps, 0.1, 1.5, snapshot_stride=0.3), w0)
-            ansatz = make(traj)
-            assert len(traj.times) == 6
-            for i, (t, w) in enumerate(zip(traj.times, traj.states)):
-                assert np.array_equal(ansatz(i).coeff, formula(eps * w, t).coeff)
+            s = spec(flow, torus8, eps, 0.1, 1.5, snapshot_stride=0.3)
+            ansatz = make(s)
+            snaps = list(stream(s, w0))
+            assert len(snaps) == 6
+            for snap in snaps:
+                expected = formula(eps * snap.state, snap.time)
+                assert np.array_equal(ansatz(snap).coeff, expected.coeff)
 
 
 class TestResidual:
@@ -459,20 +427,6 @@ class TestResidual:
         assert max(ratios) <= 4.0
 
 
-class TestTrajectoryValue:
-    def test_times_must_increase(self, torus8):
-        f = field_from_modes(torus8, {})
-        s = spec(Flow.FULL_NLW, torus8, 0.1, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.5, 0.5]), (f, f, f), s)
-
-    def test_state_count_must_match(self, torus8):
-        f = field_from_modes(torus8, {})
-        s = spec(Flow.FULL_NLW, torus8, 0.1, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.5]), (f,), s)
-
-
 class TestBoxDegeneracy:
     def test_length_two_pi_box_matches_torus_for_hardy_data(self, rng):
         # at L = 2*pi the box grid carries the same frequencies as the torus,
@@ -484,7 +438,7 @@ class TestBoxDegeneracy:
         c = random_field(gt, rng, hardy=True).coeff
         wt, wb = SpectralField(gt, c), SpectralField(gb, c)
         for flow, amp in ((Flow.FULL_NLW, 0.1), (Flow.FIRST_ORDER_RG, 1.0)):
-            a = integrate(spec(flow, gt, 0.1, 0.1, 10.0, snapshot_stride=2.0), amp * wt)
-            b = integrate(spec(flow, gb, 0.1, 0.1, 10.0, snapshot_stride=2.0), amp * wb)
-            for x, y in zip(a.states, b.states):
-                assert np.array_equal(x.coeff, y.coeff)
+            a = stream(spec(flow, gt, 0.1, 0.1, 10.0, snapshot_stride=2.0), amp * wt)
+            b = stream(spec(flow, gb, 0.1, 0.1, 10.0, snapshot_stride=2.0), amp * wb)
+            for x, y in zip(a, b, strict=True):
+                assert np.array_equal(x.state.coeff, y.state.coeff)

@@ -1,8 +1,6 @@
 """Experiment plumbing: initial data, horizons, fits, reports, audit."""
 
-import gc
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -10,14 +8,13 @@ import pytest
 from szego_rg import (
     Domain,
     conserved_series,
-    experiments,
     make_grid,
     mass,
     max_rel_drift,
     negative_mode_mass,
     resonance,
 )
-from szego_rg.dynamics import Flow, FlowSpec, integrate
+from szego_rg.dynamics import Flow, FlowSpec, stream
 from szego_rg.experiments import (
     COMMAND,
     DataKind,
@@ -178,23 +175,20 @@ class TestScalingRuns:
         assert all(r.sup_error == 0.0 for r in report.rows)
         assert any("floor" in c for c in report.caveats)
 
-    def test_sweep_frees_previous_row(self, monkeypatch):
-        # every trajectory of one eps row is freed before the next row's
-        # truth flow starts, so a sweep holds one row at a time
-        refs, alive, real = [], [], experiments.integrate
-
-        def traced(spec, w0):
-            if spec.flow is Flow.FULL_NLW:
-                gc.collect()
-                alive.append(sum(r() is not None for r in refs))
-            traj = real(spec, w0)
-            refs.append(weakref.ref(traj))
-            return traj
-
-        monkeypatch.setattr(experiments, "integrate", traced)
-        run_scaling_first_order(_fast_torus_plan())
-        assert alive == [0, 0, 0]
-        assert len(refs) == 6
+    def test_sweep_holds_one_snapshot_per_stream(self):
+        # each row reduces its streams to running maxima as they arrive: the
+        # traced peak is a few states, not one per snapshot (a collected
+        # trajectory of 151 snapshots reads about 490 states here)
+        n_max = 128
+        plan = replace(default_plan(Experiment.SCALING1_BOX), eps_list=(0.4, 0.3, 0.2), n_max=n_max)
+        tracemalloc.start()
+        try:
+            report = run_scaling_first_order(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(r.failed for r in report.rows)
+        assert peak < 60 * (2 * n_max + 1) * 16
 
     def test_box_plan_too_short_rejected(self):
         with pytest.raises(ValueError, match="64"):
@@ -265,18 +259,18 @@ class TestScalingRuns:
         for eps, slow in ((0.2, 333), (0.1, 308), (0.05, 302)):
             for flow in (Flow.SECOND_ORDER_AVERAGED, Flow.FIRST_ORDER_RG):
                 sp = _flow_spec(plan, flow, grid, eps, plan.horizon(eps), slow=True)
-                assert integrate(sp, w0).steps == slow
+                assert list(stream(sp, w0))[-1].steps == slow
         fast = _flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 0.2, plan.horizon(0.2))
-        assert integrate(fast, w0).steps == 500
+        assert list(stream(fast, w0))[-1].steps == 500
 
 
 def _conserved(flow, t_end, snapshots, data=InitialDataSpec(normalization=0.4)):
-    """The invariants (E, Q, M) along one simulate trajectory at gate 3's
-    eps and dt on the n_max = 16 torus, and the trajectory."""
+    """The invariants (E, Q, M) along one simulate stream at gate 3's eps
+    and dt on the n_max = 16 torus, and the stream's states."""
     spec = FlowSpec(flow, make_grid(16, Domain.TORUS), eps=0.1, dt=0.05, t_end=t_end,
                     snapshot_stride=t_end / snapshots)
-    traj = simulate(spec, data)
-    return conserved_series(traj.states), traj
+    states = [snap.state for snap in simulate(spec, data)]
+    return conserved_series(states), states
 
 
 class TestConservationRun:
@@ -286,8 +280,8 @@ class TestConservationRun:
         assert max_rel_drift(q) <= 1e-7
 
     def test_first_order_reports_conserved_h_half(self):
-        (_, q, m), traj = _conserved(Flow.FIRST_ORDER_RG, 50.0, 20)
-        assert max(negative_mode_mass(f) for f in traj.states) <= 1e-12
+        (_, q, m), states = _conserved(Flow.FIRST_ORDER_RG, 50.0, 20)
+        assert max(negative_mode_mass(f) for f in states) <= 1e-12
         # sqrt(Q+M), the (1+|k|)-weighted H^1/2 norm on Hardy data, is conserved
         h_half = np.sqrt(q + m)
         assert np.max(np.abs(h_half - h_half[0])) <= 1e-9 * h_half[0]
@@ -303,8 +297,8 @@ class TestConservationRun:
         w0 = data.build(make_grid(16, Domain.TORUS))
         _, nlw = _conserved(Flow.FULL_NLW, 1.0, 1, data)
         _, rg = _conserved(Flow.FIRST_ORDER_RG, 1.0, 1, data)
-        assert np.array_equal(nlw.states[0].coeff, 0.1 * w0.coeff)
-        assert np.array_equal(rg.states[0].coeff, w0.coeff)
+        assert np.array_equal(nlw[0].coeff, 0.1 * w0.coeff)
+        assert np.array_equal(rg[0].coeff, w0.coeff)
 
 
 def test_every_experiment_has_a_command():

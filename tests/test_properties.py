@@ -9,7 +9,8 @@ to the size of its right-hand side.
 The effective flows keep Hardy data Hardy (negative modes exactly zero at
 every snapshot), and W -> lam W maps eps = lam to eps = 1 at equal times:
 the Szego term is cubic and r2 quintic, so lam W(t) solves the eps = 1 flow
-and each RK4 stage scales the same way.
+and each RK4 stage scales the same way.  Snapshot times start at 0 and
+increase strictly for any horizon, step and stride.
 """
 
 import cmath
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from szego_rg import Domain, SpectralField, make_grid, random_field
 from szego_rg import oracles
 from szego_rg import resonance as rs
-from szego_rg.dynamics import Flow, FlowSpec, integrate
+from szego_rg.dynamics import Flow, FlowSpec, stream
 
 REL = 1e-12
 
@@ -113,10 +114,10 @@ def test_fprime_dot_real_linear_in_direction(n_max, seed, a, b, t):
 def test_effective_flows_keep_hardy_data_hardy(flow, domain):
     grid = make_grid(16, domain, 32.0 * np.pi if domain is Domain.BIGBOX else None)
     w0 = random_field(grid, np.random.default_rng(3), hardy=True)
-    traj = integrate(FlowSpec(flow, grid, eps=0.3, dt=0.1, t_end=20.0, snapshot_stride=1.0), w0)
-    assert len(traj.states) == 21 and not traj.blown_up
-    for state in traj.states:
-        assert np.all(state.coeff[grid.modes < 0] == 0.0)
+    snaps = list(stream(FlowSpec(flow, grid, eps=0.3, dt=0.1, t_end=20.0, snapshot_stride=1.0), w0))
+    assert len(snaps) == 21 and not snaps[-1].blown_up
+    for snap in snaps:
+        assert np.all(snap.state.coeff[grid.modes < 0] == 0.0)
 
 
 @pytest.mark.parametrize("flow", [Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED])
@@ -125,8 +126,35 @@ def test_effective_flows_amplitude_scaling(flow):
     w0 = random_field(grid, np.random.default_rng(5), hardy=True)
     lam = 0.5
     kw = dict(dt=0.05, t_end=2.0, snapshot_stride=0.25)
-    a = integrate(FlowSpec(flow, grid, eps=1.0, **kw), lam * w0)
-    b = integrate(FlowSpec(flow, grid, eps=lam, **kw), w0)
-    assert len(a.times) == 9 and np.array_equal(a.times, b.times)
-    for x, y in zip(a.states, b.states):
-        _assert_close(x, lam * y)
+    a = list(stream(FlowSpec(flow, grid, eps=1.0, **kw), lam * w0))
+    b = list(stream(FlowSpec(flow, grid, eps=lam, **kw), w0))
+    assert len(a) == len(b) == 9
+    for x, y in zip(a, b):
+        assert x.time == y.time
+        _assert_close(x.state, lam * y.state)
+
+
+@PROPERTY
+@given(
+    st.floats(0.05, 10.0),
+    st.floats(0.01, 0.5),
+    st.one_of(st.none(), st.floats(1e-3, 20.0)),
+    st.floats(0.05, 1.0),
+    st.booleans(),
+)
+def test_snapshot_times_start_at_zero_and_increase(t_end, dt, stride, eps, slow):
+    # the schedule's steps increase strictly and end at the last step, and
+    # the stream's times start at 0.0 and increase strictly
+    flow = Flow.FIRST_ORDER_RG if slow else Flow.FULL_NLW
+    grid = make_grid(4, Domain.TORUS)
+    spec = FlowSpec(flow, grid, eps=eps, dt=dt, t_end=t_end, snapshot_stride=stride, slow=slow)
+    h, steps = spec.schedule()
+    assert 0.0 < h <= dt * (1.0 + 1e-12)
+    assert steps[0] >= 1 and np.all(np.diff(steps) > 0)
+    assert steps[-1] == round(t_end / h)
+    # small data: no step size can blow it up
+    w0 = 0.1 * random_field(grid, np.random.default_rng(1), hardy=True)
+    times = [snap.time for snap in stream(spec, w0)]
+    assert times[0] == 0.0 and np.all(np.diff(times) > 0)
+    assert len(times) == len(steps) + 1
+    assert times[-1] == pytest.approx(t_end, rel=1e-12)

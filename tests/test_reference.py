@@ -12,6 +12,8 @@ equal ``csv_digests.json``, recorded once per numpy version and machine,
 because the bits come from numpy's FFT.  In an environment the table does
 not name, the test warns that the bytes went unchecked.  A change that
 moves bits on purpose records a new table and says which entries moved.
+The table also pins runs that no workload makes (``PINNED``): ``simulate``
+on both first-order flows and the default first-order torus sweep.
 """
 
 import hashlib
@@ -70,6 +72,29 @@ def test_reference_values(name, tmp_path):
     relative, share = _drift(got, ref)
     print(f"{name}: largest relative drift {relative:.3g}, {share:.3g} of the bound")
     assert wl.matches_reference(got, ref), f"{name}: {got} differs from the reference {ref}"
+    _check_digests(name, out)
+
+
+# the runs of the table that are no workload: name -> (command, configuration)
+PINNED = {
+    "simulate_first_order_rg_t200": ("simulate", "[flow]\nflow = first_order_rg\nt_end = 200\n"),
+    "simulate_full_nlw_t200": ("simulate", "[flow]\nflow = full_nlw\nt_end = 200\n"),
+    "scaling_first_order_torus": ("scaling", "[run]\nexperiment = scaling_first_order_torus\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_csv_digests(name, tmp_path):
+    command, text = PINNED[name]
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    _check_digests(name, out)
+
+
+def _check_digests(name, out):
+    """The sha256 of every CSV in out against the table's entry for name."""
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     if ENV_KEY in DIGESTS:
         assert digests == DIGESTS[ENV_KEY][name], f"{name}: CSV bytes differ from {ENV_KEY}"
