@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="configuration file (key = value sections)")
         p.add_argument("--out", help="output directory (overrides [run] output_dir)")
-        p.add_argument("--seed", type=int, help="seed override for seeded initial data")
+        p.add_argument("--seed", type=int, help="[run] seed override: seeded data and the audit")
         p.set_defaults(fn=fn)
     return parser
 

@@ -12,7 +12,8 @@ be finite), is a ConfigError naming the key.
 Every [flow], [initial_data], [grid] and [experiment] key is named after the
 field of FlowSpec, InitialDataSpec or ExperimentPlan that it fills, so the
 builders pass the set keys of a section on as keyword arguments, and a set
-key overrides exactly its own field.
+key overrides exactly its own field.  Only simulate reads [flow], and it
+alone does not read [experiment]; a key off its default there is rejected.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .dynamics import Flow, FlowSpec
 from .experiments import (
+    COMMAND,
     DataKind,
     Experiment,
     ExperimentPlan,
@@ -229,7 +231,15 @@ def _grid(cfg: RunConfig, domain: Domain) -> dict[str, Any]:
     return grid
 
 
+def _unread(cfg: RunConfig, section: str, command: str) -> None:
+    """Reject a key of a section that command never reads, set off its default."""
+    for key, value in cfg.section(section).items():
+        if value != default_config().value(section, key):
+            raise ConfigError(f"key '{key}' in section [{section}] is not read by {command}")
+
+
 def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
+    _unread(cfg, "experiment", "simulate")
     grid = {"n_max": 32, "domain": Domain.TORUS, "length": None, **_grid(cfg, Domain.TORUS)}
     try:
         spec = FlowSpec(grid=make_grid(**grid), **_set(cfg.section("flow")))
@@ -243,8 +253,9 @@ def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
 def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
     """Experiment plan: the experiment's default plan, with the [run] seed and
     every set [initial_data], [experiment] and [grid] value overriding exactly
-    the field it names."""
+    the field it names; [flow] must keep its defaults."""
     plan = default_plan(cfg.value("run", "experiment"))
+    _unread(cfg, "flow", COMMAND[plan.experiment])
     grid = _grid(cfg, plan.domain)
     try:
         data = dc_replace(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -86,26 +87,35 @@ class FlowSpec:
             raise ValueError(f"dt must lie in (0, {MAX_DT}], got {self.dt}")
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
+        if not self.t_end / self.dt < 2.0**53:
+            raise ValueError(f"t_end/dt = {self.t_end / self.dt:g} must be below 2^53 steps")
         if self.s < 0.5:
             raise ValueError("diagnostic norm index s must be >= 1/2")
-        if self.snapshot_stride is not None and not self.snapshot_stride > 0.0:
-            raise ValueError(f"snapshot_stride must be positive, got {self.snapshot_stride}")
+        if not 0.0 < self.stride < math.inf:
+            raise ValueError(
+                f"snapshot_stride must be positive and finite, got {self.stride:g} "
+                f"(empty = 0.05/eps^2, eps = {self.eps:g})"
+            )
         if self.flow is Flow.SECOND_ORDER_AVERAGED and self.grid.domain is not Domain.TORUS:
             raise ValueError("the second-order averaged flow is defined on the torus")
         if self.slow and self.flow is Flow.FULL_NLW:
             raise ValueError("slow stepping is for the effective flows; the full flow steps fast")
 
-    def schedule(self) -> tuple[float, list[int]]:
+    @property
+    def stride(self) -> float:
+        """snapshot_stride, or its default 0.05/eps^2 (inf where that overflows)."""
+        if self.snapshot_stride is not None:
+            return self.snapshot_stride
+        return 0.05 / self.eps**2 if self.eps**2 else math.inf
+
+    def schedule(self) -> tuple[float, Iterator[int]]:
         """The fast step h = t_end/n_steps, n_steps = ceil(t_end/dt), and the
-        snapshot steps after t = 0: every round(stride/h)-th step and the
-        last.  The snapshot times are step * h."""
+        snapshot steps after t = 0, walked lazily: every round(stride/h)-th
+        step and the last.  The snapshot times are step * h."""
         n_steps = max(1, int(np.ceil(self.t_end / self.dt - 1e-12)))
         h = self.t_end / n_steps
-        stride = self.snapshot_stride
-        if stride is None:
-            stride = 0.05 / self.eps**2
-        snap_every = max(1, round(stride / h))
-        return h, [*range(snap_every, n_steps, snap_every), n_steps]
+        snap_every = max(1, round(min(self.stride / h, n_steps)))
+        return h, chain(range(snap_every, n_steps, snap_every), [n_steps])
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +193,7 @@ def stream(spec: FlowSpec, v0: SpectralField) -> Iterator[Snapshot]:
         g = step - done
         n = g
         if spec.slow:
-            n = min(g, math.ceil(g * h * spec.eps**2 / SLOW_DT - 1e-12))
+            n = min(g, max(1, math.ceil(g * h * spec.eps**2 / SLOW_DT - 1e-12)))
         k = h if n == g else g * h / n
         done = step
         # a diverging state overflows on its way to the guard; the error

@@ -191,14 +191,16 @@ class ExperimentPlan:
             raise ValueError("delta must be positive")
         if not min(self.eps_list, default=1.0) ** self.delta > 0.0:
             raise ValueError(f"delta = {self.delta:g} underflows eps^delta to 0")
-        for e in self.eps_list:
-            if not 0.0 < self.horizon(e) < np.inf:
-                raise ValueError(
-                    f"delta = {self.delta:g} and alpha = {self.alpha:g} give the horizon "
-                    f"T({e:g}) = {self.horizon(e):g}; it must be positive and finite"
-                )
         if not 0.0 < self.dt <= MAX_DT:
             raise ValueError(f"dt must lie in (0, {MAX_DT}], got {self.dt}")
+        for e in self.eps_list:
+            with np.errstate(divide="ignore", over="ignore"):  # inf ends in the error below
+                t = self.horizon(e)
+            if not 0.0 < t / self.dt < 2.0**53:
+                raise ValueError(
+                    f"eps_list entry {e:g}, delta = {self.delta:g} and alpha = {self.alpha:g} "
+                    f"give the horizon T = {t:g}; it must be positive and below 2^53 dt"
+                )
         if self.s < 0.5:
             raise ValueError(f"diagnostic norm index s must be >= 1/2, got {self.s}")
         if self.snapshots_per_run < 1:
@@ -238,7 +240,7 @@ class ExperimentPlan:
             raise ValueError(f"growth_t_min must be positive and below growth_t_max, got {window}")
         if self.experiment is Experiment.SOBOLEV_GROWTH:
             h, steps = _growth_spec(self, self.grid()).schedule()
-            ts = np.array(steps) * h
+            ts = np.fromiter(steps, float) * h
             n = np.count_nonzero((ts >= lo) & (ts <= hi))
             where = f"snapshot times in {window}"
         elif self.domain is Domain.BIGBOX:

@@ -20,8 +20,6 @@ from . import __version__
 def fmt_float(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     if isinstance(x, (float, np.floating)):
         return f"{x:.17g}"
     return str(x)

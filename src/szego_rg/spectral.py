@@ -102,11 +102,6 @@ class FrequencyGrid:
         """Frequency of mode k=1, i.e. the mode spacing 2*pi/length."""
         return TWO_PI / self.length
 
-    def freq(self, k: int) -> float:
-        if abs(k) > self.n_max:
-            raise ValueError(f"mode {k} outside grid range +-{self.n_max}")
-        return k * self.freq_unit
-
     def index(self, k: int) -> int:
         """Array index of mode k (modes stored in order -n_max..n_max)."""
         if abs(k) > self.n_max:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from szego_rg import Domain, make_grid, random_field
+from szego_rg.spectral import Domain, make_grid, random_field
 
 
 @pytest.fixture

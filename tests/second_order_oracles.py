@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from szego_rg import Domain, SpectralField
+from szego_rg.spectral import Domain, SpectralField
 from szego_rg.oracles import (
     _bin,
     _check_quintic_size,

@@ -11,16 +11,6 @@ import numpy as np
 import pytest
 
 from second_order_oracles import dF_osc, n2_from_coefficients, n2_phase_coefficients, n2_rhs
-from szego_rg import (
-    Domain,
-    conserved_series,
-    field_from_modes,
-    make_grid,
-    max_rel_drift,
-    negative_mode_mass,
-    random_field,
-    sobolev_norm,
-)
 from szego_rg import oracles
 from szego_rg import resonance as rs
 from szego_rg.dynamics import Flow, FlowSpec, first_order_ansatz, stream
@@ -35,6 +25,16 @@ from szego_rg.experiments import (
     run_sobolev_growth,
     run_y_vs_u,
     simulate,
+)
+from szego_rg.spectral import (
+    Domain,
+    conserved_series,
+    field_from_modes,
+    make_grid,
+    max_rel_drift,
+    negative_mode_mass,
+    random_field,
+    sobolev_norm,
 )
 
 TWO_PI = 2.0 * np.pi

@@ -291,10 +291,44 @@ BAD_INPUTS = {
         "[initial_data]\nnormalization = 1e10\nscale = 1e300\n",
         "scale",
     ),
+    "eps_zeroes_default_stride": (
+        "simulate", "[grid]\nn_max = 8\n\n[flow]\nt_end = 1\neps = 1e-200\n", "eps = 1e-200",
+    ),
+    "eps_overflows_default_stride": (
+        "simulate", "[grid]\nn_max = 8\n\n[flow]\nt_end = 1\neps = 1e-160\n", "eps = 1e-160",
+    ),
+    "sweep_horizon_past_2_53_steps": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n"
+        "[experiment]\neps_list = 0.5,0.4,1e-100\n",
+        "eps_list entry 1e-100",
+    ),
+    "sweep_horizon_overflows": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n"
+        "[experiment]\neps_list = 0.5,0.4,1e-200\n",
+        "eps_list entry 1e-200",
+    ),
+    "t_end_past_2_53_steps": ("simulate", "[flow]\nt_end = 1e300\n", "t_end/dt"),
+    "flow_dt_in_scaling": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n"
+        "[experiment]\neps_list = 0.4,0.3,0.2\n\n[flow]\ndt = 0.01\n",
+        "key 'dt' in section [flow] is not read by scaling",
+    ),
+    "flow_s_in_growth": (
+        "growth", "[run]\nexperiment = fosc_growth\n\n[flow]\ns = 2\n",
+        "key 's' in section [flow] is not read by growth",
+    ),
+    "experiment_keys_in_simulate": (
+        "simulate", "[flow]\nt_end = 1\n\n[experiment]\ndt = 0.01\ns = 3\n",
+        "key 's' in section [experiment] is not read by simulate",
+    ),
 }
 
 
 class TestBadInput:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_named_config_error(self, case, tmp_path, capsys):
         command, text, key = BAD_INPUTS[case]

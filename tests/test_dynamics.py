@@ -4,20 +4,6 @@ import numpy as np
 import pytest
 
 from second_order_oracles import dF_osc
-from szego_rg import (
-    Domain,
-    SpectralField,
-    conserved_series,
-    field_from_modes,
-    free_flow,
-    make_grid,
-    mass,
-    max_rel_drift,
-    negative_mode_mass,
-    project_plus,
-    random_field,
-    sobolev_norm,
-)
 from szego_rg import oracles
 from szego_rg import resonance as rs
 from szego_rg import spectral
@@ -31,7 +17,21 @@ from szego_rg.dynamics import (
     stream,
 )
 from szego_rg.experiments import InitialDataSpec
-from szego_rg.spectral import cubic_product
+from szego_rg.spectral import (
+    Domain,
+    SpectralField,
+    conserved_series,
+    cubic_product,
+    field_from_modes,
+    free_flow,
+    make_grid,
+    mass,
+    max_rel_drift,
+    negative_mode_mass,
+    project_plus,
+    random_field,
+    sobolev_norm,
+)
 
 
 def spec(flow, grid, eps, dt, t_end, **kw):
@@ -64,6 +64,16 @@ class TestFlowSpec:
     def test_slow_rejected_for_full_flow(self, torus8):
         with pytest.raises(ValueError, match="slow stepping"):
             spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, slow=True)
+
+    @pytest.mark.parametrize("eps", [1e-160, 1e-200])
+    def test_default_stride_must_be_finite(self, torus8, eps):
+        # 0.05/eps^2 overflows to inf below eps of about 1.7e-155
+        with pytest.raises(ValueError, match=f"eps = {eps:g}"):
+            spec(Flow.FULL_NLW, torus8, eps=eps, dt=0.05, t_end=1.0)
+
+    def test_steps_below_2_53(self, torus8):
+        with pytest.raises(ValueError, match="t_end/dt"):
+            spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.05, t_end=1e300)
 
 
 def nonlinear(flow, grid, eps):
@@ -240,6 +250,12 @@ class TestIntegrator:
         assert [s.blown_up for s in snaps] == [False] * (len(snaps) - 1) + [True]
         assert snaps[-1].time < 100.0
 
+    def test_stride_beyond_t_end_keeps_both_ends(self, torus8):
+        # stride/h = 1e310 overflows to inf; one snapshot step, the last
+        w0 = field_from_modes(torus8, {1: 1.0})
+        s = spec(Flow.FULL_NLW, torus8, 0.1, 0.05, 1e-10, snapshot_stride=1e300)
+        assert [snap.time for snap in stream(s, w0)] == [0.0, 1e-10]
+
     def test_snapshot_times(self, torus8):
         w0 = field_from_modes(torus8, {1: 1.0})
         s = spec(Flow.FIRST_ORDER_RG, torus8, 0.5, 0.1, 2.0, snapshot_stride=0.5)
@@ -310,6 +326,14 @@ class TestIntegrator:
             for x, y in zip(a, b):
                 assert x.time == y.time
                 assert np.array_equal(x.state.coeff, y.state.coeff)
+
+    def test_slow_gap_takes_at_least_one_substep(self, torus8):
+        # 20 fast steps span slow time 1e-16, far below SLOW_DT: one substep
+        w0 = InitialDataSpec().build(torus8)
+        snaps = list(stream(spec(Flow.FIRST_ORDER_RG, torus8, 1e-8, 0.05, 1.0, slow=True), w0))
+        assert [s.time for s in snaps] == [0.0, 1.0]
+        assert snaps[-1].steps == 1 and not snaps[-1].blown_up
+        assert np.allclose(snaps[-1].state.coeff, w0.coeff, rtol=0.0, atol=1e-15)
 
     def test_slow_stepping_matches_fast_stepping(self, torus8):
         # the package's default data (unit mass) to slow time tau = 1: RK4

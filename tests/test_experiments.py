@@ -5,15 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from szego_rg import (
-    Domain,
-    conserved_series,
-    make_grid,
-    mass,
-    max_rel_drift,
-    negative_mode_mass,
-    resonance,
-)
+from szego_rg import resonance
 from szego_rg.dynamics import Flow, FlowSpec, stream
 from szego_rg.experiments import (
     COMMAND,
@@ -30,6 +22,14 @@ from szego_rg.experiments import (
     run_scaling_second_order,
     run_y_vs_u,
     simulate,
+)
+from szego_rg.spectral import (
+    Domain,
+    conserved_series,
+    make_grid,
+    mass,
+    max_rel_drift,
+    negative_mode_mass,
 )
 from dataclasses import replace
 
@@ -60,7 +60,7 @@ class TestInitialData:
         # coefficient (1/L) * (-2 pi i)(e^-xi - 2 e^-2xi); at xi = 0 that is
         # +2 pi i / L
         assert f[0] == pytest.approx(2j * np.pi / g.length)
-        xi1 = g.freq(1)
+        xi1 = g.freqs[g.index(1)]
         expected = -2j * np.pi * (np.exp(-xi1) - 2 * np.exp(-2 * xi1)) / g.length
         assert f[1] == pytest.approx(expected)
         assert negative_mode_mass(f) == 0.0
@@ -274,6 +274,20 @@ def _conserved(flow, t_end, snapshots, data=InitialDataSpec(normalization=0.4)):
 
 
 class TestConservationRun:
+    def test_schedule_is_walked_lazily(self):
+        # a full-flow simulate to t_end = 2e6 has 400,000 snapshot steps; its
+        # first two snapshots need none of the later ones
+        spec = FlowSpec(Flow.FULL_NLW, make_grid(4, Domain.TORUS), eps=0.1, dt=0.05, t_end=2e6)
+        tracemalloc.start()
+        try:
+            snaps = simulate(spec, InitialDataSpec())
+            first, second = next(snaps), next(snaps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (first.time, second.steps) == (0.0, 100)
+        assert peak < 2 * 2**20
+
     def test_full_nlw_short(self):
         (e, q, _), _ = _conserved(Flow.FULL_NLW, 50.0, 20)
         assert max_rel_drift(e) <= 1e-7

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from szego_rg import Domain, SpectralField, make_grid, random_field
 from szego_rg import oracles
 from szego_rg import resonance as rs
 from szego_rg.dynamics import Flow, FlowSpec, stream
+from szego_rg.spectral import Domain, SpectralField, make_grid, random_field
 
 REL = 1e-12
 
@@ -149,6 +149,7 @@ def test_snapshot_times_start_at_zero_and_increase(t_end, dt, stride, eps, slow)
     grid = make_grid(4, Domain.TORUS)
     spec = FlowSpec(flow, grid, eps=eps, dt=dt, t_end=t_end, snapshot_stride=stride, slow=slow)
     h, steps = spec.schedule()
+    steps = list(steps)
     assert 0.0 < h <= dt * (1.0 + 1e-12)
     assert steps[0] >= 1 and np.all(np.diff(steps) > 0)
     assert steps[-1] == round(t_end / h)

@@ -13,7 +13,8 @@ because the bits come from numpy's FFT.  In an environment the table does
 not name, the test warns that the bytes went unchecked.  A change that
 moves bits on purpose records a new table and says which entries moved.
 The table also pins runs that no workload makes (``PINNED``): ``simulate``
-on both first-order flows and the default first-order torus sweep.
+on both first-order flows and the default plans of the three scaling
+sweeps, Y-vs-U and the box F_osc growth study.
 """
 
 import hashlib
@@ -80,6 +81,10 @@ PINNED = {
     "simulate_first_order_rg_t200": ("simulate", "[flow]\nflow = first_order_rg\nt_end = 200\n"),
     "simulate_full_nlw_t200": ("simulate", "[flow]\nflow = full_nlw\nt_end = 200\n"),
     "scaling_first_order_torus": ("scaling", "[run]\nexperiment = scaling_first_order_torus\n"),
+    "scaling_first_order_box": ("scaling", "[run]\nexperiment = scaling_first_order_box\n"),
+    "scaling_second_order_torus": ("scaling", "[run]\nexperiment = scaling_second_order_torus\n"),
+    "y_vs_u": ("scaling", "[run]\nexperiment = y_vs_u\n"),
+    "fosc_growth": ("growth", "[run]\nexperiment = fosc_growth\n"),
 }
 
 

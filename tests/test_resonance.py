@@ -8,6 +8,7 @@ reference_impl.py, which resolve the momentum constraints differently.
 import ast
 import inspect
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,18 +22,18 @@ from reference_impl import (
     ref_r2,
 )
 from second_order_oracles import dF_osc, n2_from_coefficients, n2_phase_coefficients, n2_rhs
-from szego_rg import (
+from szego_rg import cli, config, dynamics, experiments, oracles, reporting, spectral
+from szego_rg import resonance as rs
+from szego_rg.spectral import (
     Domain,
     SpectralField,
+    cubic_product,
     field_from_modes,
     make_grid,
     project_plus,
     random_field,
     sobolev_norm,
 )
-from szego_rg import cli, config, dynamics, experiments, oracles, reporting, spectral
-from szego_rg import resonance as rs
-from szego_rg.spectral import cubic_product
 
 
 class TestPhaseAndPredicates:
@@ -593,3 +594,45 @@ class TestOracleSplit:
         assert package == ["spectral"]
         assert not any("szego_rg" in ast.unparse(n) for n in imports)
         assert self._uses(self._tree(oracles), "resonance") == 0
+
+
+class TestPackageRoot:
+    """The package root is no import path: every public name is imported
+    from the module that defines it.  The checks parse every file under src/
+    and tests/."""
+
+    PACKAGE = Path(spectral.__file__).parent
+    FILES = sorted([*PACKAGE.parent.rglob("*.py"), *Path(__file__).parent.rglob("*.py")])
+    SUBMODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+
+    def test_root_binds_only_version(self):
+        tree = ast.parse((self.PACKAGE / "__init__.py").read_text())
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import | ast.ImportFrom):
+                bound |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.FunctionDef | ast.ClassDef):
+                bound.add(node.name)
+            else:
+                stores = [n for n in ast.walk(node) if isinstance(getattr(n, "ctx", None), ast.Store)]
+                bound |= {n.id for n in stores if isinstance(n, ast.Name)}
+        assert bound == {"__version__"}
+
+    def test_root_imports_name_submodules_or_version(self):
+        allowed = self.SUBMODULES | {"__version__"}
+        found = []
+        for path in self.FILES:
+            in_package = path.parent == self.PACKAGE
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom):
+                    root = (node.module == "szego_rg" and node.level == 0) or (
+                        in_package and node.module is None and node.level == 1
+                    )
+                    names = [a.name for a in node.names] if root else []
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    root = node.value.id == "szego_rg" and not node.attr.startswith("__")
+                    names = [node.attr] if root else []
+                else:
+                    names = []
+                found += [f"{path.name}: {n}" for n in names if n not in allowed]
+        assert not found, found

@@ -9,7 +9,7 @@ import pytest
 
 import szego_rg
 from szego_rg import spectral
-from szego_rg import (
+from szego_rg.spectral import (
     Domain,
     SpectralField,
     apply_inv_D_minus,
@@ -25,11 +25,11 @@ from szego_rg import (
     momentum,
     project_minus,
     project_plus,
+    quartic_mean,
     random_field,
     sobolev_norm,
     to_physical,
 )
-from szego_rg.spectral import quartic_mean
 
 TWO_PI = 2.0 * np.pi
 
@@ -37,17 +37,17 @@ TWO_PI = 2.0 * np.pi
 class TestGrid:
     def test_torus_frequencies_are_modes(self):
         g = make_grid(8, Domain.TORUS)
-        assert g.freq(3) == 3.0
+        assert g.freqs[g.index(3)] == 3.0
         assert g.length == pytest.approx(TWO_PI)
 
     def test_torus_frequencies_are_exactly_the_modes(self):
         g = make_grid(32, Domain.TORUS)
         assert np.array_equal(g.freqs, g.modes)
-        assert all(g.freq(int(k)) == k for k in g.modes)
+        assert all(g.freqs[g.index(int(k))] == k for k in g.modes)
 
     def test_bigbox_frequency_scaling(self):
         g = make_grid(8, Domain.BIGBOX, 16.0 * np.pi)
-        assert g.freq(1) == pytest.approx(1.0 / 8.0)
+        assert g.freqs[g.index(1)] == pytest.approx(1.0 / 8.0)
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -60,12 +60,12 @@ class TestGrid:
     def test_grid_symmetry(self):
         g = make_grid(8, Domain.BIGBOX, 64.0 * np.pi)
         for k in range(1, 9):
-            assert g.freq(-k) == -g.freq(k)
+            assert g.freqs[g.index(-k)] == -g.freqs[g.index(k)]
 
     def test_mode_out_of_range(self):
         g = make_grid(4, Domain.TORUS)
         with pytest.raises(ValueError):
-            g.freq(5)
+            g.index(5)
 
 
 class TestTransforms:
