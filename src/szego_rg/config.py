@@ -12,8 +12,10 @@ be finite), is a ConfigError naming the key.
 Every [flow], [initial_data], [grid] and [experiment] key is named after the
 field of FlowSpec, InitialDataSpec or ExperimentPlan that it fills, so the
 builders pass the set keys of a section on as keyword arguments, and a set
-key overrides exactly its own field.  Only simulate reads [flow], and it
-alone does not read [experiment]; a key off its default there is rejected.
+key overrides exactly its own field.  A key set off its default that the run
+never reads is rejected: [flow] off simulate, [experiment] keys outside the
+experiment's EXPERIMENT_KEYS, [initial_data] keys outside the data kind's
+DATA_KEYS (the audit reads none).
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import numpy as np
 from .dynamics import Flow, FlowSpec
 from .experiments import (
     COMMAND,
+    DATA_KEYS,
+    EXPERIMENT_KEYS,
     DataKind,
     Experiment,
     ExperimentPlan,
@@ -124,7 +128,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "residual_max": _empty(_float, "pass threshold for the fit residual"),
         "growth_t_min": _empty(_float, "lower end of the growth fit window"),
         "growth_t_max": _empty(_float, "upper end of the growth fit window; sobolev_growth's horizon"),
-        "growth_points": _empty(int, "points on the logarithmic t grid"),
+        "growth_points": _empty(_nonnegative_int, "points on the logarithmic t grid"),
         "audit_fields": _empty(int, "random fields per kernel-audit check"),
     },
 }
@@ -231,15 +235,17 @@ def _grid(cfg: RunConfig, domain: Domain) -> dict[str, Any]:
     return grid
 
 
-def _unread(cfg: RunConfig, section: str, command: str) -> None:
-    """Reject a key of a section that command never reads, set off its default."""
-    for key, value in cfg.section(section).items():
-        if value != default_config().value(section, key):
-            raise ConfigError(f"key '{key}' in section [{section}] is not read by {command}")
+def _unread(cfg: RunConfig, section: str, reads: tuple[str, ...], reader: str) -> None:
+    """Reject the first key of section, in SCHEMA order, set off its default and not in reads."""
+    for key in SCHEMA[section]:
+        if key not in reads and cfg.value(section, key) != default_config().value(section, key):
+            raise ConfigError(f"key '{key}' in section [{section}] is not read by {reader}")
 
 
 def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
-    _unread(cfg, "experiment", "simulate")
+    _unread(cfg, "experiment", (), "simulate")
+    kind = cfg.value("initial_data", "kind") or InitialDataSpec.kind
+    _unread(cfg, "initial_data", DATA_KEYS[kind], f"{kind.value} data")
     grid = {"n_max": 32, "domain": Domain.TORUS, "length": None, **_grid(cfg, Domain.TORUS)}
     try:
         spec = FlowSpec(grid=make_grid(**grid), **_set(cfg.section("flow")))
@@ -255,7 +261,13 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
     every set [initial_data], [experiment] and [grid] value overriding exactly
     the field it names; [flow] must keep its defaults."""
     plan = default_plan(cfg.value("run", "experiment"))
-    _unread(cfg, "flow", COMMAND[plan.experiment])
+    _unread(cfg, "flow", (), COMMAND[plan.experiment])
+    _unread(cfg, "experiment", EXPERIMENT_KEYS[plan.experiment], plan.experiment.value)
+    kind = cfg.value("initial_data", "kind") or plan.initial_data.kind
+    if plan.experiment is Experiment.KERNEL_AUDIT:
+        _unread(cfg, "initial_data", (), plan.experiment.value)
+    else:
+        _unread(cfg, "initial_data", DATA_KEYS[kind], f"{kind.value} data")
     grid = _grid(cfg, plan.domain)
     try:
         data = dc_replace(

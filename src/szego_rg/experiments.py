@@ -78,6 +78,22 @@ COMMAND = {
     Experiment.KERNEL_AUDIT: "audit",
 }
 
+# the [experiment] keys each experiment reads
+_SWEEP_KEYS = ("eps_list", "s", "alpha", "delta", "dt", "snapshots_per_run", "slope_threshold",
+               "residual_max")
+EXPERIMENT_KEYS = {
+    **{e: _SWEEP_KEYS for e, command in COMMAND.items() if command == "scaling"},
+    Experiment.FOSC_GROWTH: ("s", "growth_t_min", "growth_t_max", "growth_points"),
+    Experiment.SOBOLEV_GROWTH: ("s", "growth_t_min", "growth_t_max", "growth_points", "dt"),
+    Experiment.KERNEL_AUDIT: ("audit_fields",),
+}
+# the [initial_data] keys each data kind reads; the kernel audit reads none
+DATA_KEYS = {
+    DataKind.HARDY_POLYNOMIAL: ("kind", "normalization", "scale", "modes", "amplitudes"),
+    DataKind.RATIONAL_NONGENERIC: ("kind", "normalization", "scale"),
+    DataKind.SEEDED_RANDOM_HARDY: ("kind", "normalization", "scale", "decay"),
+}
+
 
 @dataclass(frozen=True)
 class InitialDataSpec:
@@ -193,7 +209,7 @@ class ExperimentPlan:
             raise ValueError(f"delta = {self.delta:g} underflows eps^delta to 0")
         if not 0.0 < self.dt <= MAX_DT:
             raise ValueError(f"dt must lie in (0, {MAX_DT}], got {self.dt}")
-        for e in self.eps_list:
+        for e in (self.eps_list if "eps_list" in EXPERIMENT_KEYS[self.experiment] else ()):
             with np.errstate(divide="ignore", over="ignore"):  # inf ends in the error below
                 t = self.horizon(e)
             if not 0.0 < t / self.dt < 2.0**53:
@@ -212,10 +228,6 @@ class ExperimentPlan:
             raise ValueError(
                 f"the kernel audit's quintic brute force needs n_max <= "
                 f"{quintic_cap}, got n_max = {self.n_max}"
-            )
-        if self.experiment is Experiment.FOSC_GROWTH and self.growth_points < 3:
-            raise ValueError(
-                f"growth_points must be >= 3 for the log-log fit, got {self.growth_points}"
             )
         # the F_osc growth study runs on either domain; every other
         # experiment is defined on the domain of its default plan
@@ -239,15 +251,17 @@ class ExperimentPlan:
         if not 0.0 < lo < hi:
             raise ValueError(f"growth_t_min must be positive and below growth_t_max, got {window}")
         if self.experiment is Experiment.SOBOLEV_GROWTH:
+            if not hi / self.dt < 2.0**53:
+                raise ValueError(f"growth_t_max/dt = {hi / self.dt:g} must be below 2^53 steps")
             h, steps = _growth_spec(self, self.grid()).schedule()
             ts = np.fromiter(steps, float) * h
             n = np.count_nonzero((ts >= lo) & (ts <= hi))
             where = f"snapshot times in {window}"
-        elif self.domain is Domain.BIGBOX:
-            n = np.count_nonzero(self.fosc_times() <= self.length / 2.0)
-            where = f"t points of {window} at or below length/2 = {self.length / 2.0:.6g}"
         else:
-            return
+            n = np.count_nonzero(self.fosc_window())
+            where = f"of the growth_points = {self.growth_points} t points of {window}"
+            if self.domain is Domain.BIGBOX:
+                where += f" at or below length/2 = {self.length / 2.0:.6g}"
         if n < 3:
             raise ValueError(f"the growth fit needs >= 3 {where}, got {n}")
 
@@ -259,6 +273,12 @@ class ExperimentPlan:
         return np.logspace(
             np.log10(self.growth_t_min), np.log10(self.growth_t_max), self.growth_points
         )
+
+    def fosc_window(self) -> np.ndarray:
+        """The fit rows of fosc_times(): all on the torus; on the box those at or
+        below length/2, where the mode spacing still resolves the sinc peak."""
+        cut = self.length / 2.0 if self.domain is Domain.BIGBOX else np.inf
+        return self.fosc_times() <= cut
 
     def horizon(self, eps: float) -> float:
         return float(np.log(1.0 / eps**self.delta) ** (1.0 - 2.0 * self.alpha) / eps**2)
@@ -564,16 +584,13 @@ def run_fosc_growth(plan: ExperimentPlan) -> GrowthReport:
     w0 = plan.initial_data.build(grid)
     ts = plan.fosc_times()
     norms = np.array([sobolev_norm(rs.F_osc(w0, t), plan.s) for t in ts])
-    in_window = np.ones_like(ts, dtype=bool)
+    in_window = plan.fosc_window()
     warnings = ()
-    if plan.domain is Domain.BIGBOX:
-        saturation = plan.length / 2.0
-        in_window = ts <= saturation
-        if not np.all(in_window):
-            warnings = (
-                f"t beyond length/2 = {saturation:.6g} no longer resolves the "
-                f"sinc concentration; those rows are excluded from the fit",
-            )
+    if not np.all(in_window):
+        warnings = (
+            f"t beyond length/2 = {plan.length / 2.0:.6g} no longer resolves the "
+            f"sinc concentration; those rows are excluded from the fit",
+        )
     return _growth_report(plan, ts, norms, in_window, False, warnings)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from szego_rg.cli import main
 from szego_rg.spectral import Domain, make_grid, random_field
 
 
@@ -37,3 +38,21 @@ def max_coeff_diff(a, b):
 @pytest.fixture
 def coeff_diff():
     return max_coeff_diff
+
+
+@pytest.fixture(scope="session")
+def cli_run(tmp_path_factory):
+    """Run cli.main once per distinct command and configuration text in a
+    session; returns (exit code, run directory).  Tests only read the run."""
+    runs = {}
+
+    def run(command, text):
+        if (command, text) not in runs:
+            base = tmp_path_factory.mktemp(command)
+            config = base / "run.cfg"
+            config.write_text(text)
+            out = base / "out"
+            runs[command, text] = main([command, "--config", str(config), "--out", str(out)]), out
+        return runs[command, text]
+
+    return run

@@ -1,0 +1,45 @@
+"""The default-plan CLI routes that tier-1 runs: the benchmark's workloads
+(``perfbench/workloads.py``, loaded by path) and the pinned runs that no
+workload makes.  Tests run a route through the session fixture ``cli_run``
+(``conftest.py``), so a gate and the digest check of one route read one run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+wl = _load_workloads()
+
+# the runs of the digest table that are no workload: name -> (command, configuration)
+PINNED = {
+    "simulate_first_order_rg_t200": ("simulate", "[flow]\nflow = first_order_rg\nt_end = 200\n"),
+    "simulate_full_nlw_t200": ("simulate", "[flow]\nflow = full_nlw\nt_end = 200\n"),
+    "scaling_first_order_torus": ("scaling", "[run]\nexperiment = scaling_first_order_torus\n"),
+    "scaling_first_order_box": ("scaling", "[run]\nexperiment = scaling_first_order_box\n"),
+    "scaling_second_order_torus": ("scaling", "[run]\nexperiment = scaling_second_order_torus\n"),
+    "y_vs_u": ("scaling", "[run]\nexperiment = y_vs_u\n"),
+    "fosc_growth": ("growth", "[run]\nexperiment = fosc_growth\n"),
+    "fosc_growth_torus": (
+        "growth",
+        "[run]\nexperiment = fosc_growth\n\n[grid]\ndomain = torus\nn_max = 32\n\n"
+        "[initial_data]\nkind = hardy_polynomial\nnormalization = 1.0\n\n"
+        "[experiment]\ngrowth_t_max = 1000\n",
+    ),
+}
+
+
+def workload_route(name):
+    """(command, configuration) of a workload's seed-1 run, the reference's."""
+    workload = wl.WORKLOADS[name]
+    return workload.command, workload.config_text(wl.REFERENCE_SEED, tiny=False)

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from szego_rg import resonance
+from routes import PINNED
+from szego_rg import cli, resonance
 from szego_rg.cli import main
 from szego_rg.config import (
     SCHEMA,
@@ -324,7 +325,73 @@ BAD_INPUTS = {
         "simulate", "[flow]\nt_end = 1\n\n[experiment]\ndt = 0.01\ns = 3\n",
         "key 's' in section [experiment] is not read by simulate",
     ),
+    "growth_keys_in_y_vs_u": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n"
+        "[experiment]\neps_list = 0.4,0.3,0.2\ngrowth_points = 5\naudit_fields = 3\n",
+        "key 'growth_points' in section [experiment] is not read by y_vs_u",
+    ),
+    "sweep_and_data_keys_in_audit": (
+        "audit",
+        "[experiment]\neps_list = 0.3,0.2,0.1\ngrowth_t_min = 3\n\n"
+        "[initial_data]\nkind = seeded_random_hardy\nscale = 5\n",
+        "key 'eps_list' in section [experiment] is not read by kernel_audit",
+    ),
+    "data_keys_in_audit": (
+        "audit", "[grid]\nn_max = 4\n\n[initial_data]\nkind = seeded_random_hardy\nscale = 5\n",
+        "key 'kind' in section [initial_data] is not read by kernel_audit",
+    ),
+    "sweep_keys_in_fosc_growth": (
+        "growth",
+        "[run]\nexperiment = fosc_growth\n\n[grid]\ndomain = torus\nn_max = 64\n\n"
+        "[experiment]\ndt = 0.01\nsnapshots_per_run = 7\nalpha = 0.3\n",
+        "key 'alpha' in section [experiment] is not read by fosc_growth",
+    ),
+    "polynomial_keys_with_rational_data": (
+        "simulate",
+        "[flow]\nt_end = 1\n\n"
+        "[initial_data]\nkind = rational_nongeneric\ndecay = 3\nmodes = 1\namplitudes = 1\n",
+        "key 'modes' in section [initial_data] is not read by rational_nongeneric data",
+    ),
+    "growth_window_past_2_53_steps": (
+        "growth", "[run]\nexperiment = sobolev_growth\n\n[experiment]\ngrowth_t_max = 1e300\n",
+        "growth_t_max",
+    ),
+    "sobolev_growth_dt_past_2_53_steps": (
+        "growth", "[run]\nexperiment = sobolev_growth\n\n[experiment]\ndt = 1e-300\n",
+        "growth_t_max/dt",
+    ),
+    "negative_growth_points": (
+        "growth",
+        "[run]\nexperiment = fosc_growth\n\n[grid]\ndomain = torus\nn_max = 16\n\n"
+        "[experiment]\ngrowth_points = -1\n",
+        "growth_points",
+    ),
 }
+
+
+@pytest.mark.parametrize("command, text", [
+    (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 4\n\n"
+        "[experiment]\neps_list = 0.4,0.3,0.2\nsnapshots_per_run = 5\n",
+    ),
+    ("growth", "[run]\nexperiment = fosc_growth\n\n[grid]\nn_max = 64\nlength = 100\n"),
+    ("audit", "[grid]\nn_max = 4\n\n[experiment]\naudit_fields = 1\n"),
+], ids=["scaling", "growth", "audit"])
+def test_plan_built_through_module_name(command, text, tmp_path, monkeypatch):
+    # the benchmark marks the end of setup by rebinding cli.plan_from_config,
+    # so every command must look the name up when it runs
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return plan_from_config(cfg)
+
+    monkeypatch.setattr(cli, "plan_from_config", counting)
+    out = str(tmp_path / "run")
+    assert main([command, "--config", write(tmp_path, "t.cfg", text), "--out", out]) == 0
+    assert len(calls) == 1
 
 
 class TestBadInput:
@@ -581,11 +648,11 @@ class TestAudit:
 
 
 class TestGrowth:
-    def test_fosc_growth_csv(self, tmp_path):
-        cfg = write(tmp_path, "g.cfg", "[run]\nexperiment = fosc_growth\n")
-        out = str(tmp_path / "run")
-        assert main(["growth", "--config", cfg, "--out", out]) == 0
-        lines = open(os.path.join(out, "growth.csv")).read().splitlines()
+    def test_fosc_growth_csv(self, cli_run):
+        # the default plan's run, which gate 8 and the digest table also read
+        code, out = cli_run(*PINNED["fosc_growth"])
+        assert code == 0
+        lines = (out / "growth.csv").read_text().splitlines()
         assert lines[0] == "t,norm,window_flag"
         assert lines[-1].startswith("exponent=")
 

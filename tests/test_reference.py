@@ -12,36 +12,24 @@ equal ``csv_digests.json``, recorded once per numpy version and machine,
 because the bits come from numpy's FFT.  In an environment the table does
 not name, the test warns that the bytes went unchecked.  A change that
 moves bits on purpose records a new table and says which entries moved.
-The table also pins runs that no workload makes (``PINNED``): ``simulate``
-on both first-order flows and the default plans of the three scaling
-sweeps, Y-vs-U and the box F_osc growth study.
+The table also pins runs that no workload makes (``routes.PINNED``):
+``simulate`` on both first-order flows, the default plans of the three
+scaling sweeps, Y-vs-U and the box F_osc growth study, and gate 8's torus
+run.  Every run comes from the session cache ``cli_run``, which the
+acceptance gates of the same routes read too.
 """
 
 import hashlib
-import importlib.util
 import json
 import platform
-import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from szego_rg.cli import main
+from routes import PERFBENCH, PINNED, wl, workload_route
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-wl = _load_workloads()
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 DIGESTS = json.loads(Path(__file__).with_name("csv_digests.json").read_text())
 ENV_KEY = f"numpy {np.__version__} {platform.machine()}"
@@ -63,38 +51,20 @@ def _drift(got, ref) -> tuple[float, float]:
 
 
 @pytest.mark.parametrize("name", sorted(wl.WORKLOADS))
-def test_reference_values(name, tmp_path):
-    workload = wl.WORKLOADS[name]
-    config = tmp_path / "run.cfg"
-    config.write_text(workload.config_text(wl.REFERENCE_SEED, tiny=False))
-    out = tmp_path / "out"
-    assert main(workload.cli_argv(str(config), str(out))) == 0
-    got, ref = wl.summary(workload, str(out)), REFERENCE[name]
+def test_reference_values(name, cli_run):
+    code, out = cli_run(*workload_route(name))
+    assert code == 0
+    got, ref = wl.summary(wl.WORKLOADS[name], str(out)), REFERENCE[name]
     relative, share = _drift(got, ref)
     print(f"{name}: largest relative drift {relative:.3g}, {share:.3g} of the bound")
     assert wl.matches_reference(got, ref), f"{name}: {got} differs from the reference {ref}"
     _check_digests(name, out)
 
 
-# the runs of the table that are no workload: name -> (command, configuration)
-PINNED = {
-    "simulate_first_order_rg_t200": ("simulate", "[flow]\nflow = first_order_rg\nt_end = 200\n"),
-    "simulate_full_nlw_t200": ("simulate", "[flow]\nflow = full_nlw\nt_end = 200\n"),
-    "scaling_first_order_torus": ("scaling", "[run]\nexperiment = scaling_first_order_torus\n"),
-    "scaling_first_order_box": ("scaling", "[run]\nexperiment = scaling_first_order_box\n"),
-    "scaling_second_order_torus": ("scaling", "[run]\nexperiment = scaling_second_order_torus\n"),
-    "y_vs_u": ("scaling", "[run]\nexperiment = y_vs_u\n"),
-    "fosc_growth": ("growth", "[run]\nexperiment = fosc_growth\n"),
-}
-
-
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_pinned_csv_digests(name, tmp_path):
-    command, text = PINNED[name]
-    config = tmp_path / "run.cfg"
-    config.write_text(text)
-    out = tmp_path / "out"
-    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+def test_pinned_csv_digests(name, cli_run):
+    code, out = cli_run(*PINNED[name])
+    assert code == 0
     _check_digests(name, out)
 
 
