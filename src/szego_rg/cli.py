@@ -39,7 +39,7 @@ from .experiments import (
     run_y_vs_u,
     simulate,
 )
-from .reporting import RunMetadata, fmt_float, write_csv
+from .reporting import RunMetadata, write_csv
 from .spectral import energy, mass, momentum, sobolev_norm
 
 EXIT_OK = 0
@@ -68,12 +68,10 @@ def _simulate(job, out_dir: str) -> tuple[int, list[str]]:
 
 def _write_scaling(report, out_dir, name):
     rows = [(r.eps, r.horizon, r.sup_error, r.sup_w_norm, r.flagged) for r in report.rows]
-    footer = [
-        f"slope={fmt_float(report.fitted_slope)} residual={fmt_float(report.fit_residual)} "
-        f"passed={'true' if report.passed else 'false'}"
-    ]
+    summary = {"slope": report.fitted_slope, "residual": report.fit_residual,
+               "passed": report.passed}
     header = ["eps", "horizon", "sup_error", "sup_W_norm", "flagged"]
-    write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows, footer)
+    write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows, summary)
 
 
 def _scaling(plan, out_dir: str) -> tuple[int, list[str]]:
@@ -96,12 +94,12 @@ def _scaling(plan, out_dir: str) -> tuple[int, list[str]]:
 
 
 def _audit(plan, out_dir: str) -> tuple[int, list[str]]:
-    report = run_kernel_audit(plan)
-    rows = [(r.check, r.max_error, r.passed) for r in report.rows]
+    rows = run_kernel_audit(plan)
     write_csv(os.path.join(out_dir, "audit.csv"), ["check", "max_error", "passed"], rows)
-    for r in report.rows:
+    for r in rows:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.check}: max_error={r.max_error:.3e}")
-    return (EXIT_OK if report.passed else EXIT_AUDIT), [f"passed = {report.passed}"]
+    passed = all(r.passed for r in rows)
+    return (EXIT_OK if passed else EXIT_AUDIT), [f"passed = {passed}"]
 
 
 def _growth(plan, out_dir: str) -> tuple[int, list[str]]:
@@ -110,12 +108,9 @@ def _growth(plan, out_dir: str) -> tuple[int, list[str]]:
     else:
         report = run_sobolev_growth(plan)
     rows = list(zip(report.times, report.norms, report.in_window))
-    footer = [
-        f"exponent={fmt_float(report.exponent)} window_lo={fmt_float(report.window[0])} "
-        f"window_hi={fmt_float(report.window[1])} "
-        f"qualitative={'true' if report.qualitative else 'false'}"
-    ]
-    write_csv(os.path.join(out_dir, "growth.csv"), ["t", "norm", "window_flag"], rows, footer)
+    summary = {"exponent": report.exponent, "window_lo": report.window[0],
+               "window_hi": report.window[1], "qualitative": report.qualitative}
+    write_csv(os.path.join(out_dir, "growth.csv"), ["t", "norm", "window_flag"], rows, summary)
     tag = " (QUALITATIVE)" if report.qualitative else ""
     print(
         f"growth {plan.experiment.value}{tag}: exponent={report.exponent:.4f} "

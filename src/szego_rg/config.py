@@ -13,7 +13,8 @@ Every [flow], [initial_data], [grid] and [experiment] key is named after the
 field of FlowSpec, InitialDataSpec or ExperimentPlan that it fills, so the
 builders pass the set keys of a section on as keyword arguments, and a set
 key overrides exactly its own field.  A key set off its default that the run
-never reads is rejected: [flow] off simulate, [experiment] keys outside the
+never reads is rejected: [flow] off simulate, [run] experiment and every
+[experiment] key in simulate, [experiment] keys outside the
 experiment's EXPERIMENT_KEYS, [initial_data] keys outside the data kind's
 DATA_KEYS (the audit reads none).
 """
@@ -243,6 +244,7 @@ def _unread(cfg: RunConfig, section: str, reads: tuple[str, ...], reader: str) -
 
 
 def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
+    _unread(cfg, "run", ("seed", "output_dir"), "simulate")
     _unread(cfg, "experiment", (), "simulate")
     kind = cfg.value("initial_data", "kind") or InitialDataSpec.kind
     _unread(cfg, "initial_data", DATA_KEYS[kind], f"{kind.value} data")

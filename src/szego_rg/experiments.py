@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.random import default_rng  # load at start-up; numpy defers it to first use
@@ -195,11 +195,9 @@ class ExperimentPlan:
     audit_fields: int = 20
 
     def __post_init__(self):
-        if len(self.eps_list) != len(set(self.eps_list)):
-            raise ValueError("eps_list entries must be distinct")
         if any(not 0.0 < e <= 0.5 for e in self.eps_list):
             raise ValueError("each eps must lie in (0, 0.5]")
-        if list(self.eps_list) != sorted(self.eps_list, reverse=True):
+        if any(a <= b for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be strictly decreasing")
         if not 0.0 <= self.alpha <= 0.5:
             raise ValueError("alpha must lie in [0, 1/2]")
@@ -330,7 +328,6 @@ class ScalingRow:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    experiment: Experiment
     rows: tuple[ScalingRow, ...]
     fitted_slope: float
     fit_residual: float
@@ -340,7 +337,6 @@ class ScalingReport:
 
 @dataclass(frozen=True)
 class GrowthReport:
-    experiment: Experiment
     times: np.ndarray
     norms: np.ndarray
     in_window: np.ndarray
@@ -351,21 +347,12 @@ class GrowthReport:
     blown_up: bool = False
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
+    """One audit check, exactly the audit.csv row."""
+
     check: str
     max_error: float
-    threshold: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    rows: tuple[AuditRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
 
 
 def fit_loglog(xs, ys) -> tuple[float, float, bool]:
@@ -417,7 +404,7 @@ def _growth_spec(plan: ExperimentPlan, grid) -> FlowSpec:
     return _flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 1.0, plan.growth_t_max, snapshots)
 
 
-def _finish_scaling(plan, rows, slope_min=0.0, residual_max=np.inf, caveats=()):
+def _finish_scaling(rows, slope_min=0.0, residual_max=np.inf, caveats=()):
     usable = [(r.eps, r.sup_error) for r in rows if not r.failed]
     if len(usable) >= 3:
         slope, resid, floored = fit_loglog([u[0] for u in usable], [u[1] for u in usable])
@@ -431,14 +418,7 @@ def _finish_scaling(plan, rows, slope_min=0.0, residual_max=np.inf, caveats=()):
         and slope >= slope_min
         and resid <= residual_max
     )
-    return ScalingReport(
-        experiment=plan.experiment,
-        rows=tuple(rows),
-        fitted_slope=slope,
-        fit_residual=resid,
-        passed=passed,
-        caveats=tuple(caveats),
-    )
+    return ScalingReport(tuple(rows), slope, resid, passed, tuple(caveats))
 
 
 def _sweep(plan: ExperimentPlan, truth: Flow, start, arms, slow: bool = False):
@@ -501,7 +481,7 @@ def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
             f"big-box approximation of the line: L={plan.length:.6g}, "
             f"small-divisor amplification at the first negative mode = L/(2*pi) = {plan.length / TWO_PI:.6g}",
         )
-    return _finish_scaling(plan, rows, plan.slope_threshold, plan.residual_max, caveats)
+    return _finish_scaling(rows, plan.slope_threshold, plan.residual_max, caveats)
 
 
 def run_scaling_second_order(plan: ExperimentPlan) -> tuple[ScalingReport, ScalingReport]:
@@ -520,8 +500,8 @@ def run_scaling_second_order(plan: ExperimentPlan) -> tuple[ScalingReport, Scali
             (Flow.FIRST_ORDER_RG, first_order_ansatz),
         ],
     )
-    first = _finish_scaling(plan, rows1)
-    second = _finish_scaling(plan, rows2, plan.slope_threshold, plan.residual_max)
+    first = _finish_scaling(rows1)
+    second = _finish_scaling(rows2, plan.slope_threshold, plan.residual_max)
     if second.passed and np.isfinite(first.fitted_slope):
         # gate: the second-order slope must beat the first-order one by >= 1.5
         second = replace(
@@ -537,7 +517,7 @@ def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
         plan, Flow.SECOND_ORDER_AVERAGED, lambda eps, w0: w0,
         [(Flow.FIRST_ORDER_RG, lambda spec: lambda snap: snap.state)], slow=True,
     )
-    return _finish_scaling(plan, rows, plan.slope_threshold, plan.residual_max)
+    return _finish_scaling(rows, plan.slope_threshold, plan.residual_max)
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +536,7 @@ def simulate(spec: FlowSpec, data: InitialDataSpec) -> Iterator[Snapshot]:
 # growth studies
 
 
-def _growth_report(
-    plan, ts, norms, in_window, qualitative, warnings, blown_up=False
-) -> GrowthReport:
+def _growth_report(ts, norms, in_window, qualitative, warnings, blown_up=False) -> GrowthReport:
     """Fit the growth exponent on the rows in the window.  With fewer than 3
     of them the exponent and the window are NaN, a numeric guard that the
     caller reports."""
@@ -568,9 +546,7 @@ def _growth_report(
         window = (float(ts[in_window][0]), float(ts[in_window][-1]))
         if floored:
             warnings = (*warnings, f"norms {_FLOORED}")
-    return GrowthReport(
-        plan.experiment, ts, norms, in_window, slope, window, qualitative, warnings, blown_up
-    )
+    return GrowthReport(ts, norms, in_window, slope, window, qualitative, warnings, blown_up)
 
 
 def run_fosc_growth(plan: ExperimentPlan) -> GrowthReport:
@@ -591,7 +567,7 @@ def run_fosc_growth(plan: ExperimentPlan) -> GrowthReport:
             f"t beyond length/2 = {plan.length / 2.0:.6g} no longer resolves the "
             f"sinc concentration; those rows are excluded from the fit",
         )
-    return _growth_report(plan, ts, norms, in_window, False, warnings)
+    return _growth_report(ts, norms, in_window, False, warnings)
 
 
 def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
@@ -633,67 +609,72 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
     if blown_up:
         in_window[-1] = False  # the snapshot that tripped the guard is never fitted
         warnings.append(f"H^1/2 blow-up guard stopped the trajectory at t = {ts[-1]:.6g}")
-    return _growth_report(plan, ts, norms, in_window, True, tuple(warnings), blown_up)
+    return _growth_report(ts, norms, in_window, True, tuple(warnings), blown_up)
 
 
 # ---------------------------------------------------------------------------
 # kernel oracle audit
 
 
-def run_kernel_audit(plan: ExperimentPlan) -> AuditReport:
+def run_kernel_audit(plan: ExperimentPlan) -> list[AuditRow]:
     """Closed-form-vs-brute-force equivalences and the resonance-set lemmas,
-    bundled into one reproducible pass/fail table.
+    one reproducible pass/fail row each: a check passes when the largest of
+    its errors (NaN if any is) is at most its tolerance.  The rows are
+    computed in order, so each draws its random fields before the next.
     """
     n = plan.n_max
     rng = default_rng(plan.initial_data.seed)
     gt = make_grid(n, Domain.TORUS)
     gb = make_grid(n, Domain.BIGBOX, 16.0 * np.pi)
-    rows: list[AuditRow] = []
+
+    def fields(grid: FrequencyGrid, count: int, hardy: bool = False):
+        return (random_field(grid, rng, hardy=hardy) for _ in range(count))
 
     def max_diff(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.max(np.abs(a - b)))
 
-    # each closed form (on arrays) against its oracle (on fields); the
-    # closed forms carry no grid, so each is paired with its geometry here
-    closed_forms = (
-        ("f_res_closed_torus_vs_bruteforce", gt, False, rs.f_res_closed_torus,
-         oracles.f_res_bruteforce),
-        ("f_res_closed_line_vs_bruteforce", gb, False, rs.f_res_closed_line,
-         lambda u: oracles.f_res_bruteforce(u, sign_uniform_only=True)),
-        ("r2_closed_hardy_vs_bruteforce", gt, True, rs.r2_closed_hardy, oracles.r2_bruteforce),
-    )
-    for check, grid, hardy, closed, oracle in closed_forms:
-        err = 0.0
-        for _ in range(plan.audit_fields):
-            u = random_field(grid, rng, hardy=hardy)
-            err = max(err, max_diff(closed(u.coeff), oracle(u).coeff))
-        rows.append(AuditRow(check, err, 1e-10, err <= 1e-10))
+    def closed_vs_oracle(grid, hardy, closed, oracle) -> list[float]:
+        # a closed form (on arrays) against its oracle (on fields); the closed
+        # forms carry no grid, so each is paired with its geometry here
+        return [
+            max_diff(closed(u.coeff), oracle(u).coeff)
+            for u in fields(grid, plan.audit_fields, hardy)
+        ]
 
-    # resonance lemmas against phi == 0 on every in-grid quadruple
     K, L, M, J, phi = oracles.quadruples(n)
     lemmas = (rs.is_resonant_torus(K, L, M, J), rs.is_resonant_line(K, L, M, J))
-    bad = sum(np.count_nonzero(lemma != (phi == 0)) for lemma in lemmas)
-    rows.append(AuditRow("resonance_lemmas_exhaustive", float(bad), 0.5, bad == 0))
-
-    # split consistency f_full = f_res + f_osc
-    err = 0.0
-    for t in (0.0, 0.1, 1.0, 10.0):
-        u = random_field(gt, rng)
-        split = oracles.f_res_bruteforce(u).coeff + oracles.f_osc(u, t).coeff
-        err = max(err, max_diff(oracles.f_full(u, t).coeff, split))
-    rows.append(AuditRow("f_full_equals_f_res_plus_f_osc", err, 1e-10, err <= 1e-10))
-
-    # box primitive closed form vs the generic phase-weighted sum
-    err = 0.0
-    for t in (0.7, 2.3):
-        w = random_field(gb, rng, hardy=True)
-        primitive = oracles.osc_primitive_bruteforce(w, t, from_zero=True)
-        err = max(err, max_diff(rs.F_osc(w, t).coeff, primitive.coeff))
-    rows.append(AuditRow("F_osc_line_vs_quadruple_sum", err, 1e-10, err <= 1e-10))
-
-    # r2 via discrete time averaging of f'(W,t).F_osc(W,t)
-    w = random_field(make_grid(6, Domain.TORUS), rng, hardy=True)
-    err = max_diff(oracles.r2_bruteforce(w).coeff, oracles.r2_time_average(w).coeff)
-    rows.append(AuditRow("r2_time_average_oracle", err, 1e-8, err <= 1e-8))
-
-    return AuditReport(tuple(rows))
+    # (check, tolerance, errors), one per row, in audit.csv order
+    entries = (
+        ("f_res_closed_torus_vs_bruteforce", 1e-10,
+         closed_vs_oracle(gt, False, rs.f_res_closed_torus, oracles.f_res_bruteforce)),
+        ("f_res_closed_line_vs_bruteforce", 1e-10,
+         closed_vs_oracle(gb, False, rs.f_res_closed_line,
+                          lambda u: oracles.f_res_bruteforce(u, sign_uniform_only=True))),
+        ("r2_closed_hardy_vs_bruteforce", 1e-10,
+         closed_vs_oracle(gt, True, rs.r2_closed_hardy, oracles.r2_bruteforce)),
+        # resonance lemmas against phi == 0 on every in-grid quadruple
+        ("resonance_lemmas_exhaustive", 0.5,
+         [float(sum(np.count_nonzero(lemma != (phi == 0)) for lemma in lemmas))]),
+        # split consistency f_full = f_res + f_osc
+        ("f_full_equals_f_res_plus_f_osc", 1e-10, [
+            max_diff(oracles.f_full(u, t).coeff,
+                     oracles.f_res_bruteforce(u).coeff + oracles.f_osc(u, t).coeff)
+            for t, u in zip((0.0, 0.1, 1.0, 10.0), fields(gt, 4))
+        ]),
+        # box primitive closed form vs the generic phase-weighted sum
+        ("F_osc_line_vs_quadruple_sum", 1e-10, [
+            max_diff(rs.F_osc(w, t).coeff,
+                     oracles.osc_primitive_bruteforce(w, t, from_zero=True).coeff)
+            for t, w in zip((0.7, 2.3), fields(gb, 2, hardy=True))
+        ]),
+        # r2 via discrete time averaging of f'(W,t).F_osc(W,t)
+        ("r2_time_average_oracle", 1e-8, [
+            max_diff(oracles.r2_bruteforce(w).coeff, oracles.r2_time_average(w).coeff)
+            for w in fields(make_grid(6, Domain.TORUS), 1, hardy=True)
+        ]),
+    )
+    rows = []
+    for check, tolerance, errors in entries:
+        err = float(np.max(errors))
+        rows.append(AuditRow(check, err, err <= tolerance))
+    return rows

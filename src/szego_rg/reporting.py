@@ -25,14 +25,16 @@ def fmt_float(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple], footer: list[str] | None = None):
-    """One header line, one line per row, optional summary lines at the end."""
+def write_csv(path: str, header: list[str], rows: list[tuple], summary: dict | None = None):
+    """One header line, one line per row, and with summary one last line of
+    space-separated key=value pairs."""
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"row width {len(row)} does not match header width {len(header)}")
         lines.append(",".join(fmt_float(x) for x in row))
-    lines.extend(footer or [])
+    if summary:
+        lines.append(" ".join(f"{k}={fmt_float(v)}" for k, v in summary.items()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -75,13 +75,12 @@ class Stopwatch:
 def test_01_kernel_audit():
     plan = replace(default_plan(Experiment.KERNEL_AUDIT), n_max=8, audit_fields=20)
     with Stopwatch() as sw:
-        audit = run_kernel_audit(plan)
+        rows = {r.check: r for r in run_kernel_audit(plan)}
     wanted = {
         "f_res_closed_torus_vs_bruteforce",
         "f_res_closed_line_vs_bruteforce",
         "r2_closed_hardy_vs_bruteforce",
     }
-    rows = {r.check: r for r in audit.rows}
     worst = max(rows[w].max_error for w in wanted)
     ok = all(rows[w].passed and rows[w].max_error <= 1e-10 for w in wanted)
     ok = ok and sw.elapsed <= 60.0

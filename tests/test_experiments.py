@@ -359,9 +359,9 @@ class TestGrowthRuns:
 class TestKernelAudit:
     def test_fast_audit_passes(self):
         plan = replace(default_plan(Experiment.KERNEL_AUDIT), n_max=6, audit_fields=4)
-        report = run_kernel_audit(plan)
-        assert report.passed
-        names = {r.check for r in report.rows}
+        rows = run_kernel_audit(plan)
+        assert all(r.passed for r in rows)
+        names = {r.check for r in rows}
         assert "f_res_closed_torus_vs_bruteforce" in names
         assert "r2_closed_hardy_vs_bruteforce" in names
         assert "resonance_lemmas_exhaustive" in names
@@ -371,15 +371,27 @@ class TestKernelAudit:
         closed = resonance.f_res_closed_torus
         monkeypatch.setattr(resonance, "f_res_closed_torus", lambda c: closed(c) + 1e-6)
         plan = replace(default_plan(Experiment.KERNEL_AUDIT), n_max=6, audit_fields=2)
-        report = run_kernel_audit(plan)
-        assert not report.passed
-        bad = [r for r in report.rows if not r.passed]
+        bad = [r for r in run_kernel_audit(plan) if not r.passed]
         assert bad and bad[0].check == "f_res_closed_torus_vs_bruteforce"
+
+    def test_nan_error_fails_its_row(self, monkeypatch):
+        # a NaN on any but the first field must not be lost in the row's maximum
+        closed = resonance.f_res_closed_torus
+        calls = []
+
+        def nan_on_second_call(c):
+            calls.append(c)
+            return closed(c) * (np.nan if len(calls) == 2 else 1.0)
+
+        monkeypatch.setattr(resonance, "f_res_closed_torus", nan_on_second_call)
+        plan = replace(default_plan(Experiment.KERNEL_AUDIT), n_max=4, audit_fields=3)
+        first, *rest = run_kernel_audit(plan)
+        assert np.isnan(first.max_error) and not first.passed
+        assert all(r.passed for r in rest)
 
     def test_n_max_four_same_pass_set(self):
         plan = replace(default_plan(Experiment.KERNEL_AUDIT), n_max=4, audit_fields=3)
-        report = run_kernel_audit(plan)
-        assert report.passed
+        assert all(r.passed for r in run_kernel_audit(plan))
 
 
 class TestSecondOrderContrast:
