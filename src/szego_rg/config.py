@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dynamics import Flow, FlowSpec
+from .dynamics import SLOW_DT, Flow, FlowSpec
 from .experiments import (
     COMMAND,
     DATA_KEYS,
@@ -249,12 +249,19 @@ def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
     kind = cfg.value("initial_data", "kind") or InitialDataSpec.kind
     _unread(cfg, "initial_data", DATA_KEYS[kind], f"{kind.value} data")
     grid = {"n_max": 32, "domain": Domain.TORUS, "length": None, **_grid(cfg, Domain.TORUS)}
+    flow = _set(cfg.section("flow"))
+    # the effective flows step in slow time, like the sweeps' first-order arms
+    slow = None if flow["flow"] is Flow.FULL_NLW else SLOW_DT
     try:
-        spec = FlowSpec(grid=make_grid(**grid), **_set(cfg.section("flow")))
+        spec = FlowSpec(grid=make_grid(**grid), slow=slow, **flow)
         data = InitialDataSpec(seed=cfg.value("run", "seed"), **_set(cfg.section("initial_data")))
-        data.build(spec.grid)  # reject data off the grid or overflowing, eagerly
+        data.build(spec.grid)  # reject data off the grid, overflowing or unallocatable, eagerly
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except MemoryError:
+        raise ConfigError(
+            f"n_max = {spec.grid.n_max}: the initial data cannot be allocated"
+        ) from None
     return spec, data
 
 
@@ -279,4 +286,6 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
         plan.initial_data.build(plan.grid())  # validate grid and data eagerly
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except MemoryError:
+        raise ConfigError(f"n_max = {plan.n_max}: the initial data cannot be allocated") from None
     return plan

@@ -23,10 +23,11 @@ raising.  Streams of one schedule share their snapshot times, and an ansatz
 maps a snapshot to its value at the snapshot's time.
 
 The effective flows have no fast linear part: they evolve on the slow time
-tau = eps^2 t.  With FlowSpec.slow set, the integrator covers each gap between
-two snapshots with a few equal RK4 substeps of slow-time size at most SLOW_DT
-instead of every fast step; the snapshot times stay those of the fast step,
-so the stream still lines up with a full-flow stream of the same spec.
+tau = eps^2 t.  With FlowSpec.slow set to a slow-time substep, the integrator
+covers each gap between two snapshots with a few equal RK4 substeps of
+slow-time size at most FlowSpec.slow instead of every fast step; the snapshot
+times stay those of the fast step, so the stream still lines up with a
+full-flow stream of the same spec.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .spectral import (
 )
 
 MAX_DT = 0.5
-SLOW_DT = 0.005  # largest slow-time substep of a slow FlowSpec
+SLOW_DT = 0.005  # the slow-time substep of the first-order sweeps, Y-U and simulate
 BLOWUP_FACTOR = 1e3
 
 
@@ -66,9 +67,9 @@ class FlowSpec:
     """Which evolution to integrate, with step size and horizon.
 
     snapshot_stride is in fast-time units; None selects the default of 0.05
-    slow-time units (0.05/eps^2).  slow, for the effective flows only, covers
-    each gap between snapshots with substeps of slow-time size at most
-    SLOW_DT (False steps every fast step).
+    slow-time units (0.05/eps^2).  slow, for the effective flows only, is
+    the largest slow-time substep: each gap between snapshots is covered by
+    substeps of slow-time size at most slow (None steps every fast step).
     """
 
     flow: Flow
@@ -78,7 +79,7 @@ class FlowSpec:
     t_end: float
     s: float = 1.0
     snapshot_stride: float | None = None
-    slow: bool = False
+    slow: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -98,8 +99,10 @@ class FlowSpec:
             )
         if self.flow is Flow.SECOND_ORDER_AVERAGED and self.grid.domain is not Domain.TORUS:
             raise ValueError("the second-order averaged flow is defined on the torus")
-        if self.slow and self.flow is Flow.FULL_NLW:
+        if self.slow is not None and self.flow is Flow.FULL_NLW:
             raise ValueError("slow stepping is for the effective flows; the full flow steps fast")
+        if self.slow is not None and not 0.0 < self.slow < math.inf:
+            raise ValueError(f"slow substep must be positive and finite, got {self.slow:g}")
 
     @property
     def stride(self) -> float:
@@ -156,7 +159,7 @@ def stream(spec: FlowSpec, v0: SpectralField) -> Iterator[Snapshot]:
     take plain RK4 stages.  Snapshots fall on the configured stride
     (FlowSpec.schedule), always including t = 0 and t_end.  The integrator
     walks the schedule gap by gap: a gap of g fast steps of size h between
-    two snapshots is covered by m = ceil(g h eps^2 / SLOW_DT) equal
+    two snapshots is covered by m = ceil(g h eps^2 / spec.slow) equal
     substeps of size g h / m when spec.slow is set and m < g, and by the g
     fast steps otherwise, so a slow step no coarser than the fast one
     changes nothing.  After each gap a blow-up guard ends the stream once
@@ -192,8 +195,8 @@ def stream(spec: FlowSpec, v0: SpectralField) -> Iterator[Snapshot]:
         # step's arrays are freed only as the next step replaces them
         g = step - done
         n = g
-        if spec.slow:
-            n = min(g, max(1, math.ceil(g * h * spec.eps**2 / SLOW_DT - 1e-12)))
+        if spec.slow is not None:
+            n = min(g, max(1, math.ceil(g * h * spec.eps**2 / spec.slow - 1e-12)))
         k = h if n == g else g * h / n
         done = step
         # a diverging state overflows on its way to the guard; the error

@@ -2,13 +2,21 @@
 (``perfbench/workloads.py``, loaded by path) and the pinned runs that no
 workload makes.  Tests run a route through the session fixture ``cli_run``
 (``conftest.py``), so a gate and the digest check of one route read one run.
+``csv_digests.json`` holds the sha256 of every CSV of every route, per numpy
+version and machine (``ENV_KEY``); ``digests.py`` checks or records it.
 """
 
+import hashlib
 import importlib.util
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DIGESTS_PATH = Path(__file__).with_name("csv_digests.json")
+ENV_KEY = f"numpy {np.__version__} {platform.machine()}"
 
 
 def _load_workloads():
@@ -25,6 +33,9 @@ wl = _load_workloads()
 PINNED = {
     "simulate_first_order_rg_t200": ("simulate", "[flow]\nflow = first_order_rg\nt_end = 200\n"),
     "simulate_full_nlw_t200": ("simulate", "[flow]\nflow = full_nlw\nt_end = 200\n"),
+    "simulate_second_order_averaged_t200": (
+        "simulate", "[flow]\nflow = second_order_averaged\nt_end = 200\n",
+    ),
     "scaling_first_order_torus": ("scaling", "[run]\nexperiment = scaling_first_order_torus\n"),
     "scaling_first_order_box": ("scaling", "[run]\nexperiment = scaling_first_order_box\n"),
     "scaling_second_order_torus": ("scaling", "[run]\nexperiment = scaling_second_order_torus\n"),
@@ -43,3 +54,8 @@ def workload_route(name):
     """(command, configuration) of a workload's seed-1 run, the reference's."""
     workload = wl.WORKLOADS[name]
     return workload.command, workload.config_text(wl.REFERENCE_SEED, tiny=False)
+
+
+def csv_digests(out) -> dict[str, str]:
+    """The sha256 of every CSV in the run directory out, by file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path(out).glob("*.csv")}

@@ -19,7 +19,7 @@ from second_order_oracles import dF_osc, n2_from_coefficients, n2_phase_coeffici
 from szego_rg import oracles
 from szego_rg import resonance as rs
 from szego_rg.config import parse_config, plan_from_config
-from szego_rg.dynamics import Flow, FlowSpec, first_order_ansatz, stream
+from szego_rg.dynamics import SLOW_DT, Flow, FlowSpec, first_order_ansatz, stream
 from szego_rg.experiments import (
     Experiment,
     InitialDataSpec,
@@ -128,7 +128,8 @@ def test_03_conservation():
     with Stopwatch() as sw:
         nlw_states = [s.state for s in simulate(FlowSpec(Flow.FULL_NLW, **kw), data)]
         nlw_e, nlw_q, nlw_m = map(max_rel_drift, conserved_series(nlw_states))
-        rg_states = [s.state for s in simulate(FlowSpec(Flow.FIRST_ORDER_RG, **kw), data)]
+        rg_spec = FlowSpec(Flow.FIRST_ORDER_RG, slow=SLOW_DT, **kw)  # simulate's spec
+        rg_states = [s.state for s in simulate(rg_spec, data)]
         _, rg_q, rg_m = map(max_rel_drift, conserved_series(rg_states))
         neg_mass = max(negative_mode_mass(f) for f in rg_states)
     ok_nlw = all(d <= 1e-6 for d in (nlw_e, nlw_q, nlw_m))

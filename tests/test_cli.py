@@ -380,6 +380,13 @@ BAD_INPUTS = {
     "nonpositive_box_length": ("simulate", "[grid]\ndomain = bigbox\nlength = -1\n", "length"),
     "zero_t_end": ("simulate", "[flow]\nt_end = 0\n", "t_end"),
     "repeated_eps": ("scaling", "[experiment]\neps_list = 0.2,0.2,0.1\n", "eps_list"),
+    # grids of 291 TiB of coefficients, which the allocator refuses at once
+    "unallocatable_grid_simulate": (
+        "simulate", "[grid]\nn_max = 10000000000000\n\n[flow]\nt_end = 1\n", "n_max",
+    ),
+    "unallocatable_grid_scaling": (
+        "scaling", "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 10000000000000\n", "n_max",
+    ),
 }
 
 

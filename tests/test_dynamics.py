@@ -63,7 +63,12 @@ class TestFlowSpec:
 
     def test_slow_rejected_for_full_flow(self, torus8):
         with pytest.raises(ValueError, match="slow stepping"):
-            spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, slow=True)
+            spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, slow=SLOW_DT)
+
+    @pytest.mark.parametrize("slow", [0.0, -SLOW_DT, np.nan, np.inf])
+    def test_slow_substep_positive_and_finite(self, torus8, slow):
+        with pytest.raises(ValueError, match="slow substep must be positive and finite"):
+            spec(Flow.FIRST_ORDER_RG, torus8, eps=0.1, dt=0.1, t_end=1.0, slow=slow)
 
     @pytest.mark.parametrize("eps", [1e-160, 1e-200])
     def test_default_stride_must_be_finite(self, torus8, eps):
@@ -306,7 +311,7 @@ class TestIntegrator:
             kw = dict(snapshot_stride=stride)
             v = list(stream(spec(Flow.FULL_NLW, torus8, 0.1, 0.05, 30.0, **kw), 0.1 * w0))
             for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
-                w = list(stream(spec(flow, torus8, 0.1, 0.05, 30.0, slow=True, **kw), w0))
+                w = list(stream(spec(flow, torus8, 0.1, 0.05, 30.0, slow=SLOW_DT, **kw), w0))
                 assert w[-1].steps < v[-1].steps
                 assert [s.time for s in w] == [s.time for s in v]
 
@@ -320,7 +325,7 @@ class TestIntegrator:
         for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
             kw = dict(snapshot_stride=0.35)
             a = list(stream(spec(flow, torus8, eps, 0.05, 2.0, **kw), w0))
-            b = list(stream(spec(flow, torus8, eps, 0.05, 2.0, slow=True, **kw), w0))
+            b = list(stream(spec(flow, torus8, eps, 0.05, 2.0, slow=SLOW_DT, **kw), w0))
             assert a[-1].steps == b[-1].steps == 40
             assert len(a) == len(b)
             for x, y in zip(a, b):
@@ -330,7 +335,7 @@ class TestIntegrator:
     def test_slow_gap_takes_at_least_one_substep(self, torus8):
         # 20 fast steps span slow time 1e-16, far below SLOW_DT: one substep
         w0 = InitialDataSpec().build(torus8)
-        snaps = list(stream(spec(Flow.FIRST_ORDER_RG, torus8, 1e-8, 0.05, 1.0, slow=True), w0))
+        snaps = list(stream(spec(Flow.FIRST_ORDER_RG, torus8, 1e-8, 0.05, 1.0, slow=SLOW_DT), w0))
         assert [s.time for s in snaps] == [0.0, 1.0]
         assert snaps[-1].steps == 1 and not snaps[-1].blown_up
         assert np.allclose(snaps[-1].state.coeff, w0.coeff, rtol=0.0, atol=1e-15)
@@ -342,7 +347,7 @@ class TestIntegrator:
         eps = 0.2
         for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
             fast = list(stream(spec(flow, torus8, eps, 0.05, 1.0 / eps**2), w0))
-            slow = list(stream(spec(flow, torus8, eps, 0.05, 1.0 / eps**2, slow=True), w0))
+            slow = list(stream(spec(flow, torus8, eps, 0.05, 1.0 / eps**2, slow=SLOW_DT), w0))
             assert fast[-1].steps == 500 and slow[-1].steps == 200
             worst = max(
                 float(np.max(np.abs(x.state.coeff - y.state.coeff))) for x, y in zip(fast, slow)

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from szego_rg import resonance
-from szego_rg.dynamics import Flow, FlowSpec, stream
+from szego_rg import experiments, resonance
+from szego_rg.dynamics import SLOW_DT, Flow, FlowSpec, stream
 from szego_rg.experiments import (
     COMMAND,
     DataKind,
@@ -258,10 +258,49 @@ class TestScalingRuns:
         w0 = plan.initial_data.build(grid)
         for eps, slow in ((0.2, 333), (0.1, 308), (0.05, 302)):
             for flow in (Flow.SECOND_ORDER_AVERAGED, Flow.FIRST_ORDER_RG):
-                sp = _flow_spec(plan, flow, grid, eps, plan.horizon(eps), slow=True)
+                sp = _flow_spec(plan, flow, grid, eps, plan.horizon(eps), slow=SLOW_DT)
                 assert list(stream(sp, w0))[-1].steps == slow
         fast = _flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 0.2, plan.horizon(0.2))
         assert list(stream(fast, w0))[-1].steps == 500
+
+    def test_second_order_arms_step_in_slow_time(self, monkeypatch):
+        # default scaling2 horizons with 150 snapshots: the truth flow takes
+        # every fast step, each effective arm substeps of slow time at most
+        # SLOW_DT / 4; at eps = 0.2 and 0.14 a gap is one fast step, which
+        # is already finer, so 900 steps per arm instead of 1,829
+        steps = {}
+
+        def recording(spec, v0):
+            for snap in stream(spec, v0):
+                yield snap
+            steps.setdefault(spec.flow, []).append(snap.steps)
+
+        monkeypatch.setattr(experiments, "stream", recording)
+        run_scaling_second_order(replace(default_plan(Experiment.SCALING2_TORUS), n_max=4))
+        assert steps == {
+            Flow.FULL_NLW: [81, 201, 461, 1086],
+            Flow.SECOND_ORDER_AVERAGED: [81, 201, 307, 311],
+            Flow.FIRST_ORDER_RG: [81, 201, 307, 311],
+        }
+
+    def test_second_order_slow_arms_match_fast_arms(self, monkeypatch):
+        # the toy default sweep with its arms stepped slow and fast: every
+        # row agrees within the benchmark's 1e-6 relative bound (measured:
+        # 1.5e-7, the second-order error at eps = 0.07); rows whose gaps
+        # are one fast step are bitwise equal
+        plan = replace(default_plan(Experiment.SCALING2_TORUS), n_max=8)
+        slow = run_scaling_second_order(plan)
+        sweep = experiments._sweep
+        monkeypatch.setattr(
+            experiments, "_sweep",
+            lambda plan, truth, start, arms, slow: sweep(plan, truth, start, arms, None),
+        )
+        fast = run_scaling_second_order(plan)
+        for a, b in zip(slow, fast):
+            assert a.rows[:2] == b.rows[:2]
+            for x, y in zip(a.rows, b.rows):
+                assert x.sup_error == pytest.approx(y.sup_error, rel=1e-6, abs=0.0)
+                assert x.sup_w_norm == pytest.approx(y.sup_w_norm, rel=1e-6, abs=0.0)
 
 
 def _conserved(flow, t_end, snapshots, data=InitialDataSpec(normalization=0.4)):

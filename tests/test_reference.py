@@ -11,28 +11,24 @@ The same runs pin byte identity: the sha256 of every CSV a run writes must
 equal ``csv_digests.json``, recorded once per numpy version and machine,
 because the bits come from numpy's FFT.  In an environment the table does
 not name, the test warns that the bytes went unchecked.  A change that
-moves bits on purpose records a new table and says which entries moved.
+moves bits on purpose records the moved entries (``digests.py --record``)
+and says which entries moved.
 The table also pins runs that no workload makes (``routes.PINNED``):
-``simulate`` on both first-order flows, the default plans of the three
+``simulate`` on all three flows, the default plans of the three
 scaling sweeps, Y-vs-U and the box F_osc growth study, and gate 8's torus
 run.  Every run comes from the session cache ``cli_run``, which the
 acceptance gates of the same routes read too.
 """
 
-import hashlib
 import json
-import platform
 import warnings
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-from routes import PERFBENCH, PINNED, wl, workload_route
+from routes import DIGESTS_PATH, ENV_KEY, PERFBENCH, PINNED, csv_digests, wl, workload_route
 
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
-DIGESTS = json.loads(Path(__file__).with_name("csv_digests.json").read_text())
-ENV_KEY = f"numpy {np.__version__} {platform.machine()}"
+DIGESTS = json.loads(DIGESTS_PATH.read_text())
 
 
 def _drift(got, ref) -> tuple[float, float]:
@@ -70,7 +66,7 @@ def test_pinned_csv_digests(name, cli_run):
 
 def _check_digests(name, out):
     """The sha256 of every CSV in out against the table's entry for name."""
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    digests = csv_digests(out)
     if ENV_KEY in DIGESTS:
         assert digests == DIGESTS[ENV_KEY][name], f"{name}: CSV bytes differ from {ENV_KEY}"
     else:
