@@ -39,7 +39,7 @@ from .experiments import (
     InitialDataSpec,
     default_plan,
 )
-from .spectral import TWO_PI, Domain, make_grid
+from .spectral import TWO_PI, Domain, FrequencyGrid, make_grid
 
 
 class ConfigError(Exception):
@@ -243,6 +243,16 @@ def _unread(cfg: RunConfig, section: str, reads: tuple[str, ...], reader: str) -
             raise ConfigError(f"key '{key}' in section [{section}] is not read by {reader}")
 
 
+def _build_eagerly(data: InitialDataSpec, grid: FrequencyGrid) -> None:
+    """Reject data off the grid, overflowing or unallocatable before the run starts."""
+    try:
+        data.build(grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    except MemoryError:
+        raise ConfigError(f"n_max = {grid.n_max}: the initial data cannot be allocated") from None
+
+
 def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
     _unread(cfg, "run", ("seed", "output_dir"), "simulate")
     _unread(cfg, "experiment", (), "simulate")
@@ -255,13 +265,9 @@ def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
     try:
         spec = FlowSpec(grid=make_grid(**grid), slow=slow, **flow)
         data = InitialDataSpec(seed=cfg.value("run", "seed"), **_set(cfg.section("initial_data")))
-        data.build(spec.grid)  # reject data off the grid, overflowing or unallocatable, eagerly
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    except MemoryError:
-        raise ConfigError(
-            f"n_max = {spec.grid.n_max}: the initial data cannot be allocated"
-        ) from None
+    _build_eagerly(data, spec.grid)
     return spec, data
 
 
@@ -283,9 +289,8 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
             plan.initial_data, seed=cfg.value("run", "seed"), **_set(cfg.section("initial_data"))
         )
         plan = dc_replace(plan, initial_data=data, **_set(cfg.section("experiment")), **grid)
-        plan.initial_data.build(plan.grid())  # validate grid and data eagerly
+        plan_grid = plan.grid()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    except MemoryError:
-        raise ConfigError(f"n_max = {plan.n_max}: the initial data cannot be allocated") from None
+    _build_eagerly(plan.initial_data, plan_grid)
     return plan

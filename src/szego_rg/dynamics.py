@@ -101,8 +101,11 @@ class FlowSpec:
             raise ValueError("the second-order averaged flow is defined on the torus")
         if self.slow is not None and self.flow is Flow.FULL_NLW:
             raise ValueError("slow stepping is for the effective flows; the full flow steps fast")
-        if self.slow is not None and not 0.0 < self.slow < math.inf:
-            raise ValueError(f"slow substep must be positive and finite, got {self.slow:g}")
+        # a bool is a number, but no substep: True would step slow time by 1.0
+        if self.slow is not None and (
+            isinstance(self.slow, bool) or not 0.0 < self.slow < math.inf
+        ):
+            raise ValueError(f"slow substep must be positive and finite, got {self.slow}")
 
     @property
     def stride(self) -> float:

@@ -257,7 +257,12 @@ class ExperimentPlan:
             n = np.count_nonzero((ts >= lo) & (ts <= hi))
             where = f"snapshot times in {window}"
         else:
-            n = np.count_nonzero(self.fosc_window())
+            try:
+                n = np.count_nonzero(self.fosc_window())
+            except MemoryError:
+                raise ValueError(
+                    f"growth_points = {self.growth_points}: the t grid cannot be allocated"
+                ) from None
             where = f"of the growth_points = {self.growth_points} t points of {window}"
             if self.domain is Domain.BIGBOX:
                 where += f" at or below length/2 = {self.length / 2.0:.6g}"

@@ -31,8 +31,13 @@ half-sample shift exp(i pi k/M) makes the split exact.  Rows of at least
 ROW_THREAD_POINTS points run their whole pipeline (ifft, cube, fft) on two
 threads, one row each; shorter rows are one batch on the calling thread.
 
-Transforms are numpy.fft's pocketfft (numpy >= 2, the first release with
-out=), on the 11-smooth lengths of next_fast_len.
+Transforms are numpy.fft's pocketfft (numpy >= 2), on the 11-smooth lengths
+of next_fast_len.  The kernels call its gufuncs fft and ifft directly, the
+calls that numpy.fft.fft/ifft end in, with the same scale factor fct that the
+public call passes and an explicit out=: the same bits without the public
+wrapper's per-call argument handling, which outweighs the transform itself at
+the lengths of n_max = 32.  The gufuncs are private numpy API; a test
+pins them to the public calls bit for bit at every default-plan length.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.fft import fft, ifft
+# the pocketfft gufuncs behind numpy.fft.fft/ifft: (a, fct, out=) along the last axis
+from numpy.fft._pocketfft_umath import fft, ifft
 
 TWO_PI = 2.0 * np.pi
 
@@ -232,7 +238,7 @@ def to_physical(c: np.ndarray) -> np.ndarray:
     n_pts = next_fast_len(2 * c.size)
     spec = np.zeros(n_pts, dtype=np.complex128)
     spec[_mode_index(c.size, n_pts)] = c
-    ifft(spec, out=spec)
+    ifft(spec, 1.0 / n_pts, out=spec)
     spec *= n_pts
     return spec
 
@@ -240,7 +246,7 @@ def to_physical(c: np.ndarray) -> np.ndarray:
 def from_physical(samples: np.ndarray, size: int) -> np.ndarray:
     """Inverse of to_physical onto `size` modes; truncation to |k| <= n_max
     is the dealiasing."""
-    return _truncate(fft(samples), size)
+    return _truncate(fft(samples, 1, out=np.empty(samples.shape, np.complex128)), size)
 
 
 def _truncate(spec: np.ndarray, size: int) -> np.ndarray:
@@ -256,7 +262,7 @@ def cubic_product(c: np.ndarray) -> np.ndarray:
     sq = np.abs(u)
     sq *= sq
     u *= sq
-    return _truncate(fft(u, out=u), c.size)
+    return _truncate(fft(u, 1, out=u), c.size)
 
 
 @lru_cache(maxsize=32)
@@ -282,11 +288,11 @@ def _row_thread():
 def _cube_rows(u: np.ndarray) -> None:
     """In place, per row along the last axis: the spectra (norm "forward") of
     |v|^2 v, where v holds the samples whose spectra u holds."""
-    ifft(u, norm="forward", out=u)
+    ifft(u, 1, out=u)
     sq = np.abs(u)
     sq *= sq
     u *= sq
-    fft(u, norm="forward", out=u)
+    fft(u, 1.0 / u.shape[-1], out=u)
 
 
 def szego_cubic(coeff: np.ndarray) -> np.ndarray:

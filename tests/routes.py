@@ -29,6 +29,20 @@ def _load_workloads():
 
 wl = _load_workloads()
 
+
+def workload_route(name, seed=wl.REFERENCE_SEED):
+    """(command, configuration) of a workload's run; the default seed is the
+    reference's."""
+    workload = wl.WORKLOADS[name]
+    return workload.command, workload.config_text(seed, tiny=False)
+
+
+# gate 3's two runs (test_acceptance.test_03_conservation), through simulate
+GATE3 = (
+    "eps = 0.1\ndt = 0.05\nt_end = 1000\nsnapshot_stride = 6.666666666666667\n\n"
+    "[initial_data]\nnormalization = 0.4\n"
+)
+
 # the runs of the digest table that are no workload: name -> (command, configuration)
 PINNED = {
     "simulate_first_order_rg_t200": ("simulate", "[flow]\nflow = first_order_rg\nt_end = 200\n"),
@@ -47,13 +61,13 @@ PINNED = {
         "[initial_data]\nkind = hardy_polynomial\nnormalization = 1.0\n\n"
         "[experiment]\ngrowth_t_max = 1000\n",
     ),
+    "simulate_full_nlw_gate3": ("simulate", "[flow]\nflow = full_nlw\n" + GATE3),
+    "simulate_first_order_rg_gate3": ("simulate", "[flow]\nflow = first_order_rg\n" + GATE3),
+    **{
+        f"{name}_seed2": workload_route(name, seed=2)
+        for name in ("y_vs_u_torus", "scaling2_torus", "kernel_audit")
+    },
 }
-
-
-def workload_route(name):
-    """(command, configuration) of a workload's seed-1 run, the reference's."""
-    workload = wl.WORKLOADS[name]
-    return workload.command, workload.config_text(wl.REFERENCE_SEED, tiny=False)
 
 
 def csv_digests(out) -> dict[str, str]:

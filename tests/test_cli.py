@@ -387,6 +387,12 @@ BAD_INPUTS = {
     "unallocatable_grid_scaling": (
         "scaling", "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 10000000000000\n", "n_max",
     ),
+    # a t grid of 8 PB, which the allocator refuses at once
+    "unallocatable_growth_points": (
+        "growth",
+        "[run]\nexperiment = fosc_growth\n\n[experiment]\ngrowth_points = 1000000000000000\n",
+        "growth_points",
+    ),
 }
 
 

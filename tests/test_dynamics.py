@@ -65,7 +65,7 @@ class TestFlowSpec:
         with pytest.raises(ValueError, match="slow stepping"):
             spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, slow=SLOW_DT)
 
-    @pytest.mark.parametrize("slow", [0.0, -SLOW_DT, np.nan, np.inf])
+    @pytest.mark.parametrize("slow", [0.0, -SLOW_DT, np.nan, np.inf, True])
     def test_slow_substep_positive_and_finite(self, torus8, slow):
         with pytest.raises(ValueError, match="slow substep must be positive and finite"):
             spec(Flow.FIRST_ORDER_RG, torus8, eps=0.1, dt=0.1, t_end=1.0, slow=slow)

@@ -15,9 +15,10 @@ moves bits on purpose records the moved entries (``digests.py --record``)
 and says which entries moved.
 The table also pins runs that no workload makes (``routes.PINNED``):
 ``simulate`` on all three flows, the default plans of the three
-scaling sweeps, Y-vs-U and the box F_osc growth study, and gate 8's torus
-run.  Every run comes from the session cache ``cli_run``, which the
-acceptance gates of the same routes read too.
+scaling sweeps, Y-vs-U and the box F_osc growth study, gate 8's torus
+run, gate 3's two ``simulate`` runs, and seed 2 of three workloads.  Every
+run comes from the session cache ``cli_run``, which the acceptance gates of
+the same routes read too.
 """
 
 import json
@@ -33,7 +34,9 @@ DIGESTS = json.loads(DIGESTS_PATH.read_text())
 
 def _drift(got, ref) -> tuple[float, float]:
     """(largest relative change, largest share of the bound used) over the
-    numbers of ref."""
+    numbers of ref.  The relative change leaves out values whose bound is the
+    absolute floor (REF_RTOL |ref| < REF_ATOL): roundoff-size references, on
+    which a relative figure says nothing."""
     if isinstance(ref, dict):
         parts = [_drift(got[k], ref[k]) for k in ref if k in got]
     elif isinstance(ref, list):
@@ -41,8 +44,8 @@ def _drift(got, ref) -> tuple[float, float]:
     elif isinstance(ref, (bool, str)):
         return 0.0, 0.0
     else:
-        diff = abs(got - ref)
-        return diff / abs(ref) if ref else diff, diff / (wl.REF_RTOL * abs(ref) + wl.REF_ATOL)
+        diff, floored = abs(got - ref), wl.REF_RTOL * abs(ref) < wl.REF_ATOL
+        return 0.0 if floored else diff / abs(ref), diff / (wl.REF_RTOL * abs(ref) + wl.REF_ATOL)
     return max((p[0] for p in parts), default=0.0), max((p[1] for p in parts), default=0.0)
 
 

@@ -148,6 +148,31 @@ class TestSzegoRows:
         assert spectral._row_thread.cache_info() == after
 
 
+# every transform length of the default plans (n_max 8, 32, 384, 1024, 32768):
+# to_physical's padded grids and szego_cubic's rows
+PLAN_LENGTHS = sorted(
+    {spectral.next_fast_len(2 * (2 * n + 1)) for n in (8, 32, 384, 1024, 32768)}
+    | {spectral.next_fast_len(n + 1) for n in (8, 32, 384, 1024, 32768)}
+)
+
+
+@pytest.mark.parametrize("n_pts", PLAN_LENGTHS)
+def test_gufuncs_match_public_transforms(n_pts, rng):
+    # spectral.fft/ifft are numpy's private pocketfft gufuncs, called with the
+    # fct the public call passes; a numpy that changes them fails here by name
+    for shape in ((n_pts,), (2, n_pts)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a.setflags(write=False)
+        for gufunc, fct, expected in (
+            (spectral.fft, 1, np.fft.fft(a)),
+            (spectral.fft, 1.0 / n_pts, np.fft.fft(a, norm="forward")),
+            (spectral.ifft, 1.0 / n_pts, np.fft.ifft(a)),
+            (spectral.ifft, 1, np.fft.ifft(a, norm="forward")),
+        ):
+            out = gufunc(a, fct, out=np.empty(shape, np.complex128))
+            assert np.array_equal(out, expected), (gufunc.__name__, fct, shape)
+
+
 def test_cli_does_not_import_scipy():
     # the transforms are numpy.fft's; importing scipy.fft outweighs the rest of start-up
     src = os.path.dirname(os.path.dirname(szego_rg.__file__))
