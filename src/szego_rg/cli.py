@@ -7,9 +7,9 @@ echoes the configuration, calls the command's run-and-write function and
 writes run_info.txt.  A rejected run writes nothing.
 
 Exit codes: 0 success, 1 configuration error (also a configuration file or
-output directory the system cannot read or create), 2 numeric guard tripped
-(blow-up, or a growth window emptied by the boundary-band guard; CSV
-retained), 3 audit failure.
+output directory the system cannot read or create, or memory the run cannot
+allocate), 2 numeric guard tripped (blow-up, or a growth window emptied by
+the boundary-band guard; CSV retained), 3 audit failure.
 """
 
 from __future__ import annotations
@@ -188,6 +188,9 @@ def main(argv=None) -> int:
         return run(args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"memory error: the run cannot allocate its arrays ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 
 

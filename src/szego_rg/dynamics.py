@@ -9,7 +9,7 @@ Three flows share one integrator:
     variables;
   * SECOND_ORDER_AVERAGED:  dW/dt = eps^2 (-i P+(|W|^2 W)) + eps^4 r2(W),
     the averaged flow whose quintic correction is the resonant part of
-    f'(W,t).F_osc(W,t).
+    f'(W,t).F_osc(W,t); one kernel, r2_closed_hardy, computes both terms.
 
 Both effective flows take Hardy data only (the integrator rejects any
 other).  The right-hand sides work on coefficient arrays; the integrator
@@ -136,11 +136,11 @@ def _nonlinear_term(spec: FlowSpec) -> Callable[[np.ndarray], np.ndarray]:
     # the effective flows take Hardy data, which stays Hardy along them, and
     # on Hardy fields every f_res term except -i P+(|u|^2 u) is identically
     # zero; szego_cubic computes that term alone, on 2 next_fast_len(n_max+1)
-    # points, about half the general padding.
-    minus_i_eps2, eps4 = -1j * spec.eps**2, spec.eps**4
+    # points, and r2_closed_hardy reads it off the cube it forms anyway.
+    minus_i_eps2, eps4, szego = -1j * spec.eps**2, spec.eps**4, spec.eps**-2
     if spec.flow is Flow.FIRST_ORDER_RG:
-        return lambda c: minus_i_eps2 * szego_cubic(c)
-    return lambda c: minus_i_eps2 * szego_cubic(c) + eps4 * r2_closed_hardy(c)
+        return lambda c: szego_cubic(c, minus_i_eps2)
+    return lambda c: eps4 * r2_closed_hardy(c, szego)
 
 
 class Snapshot(NamedTuple):

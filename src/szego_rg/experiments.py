@@ -159,11 +159,12 @@ class InitialDataSpec:
                     f"{self.normalization:g}"
                 )
             f = (self.normalization / q) * f
-        if self.scale != 1.0:
-            with np.errstate(over="ignore"):  # overflow ends in the named error below
-                f = self.scale * f
-            if not np.all(np.isfinite(f.coeff)):
-                raise ValueError(f"scale = {self.scale:g} overflows the initial data")
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in the error below
+            f = self.scale * f if self.scale != 1.0 else f
+            h_half = sobolev_norm(f, 0.5)  # the blow-up guard's norm
+        if not h_half < np.inf:
+            raise ValueError(f"normalization = {self.normalization} and scale = "
+                             f"{self.scale:g} make the initial data's H^1/2 norm overflow")
         return f
 
 

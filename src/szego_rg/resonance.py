@@ -162,19 +162,25 @@ def F_osc(w_field: SpectralField, t: float) -> SpectralField:
 # quintic resonant kernel r2 = {f'(W,t) . F_osc(W,t)}_res
 
 
-def r2_closed_hardy(c: np.ndarray) -> np.ndarray:
-    """Closed form of the resonant quintic for Hardy input on the torus:
+def r2_closed_hardy(c: np.ndarray, szego: float = 0.0) -> np.ndarray:
+    """Closed form of the resonant quintic for Hardy input on the torus, plus
+    szego times the Szego term -i P+(|W|^2 W) (the averaged flow steps
+    eps^4 r2_closed_hardy(W, eps^-2)):
 
-        r2(W) = -i P+(|W|^2 (1/D) P-(|W|^2 W))
-                - (i/2) P+(W^2 conj((1/D) P-(|W|^2 W))).
+        r2(W) = -i P+(|W|^2 G) - (i/2) P+(W^2 conj(G)),  G = (1/D) P-(|W|^2 W).
 
-    Precondition, not checked here: c is Hardy (modes k < 0 zero), as
-    the integrator checks the initial data and its stages stay Hardy.  On other
-    data the result is not r2.
+    Four transforms: W to the grid; |W|^2 W back, whose modes 0..n_max are
+    the Szego term and whose modes k < 0 give G; G to the grid; the quintic
+    back.  Precondition, not checked here: c is Hardy (modes k < 0 zero), as
+    the integrator checks the initial data and its stages stay Hardy.
     """
+    n = c.size // 2
     W = to_physical(c)
-    cube = from_physical(np.abs(W) ** 2 * W, c.size)
-    G = to_physical(apply_inv_D_minus(cube, _grid_freqs(c.size // 2, TWO_PI)))
-    term1 = project_plus(from_physical(W * np.conj(W) * G, c.size))
-    term2 = project_plus(from_physical(W * W * np.conj(G), c.size))
-    return -1j * term1 - 0.5j * term2
+    sq = np.abs(W) ** 2
+    cube = from_physical(sq * W, c.size)
+    G = to_physical(apply_inv_D_minus(cube, _grid_freqs(n, TWO_PI)))
+    out = from_physical(np.conj(G) * W * W * 0.5 + sq * G, c.size)
+    out[:n] = 0.0
+    out[n:] += szego * cube[n:]
+    out *= -1j
+    return out

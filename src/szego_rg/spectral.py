@@ -295,8 +295,8 @@ def _cube_rows(u: np.ndarray) -> None:
     fft(u, 1.0 / u.shape[-1], out=u)
 
 
-def szego_cubic(coeff: np.ndarray) -> np.ndarray:
-    """Coefficients of P+(|P+u|^2 P+u) in the -n_max..n_max layout.
+def szego_cubic(coeff: np.ndarray, factor: complex = 1.0) -> np.ndarray:
+    """Coefficients of factor * P+(|P+u|^2 P+u) in the -n_max..n_max layout.
 
     Reads only modes 0..n_max.  For Hardy u the product spectrum is
     [-n_max, 2n_max], so 2M >= 2n_max+1 points, M = next_fast_len(n_max+1),
@@ -306,8 +306,8 @@ def szego_cubic(coeff: np.ndarray) -> np.ndarray:
     w(k) = exp(i pi k/M), so the rows' iffts sample u at x_2m and x_2m+1.
     The cube is formed in place, the rows' ffts return their spectra G_0 and
     G_1, and the 2M-point coefficient is (G_0(k) + conj(w(k)) G_1(k))/2
-    (exact, as n_max < M).  Once M >= ROW_THREAD_POINTS, row 0's whole
-    pipeline runs on the calling thread while row 1's runs on one worker
+    (exact, as n_max < M), times factor.  Once M >= ROW_THREAD_POINTS, row 0's
+    whole pipeline runs on the calling thread while row 1's runs on one worker
     thread; shorter rows are one (2, M) batch on the calling thread.  Both
     give the same bits.
     """
@@ -326,7 +326,7 @@ def szego_cubic(coeff: np.ndarray) -> np.ndarray:
     half = out[n:]
     np.multiply(rows[1, : n + 1], w_conj, out=half)
     half += rows[0, : n + 1]
-    half *= 0.5
+    half *= 0.5 * factor
     return out
 
 

@@ -295,6 +295,19 @@ BAD_INPUTS = {
         "[initial_data]\nnormalization = 1e10\nscale = 1e300\n",
         "scale",
     ),
+    # coefficients that stay finite but whose H^1/2 norm overflows
+    "overflowing_h_half_scale_simulate": (
+        "simulate", "[flow]\nt_end = 1\n\n[initial_data]\nscale = 1e300\n", "scale",
+    ),
+    "overflowing_h_half_normalization": (
+        "simulate", "[flow]\nt_end = 1\n\n[initial_data]\nnormalization = 1e300\n",
+        "normalization",
+    ),
+    "overflowing_h_half_scale_scaling": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n[initial_data]\nscale = 1e300\n",
+        "scale",
+    ),
     "eps_zeroes_default_stride": (
         "simulate", "[grid]\nn_max = 8\n\n[flow]\nt_end = 1\neps = 1e-200\n", "eps = 1e-200",
     ),
@@ -490,6 +503,18 @@ class TestBadInput:
         assert "Traceback" not in err
         assert not any(name == "config_resolved.cfg" for _, _, names in os.walk(tmp_path)
                        for name in names)
+
+    def test_memory_error_is_named(self, tmp_path, capsys, monkeypatch):
+        # the backstop: a MemoryError from anywhere in the run exits 1, named
+        def exhausted(plan):
+            raise MemoryError("Unable to allocate 8 EiB")
+
+        monkeypatch.setattr(cli, "run_kernel_audit", exhausted)
+        cfg = write(tmp_path, "audit.cfg", "[grid]\nn_max = 4\n")
+        assert main(["audit", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memory error:") and "8 EiB" in err
+        assert "Traceback" not in err
 
 
 SIM_CFG = """

@@ -168,9 +168,8 @@ class TestRightHandSides:
         f = {
             Flow.FULL_NLW: lambda c: -1j * cubic_product(c),
             Flow.FIRST_ORDER_RG: lambda c: -1j * 0.25 * spectral.szego_cubic(c),
-            Flow.SECOND_ORDER_AVERAGED: lambda c: (
-                -1j * 0.25 * spectral.szego_cubic(c) + 0.0625 * rs.r2_closed_hardy(c)
-            ),
+            # the averaged flow's one kernel: eps^4 (r2 + eps^-2 Szego term)
+            Flow.SECOND_ORDER_AVERAGED: lambda c: 0.0625 * rs.r2_closed_hardy(c, 4.0),
         }[flow]
         w0 = random_field(torus8, rng, hardy=True)
         c = w0.coeff

@@ -1,7 +1,9 @@
 """Symmetries of the product kernels, checked with hypothesis.
 
 r2_closed_hardy, f_res_closed_torus and fprime_dot commute with the phase
-rotation u -> e^{i theta} u and with the translation c(k) -> e^{-i k a} c(k).
+rotation u -> e^{i theta} u and with the translation c(k) -> e^{-i k a} c(k);
+so does r2_closed_hardy weighted with the Szego term, the averaged flow's
+kernel.
 r2 is homogeneous of degree 5 and f_res of degree 3; fprime_dot(u, t, h) has
 degree 2 in u and is R-linear in h.  Every identity holds to 1e-12 relative
 to the size of its right-hand side.
@@ -74,6 +76,16 @@ def test_phase_covariance(n_max, seed, theta, t):
     _assert_close(r2_closed_hardy(z * w), z * r2_closed_hardy(w))
     _assert_close(f_res_closed_torus(z * u), z * f_res_closed_torus(u))
     _assert_close(oracles.fprime_dot(z * u, t, z * h), z * oracles.fprime_dot(u, t, h))
+
+
+@PROPERTY
+@given(N_MAX, SEED, ANGLE, st.floats(0.0, 100.0))
+def test_weighted_r2_phase_covariance(n_max, seed, theta, szego):
+    # the averaged flow's kernel: both of its terms rotate with the phase
+    w, _, _ = _fields(n_max, seed)
+    z = cmath.exp(1j * theta)
+    weighted = _on_fields(lambda c: rs.r2_closed_hardy(c, szego))
+    _assert_close(weighted(z * w), z * weighted(w))
 
 
 @PROPERTY

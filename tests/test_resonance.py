@@ -419,10 +419,12 @@ class TestDerivatives:
 class TestTransformCounts:
     """Each kernel transforms every distinct factor once to physical space
     (W and g = (1/D) P-(|W|^2 W) for r2, u+ and u- for f_res_closed_torus,
-    v and g for fprime_dot) and each product once back (3, 4 and 2)."""
+    v and g for fprime_dot) and each product once back: 2 for r2, whose
+    quintic terms are summed on the grid and whose cube also gives the Szego
+    term, 4 for f_res_closed_torus and 2 for fprime_dot."""
 
     KERNELS = {
-        "r2_closed_hardy": (lambda w, u, h: rs.r2_closed_hardy(w.coeff), 5),
+        "r2_closed_hardy": (lambda w, u, h: rs.r2_closed_hardy(w.coeff, 0.7), 4),
         "f_res_closed_torus": (lambda w, u, h: rs.f_res_closed_torus(u.coeff), 6),
         "fprime_dot": (lambda w, u, h: oracles.fprime_dot(u, 0.37, h), 4),
     }
@@ -470,6 +472,15 @@ class TestQuinticKernels:
         for _ in range(5):
             w = random_field(torus8, rng, hardy=True)
             assert coeff_diff(rs.r2_closed_hardy(w.coeff), oracles.r2_bruteforce(w)) <= 1e-10
+
+    @pytest.mark.parametrize("szego", [0.0, 0.3, 25.0])
+    def test_weighted_r2_equals_bruteforce(self, szego, torus8, rng, coeff_diff):
+        # the averaged flow's kernel: r2 plus szego times the Szego term
+        for _ in range(3):
+            w = random_field(torus8, rng, hardy=True)
+            expected = -1j * szego * project_plus(cubic_product(w.coeff))
+            expected += oracles.r2_bruteforce(w).coeff
+            assert coeff_diff(rs.r2_closed_hardy(w.coeff, szego), expected) <= 1e-10
 
     # gate 10's N2 identity runs r2_bruteforce on generic data, so the
     # reference covers both kinds
