@@ -40,7 +40,7 @@ from .experiments import (
     simulate,
 )
 from .reporting import RunMetadata, write_csv
-from .spectral import energy, mass, momentum, sobolev_norm
+from .spectral import energy, mass, momentum, negative_mode_mass, sobolev_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -50,7 +50,7 @@ EXIT_AUDIT = 3
 
 def _simulate(job, out_dir: str) -> tuple[int, list[str]]:
     spec, data = job
-    rows = []
+    rows, negative = [], []
     for snap in simulate(spec, data):
         f = snap.state
         # the guard snapshot may be non-finite: its row records inf/nan quietly
@@ -59,10 +59,12 @@ def _simulate(job, out_dir: str) -> tuple[int, list[str]]:
                 snap.time, sobolev_norm(f, 0.5), sobolev_norm(f, spec.s),
                 energy(f), mass(f), momentum(f),
             ))
+            negative.append(negative_mode_mass(f))  # the Hardy defect
     write_csv(os.path.join(out_dir, "simulate.csv"), ["t", "H_half", "H_s", "E", "Q", "M"], rows)
     if snap.blown_up:
         print("numeric guard tripped: H^1/2 norm exceeded 1e3 x initial; partial CSV retained")
-    info = [f"blown_up = {snap.blown_up}", f"snapshots = {len(rows)}"]
+    info = [f"blown_up = {snap.blown_up}", f"snapshots = {len(rows)}",
+            f"negative_mode_mass_max = {max(negative)!r}"]
     return (EXIT_GUARD if snap.blown_up else EXIT_OK), info
 
 

@@ -39,7 +39,7 @@ from .experiments import (
     InitialDataSpec,
     default_plan,
 )
-from .spectral import TWO_PI, Domain, FrequencyGrid, make_grid
+from .spectral import TWO_PI, Domain, make_grid
 
 
 class ConfigError(Exception):
@@ -94,7 +94,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
             "scaling_first_order_torus", Experiment,
             "experiment name for the scaling/growth/audit commands",
         ),
-        "seed": Key("20240", _nonnegative_int, "seed of seeded random data and the audit"),
+        "seed": Key(str(InitialDataSpec.seed), _nonnegative_int, "seed of seeded data and the audit"),
         "output_dir": Key("out", str, "run directory (flag --out overrides)"),
     },
     "grid": {
@@ -125,8 +125,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "delta": _empty(_float, "horizon log argument parameter"),
         "dt": _empty(_float, "time step, in (0, 0.5]"),
         "snapshots_per_run": _empty(int, "snapshots per trajectory"),
-        "slope_threshold": _empty(_float, "pass threshold for the fitted slope"),
-        "residual_max": _empty(_float, "pass threshold for the fit residual"),
         "growth_t_min": _empty(_float, "lower end of the growth fit window"),
         "growth_t_max": _empty(_float, "upper end of the growth fit window; sobolev_growth's horizon"),
         "growth_points": _empty(_nonnegative_int, "points on the logarithmic t grid"),
@@ -243,16 +241,6 @@ def _unread(cfg: RunConfig, section: str, reads: tuple[str, ...], reader: str) -
             raise ConfigError(f"key '{key}' in section [{section}] is not read by {reader}")
 
 
-def _build_eagerly(data: InitialDataSpec, grid: FrequencyGrid) -> None:
-    """Reject data off the grid, overflowing or unallocatable before the run starts."""
-    try:
-        data.build(grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    except MemoryError:
-        raise ConfigError(f"n_max = {grid.n_max}: the initial data cannot be allocated") from None
-
-
 def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
     _unread(cfg, "run", ("seed", "output_dir"), "simulate")
     _unread(cfg, "experiment", (), "simulate")
@@ -265,9 +253,9 @@ def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
     try:
         spec = FlowSpec(grid=make_grid(**grid), slow=slow, **flow)
         data = InitialDataSpec(seed=cfg.value("run", "seed"), **_set(cfg.section("initial_data")))
+        data.build(spec.grid)  # the data's own check, before the run starts
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _build_eagerly(data, spec.grid)
     return spec, data
 
 
@@ -289,8 +277,7 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
             plan.initial_data, seed=cfg.value("run", "seed"), **_set(cfg.section("initial_data"))
         )
         plan = dc_replace(plan, initial_data=data, **_set(cfg.section("experiment")), **grid)
-        plan_grid = plan.grid()
+        data.build(plan.grid())  # the data's own check, before the run starts
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _build_eagerly(plan.initial_data, plan_grid)
     return plan

@@ -45,6 +45,7 @@ from .spectral import (
     Domain,
     FrequencyGrid,
     SpectralField,
+    check_norm_index,
     cubic_product,
     free_flow,
     sobolev_norm,
@@ -90,8 +91,7 @@ class FlowSpec:
             raise ValueError("t_end must be positive")
         if not self.t_end / self.dt < 2.0**53:
             raise ValueError(f"t_end/dt = {self.t_end / self.dt:g} must be below 2^53 steps")
-        if self.s < 0.5:
-            raise ValueError("diagnostic norm index s must be >= 1/2")
+        check_norm_index(self.s, self.grid.n_max, self.grid.length)
         if not 0.0 < self.stride < math.inf:
             raise ValueError(
                 f"snapshot_stride must be positive and finite, got {self.stride:g} "

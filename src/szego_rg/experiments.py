@@ -38,6 +38,7 @@ from .spectral import (
     Domain,
     FrequencyGrid,
     SpectralField,
+    check_norm_index,
     field_from_modes,
     make_grid,
     mass,
@@ -80,8 +81,7 @@ COMMAND = {
 }
 
 # the [experiment] keys each experiment reads
-_SWEEP_KEYS = ("eps_list", "s", "alpha", "delta", "dt", "snapshots_per_run", "slope_threshold",
-               "residual_max")
+_SWEEP_KEYS = ("eps_list", "s", "alpha", "delta", "dt", "snapshots_per_run")
 EXPERIMENT_KEYS = {
     **{e: _SWEEP_KEYS for e, command in COMMAND.items() if command == "scaling"},
     Experiment.FOSC_GROWTH: ("s", "growth_t_min", "growth_t_max", "growth_points"),
@@ -121,50 +121,45 @@ class InitialDataSpec:
             raise ValueError("Hardy polynomial data requires modes k >= 0")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes {self.modes} name a mode twice")
-        if self.normalization is not None:
-            if not self.normalization > 0.0:
-                raise ValueError(f"normalization must be > 0, got {self.normalization:g}")
-            if self.kind is DataKind.HARDY_POLYNOMIAL and not any(self.amplitudes):
-                raise ValueError("amplitudes are all zero: zero data cannot be normalized")
+        if self.normalization is not None and not self.normalization > 0.0:
+            raise ValueError(f"normalization must be > 0, got {self.normalization:g}")
 
     def build(self, grid: FrequencyGrid) -> SpectralField:
-        if self.kind is DataKind.HARDY_POLYNOMIAL:
-            if max(self.modes, default=0) > grid.n_max:
-                raise ValueError(f"modes {self.modes} reach outside the grid range +-{grid.n_max}")
-            f = field_from_modes(grid, dict(zip(self.modes, self.amplitudes)))
-        elif self.kind is DataKind.RATIONAL_NONGENERIC:
-            # coefficients (1/L) * F(W0)(xi_k) of the periodized profile;
-            # F(1/(x+ia))(xi) = -2*pi*i*exp(-a*xi) for xi >= 0.
-            xi = np.clip(grid.freqs, 0.0, None)
-            c = np.where(
-                grid.modes >= 0,
-                -2j * np.pi * (np.exp(-xi) - 2.0 * np.exp(-2.0 * xi)) / grid.length,
-                0.0,
-            )
-            f = SpectralField(grid, c)
-        else:
-            with np.errstate(over="ignore"):  # overflow ends in the named error below
-                f = random_field(grid, default_rng(self.seed), self.decay, hardy=True)
-            if not np.all(np.isfinite(f.coeff)):
-                raise ValueError(
-                    f"decay = {self.decay:g} overflows: the seeded data has non-finite "
-                    f"coefficients at n_max = {grid.n_max}"
-                )
-        if self.normalization is not None:
-            with np.errstate(over="ignore"):  # an overflowing norm ends in the error below
+        """The data on grid, checked: modes in the grid, an allocatable array, a
+        normalized L2 norm in (0, inf), and a finite H^1/2 norm (the blow-up
+        guard's) and sup bound (sum |c(k)|)^4 of |u|^4 and |u|^2 u."""
+        if self.kind is DataKind.HARDY_POLYNOMIAL and max(self.modes, default=0) > grid.n_max:
+            raise ValueError(f"modes {self.modes} reach outside the grid range +-{grid.n_max}")
+        try:
+            # overflow, and a division by a zero norm, end in the check below
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                if self.kind is DataKind.HARDY_POLYNOMIAL:
+                    f = field_from_modes(grid, dict(zip(self.modes, self.amplitudes)))
+                elif self.kind is DataKind.RATIONAL_NONGENERIC:
+                    # coefficients (1/L) * F(W0)(xi_k) of the periodized profile;
+                    # F(1/(x+ia))(xi) = -2*pi*i*exp(-a*xi) for xi >= 0.
+                    xi = np.clip(grid.freqs, 0.0, None)
+                    c = -2j * np.pi * (np.exp(-xi) - 2.0 * np.exp(-2.0 * xi)) / grid.length
+                    f = SpectralField(grid, np.where(grid.modes >= 0, c, 0.0))
+                else:
+                    f = random_field(grid, default_rng(self.seed), self.decay, hardy=True)
                 q = np.sqrt(mass(f))
-            if not 0.0 < q < np.inf:
-                raise ValueError(
-                    f"cannot rescale initial data of L2 norm {q:g} to normalization = "
-                    f"{self.normalization:g}"
-                )
-            f = (self.normalization / q) * f
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in the error below
-            f = self.scale * f if self.scale != 1.0 else f
-            h_half = sobolev_norm(f, 0.5)  # the blow-up guard's norm
-        if not h_half < np.inf:
-            raise ValueError(f"normalization = {self.normalization} and scale = "
-                             f"{self.scale:g} make the initial data's H^1/2 norm overflow")
+                if self.normalization is not None:
+                    f = (self.normalization / q) * f
+                f = self.scale * f if self.scale != 1.0 else f
+                h_half, sup4 = sobolev_norm(f, 0.5), np.sum(np.abs(f.coeff)) ** 4
+        except MemoryError:
+            raise ValueError(f"n_max = {grid.n_max}: the initial data cannot be allocated") from None
+        for quantity, value, ok in (
+            ("L2 norm to normalize", q, self.normalization is None or 0.0 < q < np.inf),
+            ("H^1/2 norm", h_half, h_half < np.inf),
+            ("sup bound (sum |c(k)|)^4", sup4, sup4 < np.inf),
+        ):
+            if not ok:
+                keys = ", ".join(
+                    f"{k} = {getattr(self, k)}" for k in DATA_KEYS[self.kind] if k != "kind")
+                raise ValueError(f"{self.kind.value} data with {keys} cannot be used at "
+                                 f"n_max = {grid.n_max}: its {quantity} is {value:g}")
         return f
 
 
@@ -174,7 +169,8 @@ class ExperimentPlan:
 
     alpha and delta enter the horizon T(eps) = eps^-2 (log(1/eps^delta))^(1-2*alpha).
     A scaling sweep passes when its fitted slope is at least slope_threshold
-    and its fit residual at most residual_max.  The Sobolev growth trajectory
+    and its fit residual at most residual_max, which the default plans set
+    (no configuration key does).  The Sobolev growth trajectory
     ends at growth_t_max, the end of its fit window [growth_t_min, growth_t_max].
     """
 
@@ -217,8 +213,7 @@ class ExperimentPlan:
                     f"eps_list entry {e:g}, delta = {self.delta:g} and alpha = {self.alpha:g} "
                     f"give the horizon T = {t:g}; it must be positive and below 2^53 dt"
                 )
-        if self.s < 0.5:
-            raise ValueError(f"diagnostic norm index s must be >= 1/2, got {self.s}")
+        check_norm_index(self.s, self.n_max, self.length)
         if self.snapshots_per_run < 1:
             raise ValueError(f"snapshots_per_run must be >= 1, got {self.snapshots_per_run}")
         if self.audit_fields < 1:

@@ -3,9 +3,10 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; tolerances and runtime budgets are pinned here, not configurable.
 
-Gates 4-8 and 11 check default-plan CLI routes (``routes.py``): each reads
-its numbers from the CSV summary lines and run_info.txt of the session's one
-run of its route, which the digest checks of ``test_reference.py`` read too.
+Gates 3-8 and 11 check CLI routes (``routes.py``): gate 3 the two pinned
+gate-3 simulate runs, the others their default plans.  Each reads its numbers
+from the CSVs and run_info.txt of the session's one run of its route, which
+the digest checks of ``test_reference.py`` read too.
 """
 
 import time
@@ -19,21 +20,18 @@ from second_order_oracles import dF_osc, n2_from_coefficients, n2_phase_coeffici
 from szego_rg import oracles
 from szego_rg import resonance as rs
 from szego_rg.config import parse_config, plan_from_config
-from szego_rg.dynamics import SLOW_DT, Flow, FlowSpec, first_order_ansatz, stream
+from szego_rg.dynamics import Flow, FlowSpec, first_order_ansatz, stream
 from szego_rg.experiments import (
     Experiment,
     InitialDataSpec,
     default_plan,
     run_kernel_audit,
-    simulate,
 )
 from szego_rg.spectral import (
     Domain,
-    conserved_series,
     field_from_modes,
     make_grid,
     max_rel_drift,
-    negative_mode_mass,
     random_field,
     sobolev_norm,
 )
@@ -117,31 +115,39 @@ def test_02_resonance_lemmas_exhaustive():
     )
 
 
-def test_03_conservation():
-    # amplitude chosen inside the spectrally-resolved regime for the pinned
-    # (n_max=32, dt=0.05, t=1e3) gate; at roughly twice this norm the
-    # truncation cascade reaches marginally-resolved modes and the
+def read_simulate(cli_run, route):
+    """The session's simulate run of route, which must exit 0: the E, Q and M
+    columns of simulate.csv as the rows of an array, and run_info.txt as a
+    dict of strings."""
+    code, out = cli_run(*route)
+    assert code == 0, f"simulate exited {code}"
+    rows = [[float(x) for x in line.split(",")]
+            for line in (out / "simulate.csv").read_text().splitlines()[1:]]
+    info = dict(line.split(" = ", 1) for line in (out / "run_info.txt").read_text().splitlines())
+    return np.array(rows)[:, 3:].T, info  # columns t, H_half, H_s, E, Q, M
+
+
+def test_03_conservation(cli_run):
+    # the pinned gate-3 routes: amplitude chosen inside the spectrally-resolved
+    # regime for the (n_max=32, dt=0.05, t=1e3) gate; at roughly twice this
+    # norm the truncation cascade reaches marginally-resolved modes and the
     # fixed-step quadrature error dominates the drift
-    data = InitialDataSpec(normalization=0.4)
-    kw = dict(grid=make_grid(32, Domain.TORUS), eps=0.1, dt=0.05, t_end=1000.0,
-              snapshot_stride=1000.0 / 150)
-    with Stopwatch() as sw:
-        nlw_states = [s.state for s in simulate(FlowSpec(Flow.FULL_NLW, **kw), data)]
-        nlw_e, nlw_q, nlw_m = map(max_rel_drift, conserved_series(nlw_states))
-        rg_spec = FlowSpec(Flow.FIRST_ORDER_RG, slow=SLOW_DT, **kw)  # simulate's spec
-        rg_states = [s.state for s in simulate(rg_spec, data)]
-        _, rg_q, rg_m = map(max_rel_drift, conserved_series(rg_states))
-        neg_mass = max(negative_mode_mass(f) for f in rg_states)
+    nlw, nlw_info = read_simulate(cli_run, PINNED["simulate_full_nlw_gate3"])
+    rg, rg_info = read_simulate(cli_run, PINNED["simulate_first_order_rg_gate3"])
+    nlw_e, nlw_q, nlw_m = map(max_rel_drift, nlw)
+    _, rg_q, rg_m = map(max_rel_drift, rg)
+    neg_mass = float(rg_info["negative_mode_mass_max"])
+    elapsed = float(nlw_info["elapsed_seconds"]) + float(rg_info["elapsed_seconds"])
     ok_nlw = all(d <= 1e-6 for d in (nlw_e, nlw_q, nlw_m))
     ok_rg = rg_q <= 1e-8 and rg_m <= 1e-8
-    ok = ok_nlw and ok_rg and neg_mass <= 1e-12 and sw.elapsed <= 120.0
+    ok = ok_nlw and ok_rg and neg_mass <= 1e-12 and elapsed <= 120.0
     report(
         3,
         "conservation (NLW E,Q,M <= 1e-6; RG Q,M <= 1e-8, Hardy <= 1e-12)",
         ok,
         f"NLW drifts E={nlw_e:.1e} Q={nlw_q:.1e} M={nlw_m:.1e}; "
         f"RG Q={rg_q:.1e} M={rg_m:.1e}; neg_mass={neg_mass:.1e}; "
-        f"runtime={sw.elapsed:.0f}s <= 120s",
+        f"runtime={elapsed:.0f}s <= 120s",
     )
 
 

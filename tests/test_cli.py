@@ -23,6 +23,8 @@ from szego_rg.config import (
 )
 from szego_rg.dynamics import FlowSpec
 from szego_rg.experiments import (
+    DATA_KEYS,
+    EXPERIMENT_KEYS,
     Experiment,
     ExperimentPlan,
     InitialDataSpec,
@@ -72,6 +74,11 @@ class TestConfig:
     def test_keys_name_dataclass_fields(self, section, cls):
         # the builders pass whole sections on as keyword arguments
         assert set(SCHEMA[section]) <= {f.name for f in dataclasses.fields(cls)}
+
+    def test_every_key_is_read(self):
+        # each [experiment] key is read by some experiment, each [initial_data] key by some kind
+        assert set(SCHEMA["experiment"]) == set().union(*EXPERIMENT_KEYS.values())
+        assert set(SCHEMA["initial_data"]) == set().union(*DATA_KEYS.values())
 
     def test_optional_keys_document_empty(self):
         for keys in SCHEMA.values():
@@ -388,6 +395,31 @@ BAD_INPUTS = {
         "key 'experiment' in section [run] is not read by simulate",
     ),
     "unparseable": ("simulate", "eps = 0.1\n", "unparseable"),
+    # the verdict thresholds are the default plans', not keys
+    "slope_threshold_key": ("scaling", "[experiment]\nslope_threshold = 2.0\n", "slope_threshold"),
+    # a finite H^1/2 norm, but a quartic mean (the E column) that overflows
+    "overflowing_quartic_simulate": (
+        "simulate", "[flow]\nt_end = 1\n\n[initial_data]\nscale = 1e120\n", "scale",
+    ),
+    "overflowing_quartic_scaling": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n[initial_data]\nscale = 1e120\n",
+        "scale",
+    ),
+    # amplitudes whose squares underflow: an L2 norm of 0 cannot be normalized
+    "underflowing_norm": (
+        "simulate", "[flow]\nt_end = 1\n\n[initial_data]\namplitudes = 1e-200,1e-200,1e-200\n",
+        "normalization",
+    ),
+    # norm indices whose H^s weight (1 + freq^2)^s overflows at the top mode
+    "overflowing_weight_scaling": (
+        "scaling", "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n[experiment]\ns = 400\n",
+        "s = 400",
+    ),
+    "overflowing_weight_growth": (
+        "growth", "[run]\nexperiment = fosc_growth\n\n[experiment]\ns = 400\n", "s = 400",
+    ),
+    "overflowing_weight_simulate": ("simulate", "[flow]\nt_end = 1\ns = 400\n", "s = 400"),
     "nonpositive_delta": ("scaling", "[experiment]\ndelta = -1\n", "delta"),
     "simulate_box_without_length": ("simulate", "[grid]\ndomain = bigbox\n", "length"),
     "nonpositive_box_length": ("simulate", "[grid]\ndomain = bigbox\nlength = -1\n", "length"),
@@ -608,8 +640,6 @@ n_max = 16
 eps_list = 0.2,0.14,0.1
 dt = 0.1
 snapshots_per_run = 40
-slope_threshold = 2.0
-residual_max = 0.5
 """
 
 
@@ -679,7 +709,7 @@ class TestScaling:
             "[grid]\nn_max = 16\n\n"
             "[initial_data]\nkind = seeded_random_hardy\nnormalization = 1.0\n\n"
             "[experiment]\neps_list = 0.2,0.14,0.1\ndt = 0.1\n"
-            "snapshots_per_run = 20\nslope_threshold = 0.0\n"
+            "snapshots_per_run = 20\n"
         )
         cfg = write(tmp_path, "s.cfg", base)
         outs = []
