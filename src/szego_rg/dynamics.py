@@ -91,7 +91,7 @@ class FlowSpec:
             raise ValueError("t_end must be positive")
         if not self.t_end / self.dt < 2.0**53:
             raise ValueError(f"t_end/dt = {self.t_end / self.dt:g} must be below 2^53 steps")
-        check_norm_index(self.s, self.grid.n_max, self.grid.length)
+        check_norm_index(self.s, self.grid)
         if not 0.0 < self.stride < math.inf:
             raise ValueError(
                 f"snapshot_stride must be positive and finite, got {self.stride:g} "

@@ -213,7 +213,6 @@ class ExperimentPlan:
                     f"eps_list entry {e:g}, delta = {self.delta:g} and alpha = {self.alpha:g} "
                     f"give the horizon T = {t:g}; it must be positive and below 2^53 dt"
                 )
-        check_norm_index(self.s, self.n_max, self.length)
         if self.snapshots_per_run < 1:
             raise ValueError(f"snapshots_per_run must be >= 1, got {self.snapshots_per_run}")
         if self.audit_fields < 1:
@@ -229,6 +228,7 @@ class ExperimentPlan:
         required = _DEFAULTS[self.experiment].get("domain", ExperimentPlan.domain)
         if self.experiment is not Experiment.FOSC_GROWTH and self.domain is not required:
             raise ValueError(f"{self.experiment.value} requires domain = {required.value}")
+        check_norm_index(self.s, self.grid())  # the grid checks n_max and length
         command = COMMAND[self.experiment]
         if command == "scaling" and len(self.eps_list) < 3:
             raise ValueError(

@@ -378,14 +378,15 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(w * np.abs(f.coeff) ** 2)))
 
 
-def check_norm_index(s: float, n_max: int, length: float) -> None:
+def check_norm_index(s: float, grid: FrequencyGrid) -> None:
     """Reject a norm index s < 1/2, or one whose H^s weight (1 + freq^2)^s
     overflows at the grid's top frequency (a scalar: no frequency array)."""
     with np.errstate(over="ignore", invalid="ignore"):  # ends in the error below
-        weight = (1.0 + np.float64(n_max * (TWO_PI / length)) ** 2) ** s
+        weight = (1.0 + np.float64(grid.n_max * grid.freq_unit) ** 2) ** s
     if not (s >= 0.5 and weight < np.inf):
         raise ValueError(f"diagnostic norm index s = {s:g} must be >= 1/2 and keep the H^s "
-                         f"weight (1 + freq^2)^s finite at n_max = {n_max}, length = {length:.6g}")
+                         f"weight (1 + freq^2)^s finite at n_max = {grid.n_max}, "
+                         f"length = {grid.length:.6g}")
 
 
 def negative_mode_mass(f: SpectralField) -> float:

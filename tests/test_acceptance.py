@@ -44,20 +44,26 @@ def report(num, name, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def read_run(cli_run, route, csv):
+def run_info(cli_run, route):
     """The session's CLI run of route (command, configuration), which must
-    exit 0, read back: the key=value summary line of csv (true/false as
-    bools, the rest as floats), with run_info.txt's caveat lines and its
-    elapsed_seconds."""
+    exit 0: its run directory, and run_info.txt's key = value lines as a
+    dict of strings, the caveat lines (a repeated key) as the list "caveats"."""
     code, out = cli_run(*route)
     assert code == 0, f"{route[0]} exited {code}"
+    pairs = [line.split(" = ", 1) for line in (out / "run_info.txt").read_text().splitlines()]
+    info = {k: v for k, v in pairs if k != "caveat"}
+    info["caveats"] = [v for k, v in pairs if k == "caveat"]
+    return out, info
+
+
+def read_run(cli_run, route, csv):
+    """The key=value summary line of csv (true/false as bools, the rest as
+    floats) of route's run, with run_info.txt's caveats and elapsed_seconds."""
+    out, info = run_info(cli_run, route)
     last = (out / csv).read_text().splitlines()[-1]
     pairs = (part.split("=", 1) for part in last.split())
     run = {k: v == "true" if v in ("true", "false") else float(v) for k, v in pairs}
-    info = (out / "run_info.txt").read_text().splitlines()
-    run["caveats"] = [line for line in info if line.startswith("caveat = ")]
-    elapsed = next(line for line in info if line.startswith("elapsed_seconds = "))
-    run["elapsed"] = float(elapsed.split(" = ", 1)[1])
+    run["caveats"], run["elapsed"] = info["caveats"], float(info["elapsed_seconds"])
     return run
 
 
@@ -116,14 +122,11 @@ def test_02_resonance_lemmas_exhaustive():
 
 
 def read_simulate(cli_run, route):
-    """The session's simulate run of route, which must exit 0: the E, Q and M
-    columns of simulate.csv as the rows of an array, and run_info.txt as a
-    dict of strings."""
-    code, out = cli_run(*route)
-    assert code == 0, f"simulate exited {code}"
+    """The E, Q and M columns of simulate.csv of route's run, as the rows of
+    an array, with run_info.txt as from run_info."""
+    out, info = run_info(cli_run, route)
     rows = [[float(x) for x in line.split(",")]
             for line in (out / "simulate.csv").read_text().splitlines()[1:]]
-    info = dict(line.split(" = ", 1) for line in (out / "run_info.txt").read_text().splitlines())
     return np.array(rows)[:, 3:].T, info  # columns t, H_half, H_s, E, Q, M
 
 

@@ -160,7 +160,11 @@ def write(tmp_path, name, text):
     return str(p)
 
 
-# (command, configuration, key the error must name)
+# the failing quantity an initial-data error names (its message lists every data key)
+L2_ZERO, L2_INF = "its L2 norm to normalize is 0", "its L2 norm to normalize is inf"
+H_HALF_INF, SUP_INF = "its H^1/2 norm is inf", "its sup bound (sum |c(k)|)^4 is inf"
+
+# (command, configuration, key the error must name, or the key and the failing quantity)
 BAD_INPUTS = {
     "empty_flow_eps": ("simulate", "[flow]\neps =\n", "eps"),
     "empty_flow_flow": ("simulate", "[flow]\nflow =\n", "flow"),
@@ -249,10 +253,10 @@ BAD_INPUTS = {
         "simulate", "[initial_data]\nmodes = 1,2,3\namplitudes = nan,1,1\n", "amplitudes",
     ),
     "zero_amplitudes_simulate": (
-        "simulate", "[initial_data]\nmodes = 0,1\namplitudes = 0,0\n", "amplitudes",
+        "simulate", "[initial_data]\nmodes = 0,1\namplitudes = 0,0\n", ("amplitudes", L2_ZERO),
     ),
     "zero_amplitudes_scaling": (
-        "scaling", "[initial_data]\nmodes = 0,1\namplitudes = 0,0\n", "amplitudes",
+        "scaling", "[initial_data]\nmodes = 0,1\namplitudes = 0,0\n", ("amplitudes", L2_ZERO),
     ),
     "duplicate_modes": ("simulate", "[initial_data]\nmodes = 1,1\namplitudes = 1,2\n", "modes"),
     "infinite_length": (
@@ -271,17 +275,17 @@ BAD_INPUTS = {
     "overflowing_decay_simulate": (
         "simulate",
         "[flow]\nt_end = 10\n\n[initial_data]\nkind = seeded_random_hardy\ndecay = -400\n",
-        "decay",
+        ("decay", L2_INF),
     ),
     "overflowing_norm": (
         "simulate", "[flow]\nt_end = 1\n\n[initial_data]\namplitudes = 1e200,1,1\n",
-        "normalization",
+        ("normalization", L2_INF),
     ),
     "overflowing_decay_scaling": (
         "scaling",
         "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n"
         "[initial_data]\nkind = seeded_random_hardy\ndecay = -400\n",
-        "decay",
+        ("decay", L2_INF),
     ),
     "zero_normalization": (
         "simulate", "[flow]\nt_end = 1\n\n[initial_data]\nnormalization = 0\n", "normalization",
@@ -294,26 +298,26 @@ BAD_INPUTS = {
     "overflowing_scale_simulate": (
         "simulate",
         "[flow]\nt_end = 1\n\n[initial_data]\nnormalization = 1e200\nscale = 1e200\n",
-        "scale",
+        ("scale", H_HALF_INF),
     ),
     "overflowing_scale_scaling": (
         "scaling",
         "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n"
         "[initial_data]\nnormalization = 1e10\nscale = 1e300\n",
-        "scale",
+        ("scale", H_HALF_INF),
     ),
     # coefficients that stay finite but whose H^1/2 norm overflows
     "overflowing_h_half_scale_simulate": (
-        "simulate", "[flow]\nt_end = 1\n\n[initial_data]\nscale = 1e300\n", "scale",
+        "simulate", "[flow]\nt_end = 1\n\n[initial_data]\nscale = 1e300\n", ("scale", H_HALF_INF),
     ),
     "overflowing_h_half_normalization": (
         "simulate", "[flow]\nt_end = 1\n\n[initial_data]\nnormalization = 1e300\n",
-        "normalization",
+        ("normalization", H_HALF_INF),
     ),
     "overflowing_h_half_scale_scaling": (
         "scaling",
         "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n[initial_data]\nscale = 1e300\n",
-        "scale",
+        ("scale", H_HALF_INF),
     ),
     "eps_zeroes_default_stride": (
         "simulate", "[grid]\nn_max = 8\n\n[flow]\nt_end = 1\neps = 1e-200\n", "eps = 1e-200",
@@ -399,17 +403,17 @@ BAD_INPUTS = {
     "slope_threshold_key": ("scaling", "[experiment]\nslope_threshold = 2.0\n", "slope_threshold"),
     # a finite H^1/2 norm, but a quartic mean (the E column) that overflows
     "overflowing_quartic_simulate": (
-        "simulate", "[flow]\nt_end = 1\n\n[initial_data]\nscale = 1e120\n", "scale",
+        "simulate", "[flow]\nt_end = 1\n\n[initial_data]\nscale = 1e120\n", ("scale", SUP_INF),
     ),
     "overflowing_quartic_scaling": (
         "scaling",
         "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n[initial_data]\nscale = 1e120\n",
-        "scale",
+        ("scale", SUP_INF),
     ),
     # amplitudes whose squares underflow: an L2 norm of 0 cannot be normalized
     "underflowing_norm": (
         "simulate", "[flow]\nt_end = 1\n\n[initial_data]\namplitudes = 1e-200,1e-200,1e-200\n",
-        "normalization",
+        ("normalization", L2_ZERO),
     ),
     # norm indices whose H^s weight (1 + freq^2)^s overflows at the top mode
     "overflowing_weight_scaling": (
@@ -423,6 +427,9 @@ BAD_INPUTS = {
     "nonpositive_delta": ("scaling", "[experiment]\ndelta = -1\n", "delta"),
     "simulate_box_without_length": ("simulate", "[grid]\ndomain = bigbox\n", "length"),
     "nonpositive_box_length": ("simulate", "[grid]\ndomain = bigbox\nlength = -1\n", "length"),
+    "zero_box_length_growth": (
+        "growth", "[run]\nexperiment = fosc_growth\n\n[grid]\nlength = 0\n", "length",
+    ),
     "zero_t_end": ("simulate", "[flow]\nt_end = 0\n", "t_end"),
     "repeated_eps": ("scaling", "[experiment]\neps_list = 0.2,0.2,0.1\n", "eps_list"),
     # grids of 291 TiB of coefficients, which the allocator refuses at once
@@ -514,7 +521,8 @@ class TestBadInput:
         out = tmp_path / "run"
         assert main([command, "--config", write(tmp_path, "bad.cfg", text), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "config error" in err and key in err
+        assert "config error" in err
+        assert all(part in err for part in ((key,) if isinstance(key, str) else key))
         assert "Traceback" not in err
         assert not (out / "config_resolved.cfg").exists()
 
