@@ -6,17 +6,19 @@ name; parse(emit(cfg)) == cfg.  RunConfig.value applies one rule to every key:
 a key may be empty exactly when its default is empty, and its documentation
 then says what empty means ("empty = ..."): the value of the experiment's
 default plan, or for simulate of FlowSpec, InitialDataSpec and the n_max = 32
-torus.  Those hold every such default; SCHEMA restates none.  Any other empty value, and any value that does not parse (numbers must
-be finite), is a ConfigError naming the key.
+torus.  Those hold every such default; SCHEMA restates none.  Any other
+empty value, and any value that does not parse (numbers must be finite), is
+a ConfigError naming the key.
 
 Every [flow], [initial_data], [grid] and [experiment] key is named after the
-field of FlowSpec, InitialDataSpec or ExperimentPlan that it fills, so the
-builders pass the set keys of a section on as keyword arguments, and a set
-key overrides exactly its own field.  A key set off its default that the run
-never reads is rejected: [flow] off simulate, [run] experiment and every
-[experiment] key in simulate, [experiment] keys outside the
-experiment's EXPERIMENT_KEYS, [initial_data] keys outside the data kind's
-DATA_KEYS (the audit reads none).
+field of FlowSpec, InitialDataSpec, FrequencyGrid or ExperimentPlan that it
+fills, so the builders pass the set keys of a section on as keyword
+arguments, and a set key overrides exactly its own field: the [grid] keys
+fill the run's FrequencyGrid, the plan's grid or simulate's n_max = 32 torus.
+A key set off its default that the run never reads is rejected: [flow] off
+simulate, [run] experiment and every [experiment] key in simulate,
+[experiment] keys outside the experiment's EXPERIMENT_KEYS, [initial_data]
+keys outside the data kind's DATA_KEYS (the audit reads none).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .experiments import (
     InitialDataSpec,
     default_plan,
 )
-from .spectral import TWO_PI, Domain, make_grid
+from .spectral import Domain, FrequencyGrid
 
 
 class ConfigError(Exception):
@@ -225,15 +227,6 @@ def _set(values: dict[str, Any]) -> dict[str, Any]:
     return {k: v for k, v in values.items() if v is not None}
 
 
-def _grid(cfg: RunConfig, domain: Domain) -> dict[str, Any]:
-    """The set [grid] values, with length 2*pi when the run's domain
-    (the section's, else domain) is the torus."""
-    grid = _set(cfg.section("grid"))
-    if grid.get("domain", domain) is Domain.TORUS:
-        grid["length"] = TWO_PI
-    return grid
-
-
 def _unread(cfg: RunConfig, section: str, reads: tuple[str, ...], reader: str) -> None:
     """Reject the first key of section, in SCHEMA order, set off its default and not in reads."""
     for key in SCHEMA[section]:
@@ -246,14 +239,12 @@ def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
     _unread(cfg, "experiment", (), "simulate")
     kind = cfg.value("initial_data", "kind") or InitialDataSpec.kind
     _unread(cfg, "initial_data", DATA_KEYS[kind], f"{kind.value} data")
-    grid = {"n_max": 32, "domain": Domain.TORUS, "length": None, **_grid(cfg, Domain.TORUS)}
-    flow = _set(cfg.section("flow"))
-    # the effective flows step in slow time, like the sweeps' first-order arms
-    slow = None if flow["flow"] is Flow.FULL_NLW else SLOW_DT
+    grid = {"n_max": 32, "domain": Domain.TORUS, **_set(cfg.section("grid"))}
     try:
-        spec = FlowSpec(grid=make_grid(**grid), slow=slow, **flow)
+        # the effective flows step in slow time, like the sweeps' first-order arms
+        spec = FlowSpec(grid=FrequencyGrid(**grid), slow=SLOW_DT, **_set(cfg.section("flow")))
         data = InitialDataSpec(seed=cfg.value("run", "seed"), **_set(cfg.section("initial_data")))
-        data.build(spec.grid)  # the data's own check, before the run starts
+        data.build(spec.grid, spec.s)  # the data's own check, before the run starts
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return spec, data
@@ -271,13 +262,13 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
         _unread(cfg, "initial_data", (), plan.experiment.value)
     else:
         _unread(cfg, "initial_data", DATA_KEYS[kind], f"{kind.value} data")
-    grid = _grid(cfg, plan.domain)
     try:
         data = dc_replace(
             plan.initial_data, seed=cfg.value("run", "seed"), **_set(cfg.section("initial_data"))
         )
-        plan = dc_replace(plan, initial_data=data, **_set(cfg.section("experiment")), **grid)
-        data.build(plan.grid())  # the data's own check, before the run starts
+        grid = dc_replace(plan.grid, **_set(cfg.section("grid")))
+        plan = dc_replace(plan, grid=grid, initial_data=data, **_set(cfg.section("experiment")))
+        data.build(plan.grid, plan.s)  # the data's own check, before the run starts
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return plan

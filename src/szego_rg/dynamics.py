@@ -27,7 +27,8 @@ tau = eps^2 t.  With FlowSpec.slow set to a slow-time substep, the integrator
 covers each gap between two snapshots with a few equal RK4 substeps of
 slow-time size at most FlowSpec.slow instead of every fast step; the snapshot
 times stay those of the fast step, so the stream still lines up with a
-full-flow stream of the same spec.
+full-flow stream of the same spec.  The full flow ignores FlowSpec.slow: its
+linear part turns at the fast frequencies, so it always takes the fast step.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .spectral import (
     check_norm_index,
     cubic_product,
     free_flow,
+    mass,
     sobolev_norm,
     szego_cubic,
 )
@@ -68,9 +70,10 @@ class FlowSpec:
     """Which evolution to integrate, with step size and horizon.
 
     snapshot_stride is in fast-time units; None selects the default of 0.05
-    slow-time units (0.05/eps^2).  slow, for the effective flows only, is
-    the largest slow-time substep: each gap between snapshots is covered by
-    substeps of slow-time size at most slow (None steps every fast step).
+    slow-time units (0.05/eps^2).  slow is the largest slow-time substep of a
+    flow without a linear part: stream covers each gap between an effective
+    flow's snapshots by substeps of at most slow (None steps every fast step);
+    the full flow ignores it.
     """
 
     flow: Flow
@@ -98,9 +101,8 @@ class FlowSpec:
                 f"(empty = 0.05/eps^2, eps = {self.eps:g})"
             )
         if self.flow is Flow.SECOND_ORDER_AVERAGED and self.grid.domain is not Domain.TORUS:
-            raise ValueError("the second-order averaged flow is defined on the torus")
-        if self.slow is not None and self.flow is Flow.FULL_NLW:
-            raise ValueError("slow stepping is for the effective flows; the full flow steps fast")
+            raise ValueError(f"flow = {self.flow.value} is defined on the torus only: it needs "
+                             f"domain = torus, got domain = {self.grid.domain.value}")
         # a bool is a number, but no substep: True would step slow time by 1.0
         if self.slow is not None and (
             isinstance(self.slow, bool) or not 0.0 < self.slow < math.inf
@@ -162,14 +164,16 @@ def stream(spec: FlowSpec, v0: SpectralField) -> Iterator[Snapshot]:
     take plain RK4 stages.  Snapshots fall on the configured stride
     (FlowSpec.schedule), always including t = 0 and t_end.  The integrator
     walks the schedule gap by gap: a gap of g fast steps of size h between
-    two snapshots is covered by m = ceil(g h eps^2 / spec.slow) equal
-    substeps of size g h / m when spec.slow is set and m < g, and by the g
-    fast steps otherwise, so a slow step no coarser than the fast one
-    changes nothing.  After each gap a blow-up guard ends the stream once
-    the H^{1/2} norm exceeds 1e3 times its initial value; the snapshot that
-    tripped it is the last item.  The stream keeps no earlier snapshot, so
-    a consumer that reduces each one as it arrives never holds the whole
-    trajectory.
+    two snapshots of an effective flow is covered by
+    m = ceil(g h eps^2 max(1, Q0) / spec.slow) equal substeps of size g h / m
+    when spec.slow is set and m < g, and by the g fast steps otherwise, so a
+    slow step no coarser than the fast one changes nothing.  Q0 is the mass
+    of v0: the cubic term turns at eps^2 |W|^2, so the substeps count on the
+    clock eps^2 max(1, Q0) t, which a larger datum runs faster.  After each
+    gap a blow-up guard ends the stream once the H^{1/2} norm exceeds 1e3
+    times its initial value; the snapshot that tripped it is the last item.
+    The stream keeps no earlier snapshot, so a consumer that reduces each
+    one as it arrives never holds the whole trajectory.
     """
     if v0.grid != spec.grid:
         raise ValueError("initial field is not on the FlowSpec grid")
@@ -179,12 +183,14 @@ def stream(spec: FlowSpec, v0: SpectralField) -> Iterator[Snapshot]:
     h, snap_steps = spec.schedule()
     grid = spec.grid
     lawson = spec.flow is Flow.FULL_NLW
+    slow = None if lawson else spec.slow
     if lawson:
         # the full flow only ever steps h
         e_half = np.exp(-1j * np.abs(grid.freqs) * (h / 2.0))
         e_full = e_half * e_half
     else:
         require_hardy(v0.coeff)
+        rate = spec.eps**2 * max(1.0, mass(v0))  # the slow clock's rate
     nonlin = _nonlinear_term(spec)
 
     guard = BLOWUP_FACTOR * max(sobolev_norm(v0, 0.5), 1e-30)
@@ -198,8 +204,8 @@ def stream(spec: FlowSpec, v0: SpectralField) -> Iterator[Snapshot]:
         # step's arrays are freed only as the next step replaces them
         g = step - done
         n = g
-        if spec.slow is not None:
-            n = min(g, max(1, math.ceil(g * h * spec.eps**2 / spec.slow - 1e-12)))
+        if slow is not None:
+            n = min(g, max(1, math.ceil(g * h * rate / slow - 1e-12)))
         k = h if n == g else g * h / n
         done = step
         # a diverging state overflows on its way to the guard; the error

@@ -40,7 +40,6 @@ from .spectral import (
     SpectralField,
     check_norm_index,
     field_from_modes,
-    make_grid,
     mass,
     random_field,
     sobolev_norm,
@@ -124,10 +123,13 @@ class InitialDataSpec:
         if self.normalization is not None and not self.normalization > 0.0:
             raise ValueError(f"normalization must be > 0, got {self.normalization:g}")
 
-    def build(self, grid: FrequencyGrid) -> SpectralField:
+    def build(self, grid: FrequencyGrid, s: float) -> SpectralField:
         """The data on grid, checked: modes in the grid, an allocatable array, a
         normalized L2 norm in (0, inf), and a finite H^1/2 norm (the blow-up
-        guard's) and sup bound (sum |c(k)|)^4 of |u|^4 and |u|^2 u."""
+        guard's), sup bound (sum |c(k)|)^4 of |u|^4 and |u|^2 u, and H^s bound
+        4 Q sum_k (1 + freq_k^2)^s at the run's norm index s: Q, the data's
+        mass, is conserved, so Q sum_k (1 + freq_k^2)^s bounds the squared H^s
+        norm of every state, and 4 that of a difference of two states."""
         if self.kind is DataKind.HARDY_POLYNOMIAL and max(self.modes, default=0) > grid.n_max:
             raise ValueError(f"modes {self.modes} reach outside the grid range +-{grid.n_max}")
         try:
@@ -148,12 +150,14 @@ class InitialDataSpec:
                     f = (self.normalization / q) * f
                 f = self.scale * f if self.scale != 1.0 else f
                 h_half, sup4 = sobolev_norm(f, 0.5), np.sum(np.abs(f.coeff)) ** 4
+                h_s = 4.0 * mass(f) * np.sum((1.0 + grid.freqs**2) ** s)
         except MemoryError:
             raise ValueError(f"n_max = {grid.n_max}: the initial data cannot be allocated") from None
         for quantity, value, ok in (
             ("L2 norm to normalize", q, self.normalization is None or 0.0 < q < np.inf),
             ("H^1/2 norm", h_half, h_half < np.inf),
             ("sup bound (sum |c(k)|)^4", sup4, sup4 < np.inf),
+            (f"H^s bound 4 Q sum_k (1 + freq_k^2)^s at s = {s:g}", h_s, h_s < np.inf),
         ):
             if not ok:
                 keys = ", ".join(
@@ -179,10 +183,8 @@ class ExperimentPlan:
     s: float = 1.0
     alpha: float = 0.0
     delta: float = 0.1
-    n_max: int = 32
+    grid: FrequencyGrid = FrequencyGrid(32, Domain.TORUS)
     initial_data: InitialDataSpec = field(default_factory=InitialDataSpec)
-    domain: Domain = Domain.TORUS
-    length: float = TWO_PI
     dt: float = 0.05
     snapshots_per_run: int = 150
     growth_t_min: float = 10.0
@@ -218,23 +220,23 @@ class ExperimentPlan:
         if self.audit_fields < 1:
             raise ValueError(f"audit_fields must be >= 1, got {self.audit_fields}")
         quintic_cap = oracles.MAX_QUINTIC_N_MAX
-        if self.experiment is Experiment.KERNEL_AUDIT and self.n_max > quintic_cap:
+        if self.experiment is Experiment.KERNEL_AUDIT and self.grid.n_max > quintic_cap:
             raise ValueError(
                 f"the kernel audit's quintic brute force needs n_max <= "
-                f"{quintic_cap}, got n_max = {self.n_max}"
+                f"{quintic_cap}, got n_max = {self.grid.n_max}"
             )
         # the F_osc growth study runs on either domain; every other
         # experiment is defined on the domain of its default plan
-        required = _DEFAULTS[self.experiment].get("domain", ExperimentPlan.domain)
-        if self.experiment is not Experiment.FOSC_GROWTH and self.domain is not required:
+        required = _DEFAULTS[self.experiment].get("grid", ExperimentPlan.grid).domain
+        if self.experiment is not Experiment.FOSC_GROWTH and self.grid.domain is not required:
             raise ValueError(f"{self.experiment.value} requires domain = {required.value}")
-        check_norm_index(self.s, self.grid())  # the grid checks n_max and length
+        check_norm_index(self.s, self.grid)
         command = COMMAND[self.experiment]
         if command == "scaling" and len(self.eps_list) < 3:
             raise ValueError(
                 f"eps_list needs >= 3 eps values for the log-log fit, got {len(self.eps_list)}"
             )
-        if self.experiment is Experiment.SCALING1_BOX and self.length < 64.0 * np.pi:
+        if self.experiment is Experiment.SCALING1_BOX and self.grid.length < 64.0 * np.pi:
             raise ValueError("box scaling expects length >= 64*pi")
         if command == "growth":
             self._check_growth_window()
@@ -248,7 +250,7 @@ class ExperimentPlan:
         if self.experiment is Experiment.SOBOLEV_GROWTH:
             if not hi / self.dt < 2.0**53:
                 raise ValueError(f"growth_t_max/dt = {hi / self.dt:g} must be below 2^53 steps")
-            h, steps = _growth_spec(self, self.grid()).schedule()
+            h, steps = _growth_spec(self).schedule()
             ts = np.fromiter(steps, float) * h
             n = np.count_nonzero((ts >= lo) & (ts <= hi))
             where = f"snapshot times in {window}"
@@ -260,13 +262,10 @@ class ExperimentPlan:
                     f"growth_points = {self.growth_points}: the t grid cannot be allocated"
                 ) from None
             where = f"of the growth_points = {self.growth_points} t points of {window}"
-            if self.domain is Domain.BIGBOX:
-                where += f" at or below length/2 = {self.length / 2.0:.6g}"
+            if self.grid.domain is Domain.BIGBOX:
+                where += f" at or below length/2 = {self.grid.length / 2.0:.6g}"
         if n < 3:
             raise ValueError(f"the growth fit needs >= 3 {where}, got {n}")
-
-    def grid(self) -> FrequencyGrid:
-        return make_grid(self.n_max, self.domain, self.length)
 
     def fosc_times(self) -> np.ndarray:
         """The logarithmic t grid of the F_osc growth study."""
@@ -277,7 +276,7 @@ class ExperimentPlan:
     def fosc_window(self) -> np.ndarray:
         """The fit rows of fosc_times(): all on the torus; on the box those at or
         below length/2, where the mode spacing still resolves the sinc peak."""
-        cut = self.length / 2.0 if self.domain is Domain.BIGBOX else np.inf
+        cut = self.grid.length / 2.0 if self.grid.domain is Domain.BIGBOX else np.inf
         return self.fosc_times() <= cut
 
     def horizon(self, eps: float) -> float:
@@ -294,17 +293,17 @@ _DEFAULTS = {
     # purely secular, so any log factor would contaminate the fitted slope
     Experiment.Y_VS_U: dict(eps_list=(0.2, 0.1, 0.05), alpha=0.5, slope_threshold=1.7),
     Experiment.SCALING1_BOX: dict(
-        eps_list=(0.2, 0.1, 0.05), alpha=0.5, domain=Domain.BIGBOX, length=64.0 * np.pi,
-        n_max=384, initial_data=_RATIONAL, slope_threshold=1.7,
+        eps_list=(0.2, 0.1, 0.05), alpha=0.5, initial_data=_RATIONAL, slope_threshold=1.7,
+        grid=FrequencyGrid(384, Domain.BIGBOX, 64.0 * np.pi),
     ),
     Experiment.FOSC_GROWTH: dict(
-        domain=Domain.BIGBOX, length=512.0 * np.pi, n_max=1024, initial_data=_RATIONAL,
+        grid=FrequencyGrid(1024, Domain.BIGBOX, 512.0 * np.pi), initial_data=_RATIONAL,
     ),
     Experiment.SOBOLEV_GROWTH: dict(
-        domain=Domain.BIGBOX, length=256.0 * np.pi, n_max=32768, dt=0.1, growth_t_max=40.0,
+        grid=FrequencyGrid(32768, Domain.BIGBOX, 256.0 * np.pi), dt=0.1, growth_t_max=40.0,
         initial_data=replace(_RATIONAL, scale=2.0),
     ),
-    Experiment.KERNEL_AUDIT: dict(n_max=8),
+    Experiment.KERNEL_AUDIT: dict(grid=FrequencyGrid(8, Domain.TORUS)),
 }
 
 
@@ -382,28 +381,27 @@ def fit_loglog(xs, ys) -> tuple[float, float, bool]:
 
 
 def _flow_spec(
-    plan: ExperimentPlan, flow: Flow, grid, eps: float, t_end: float, snapshots: int | None = None,
+    plan: ExperimentPlan, flow: Flow, eps: float, t_end: float, snapshots: int | None = None,
     slow: float | None = None,
 ) -> FlowSpec:
-    """FlowSpec of one trajectory of the plan; snapshots defaults to
-    plan.snapshots_per_run.  slow is an effective flow's largest slow-time
-    substep (None: every fast step); the full flow always takes the fast step."""
+    """FlowSpec of one trajectory on the plan's grid; snapshots defaults to
+    plan.snapshots_per_run, and slow is FlowSpec.slow."""
     return FlowSpec(
         flow=flow,
-        grid=grid,
+        grid=plan.grid,
         eps=eps,
         dt=plan.dt,
         t_end=t_end,
         s=plan.s,
         snapshot_stride=t_end / (plan.snapshots_per_run if snapshots is None else snapshots),
-        slow=None if flow is Flow.FULL_NLW else slow,
+        slow=slow,
     )
 
 
-def _growth_spec(plan: ExperimentPlan, grid) -> FlowSpec:
+def _growth_spec(plan: ExperimentPlan) -> FlowSpec:
     """The Sobolev growth study's trajectory: the eps = 1 resonant flow to growth_t_max."""
     snapshots = max(plan.growth_points * 2, 40)
-    return _flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 1.0, plan.growth_t_max, snapshots)
+    return _flow_spec(plan, Flow.FIRST_ORDER_RG, 1.0, plan.growth_t_max, snapshots)
 
 
 def _finish_scaling(rows, slope_min=0.0, residual_max=np.inf, caveats=()):
@@ -437,13 +435,12 @@ def _sweep(plan: ExperimentPlan, truth: Flow, start, arms, slow: float | None):
     bounded-solution hypothesis; a blow-up in any stream fails that eps in
     every arm.
     """
-    grid = plan.grid()
-    w0 = plan.initial_data.build(grid)
+    w0 = plan.initial_data.build(plan.grid, plan.s)
     w0_norm = sobolev_norm(w0, plan.s)
 
     def row(eps):
         t_end = plan.horizon(eps)
-        sp = lambda flow: _flow_spec(plan, flow, grid, eps, t_end, slow=slow)
+        sp = lambda flow: _flow_spec(plan, flow, eps, t_end, slow=slow)
         specs = [sp(flow) for flow, _ in arms]
         ansatzes = [ansatz_of(spec) for spec, (_, ansatz_of) in zip(specs, arms)]
         streams = [stream(sp(truth), start(eps, w0)), *(stream(spec, w0) for spec in specs)]
@@ -479,10 +476,11 @@ def run_scaling_first_order(plan: ExperimentPlan) -> ScalingReport:
         [(Flow.FIRST_ORDER_RG, first_order_ansatz)], SLOW_DT,
     )
     caveats = ()
-    if plan.domain is Domain.BIGBOX:
+    length = plan.grid.length
+    if plan.grid.domain is Domain.BIGBOX:
         caveats = (
-            f"big-box approximation of the line: L={plan.length:.6g}, "
-            f"small-divisor amplification at the first negative mode = L/(2*pi) = {plan.length / TWO_PI:.6g}",
+            f"big-box approximation of the line: L={length:.6g}, "
+            f"small-divisor amplification at the first negative mode = L/(2*pi) = {length / TWO_PI:.6g}",
         )
     return _finish_scaling(rows, plan.slope_threshold, plan.residual_max, caveats)
 
@@ -535,7 +533,7 @@ def simulate(spec: FlowSpec, data: InitialDataSpec) -> Iterator[Snapshot]:
     """The snapshot stream of spec from data W0: the full flow starts from
     eps*W0, the effective flows from W0 (their states stay unscaled).  The
     data are built at the call; the stream checks them at its first item."""
-    w0 = data.build(spec.grid)
+    w0 = data.build(spec.grid, spec.s)
     return stream(spec, spec.eps * w0 if spec.flow is Flow.FULL_NLW else w0)
 
 
@@ -563,15 +561,14 @@ def run_fosc_growth(plan: ExperimentPlan) -> GrowthReport:
     resolves the sinc concentration (t below about length/2); on the torus it
     stays bounded with no trend.
     """
-    grid = plan.grid()
-    w0 = plan.initial_data.build(grid)
+    w0 = plan.initial_data.build(plan.grid, plan.s)
     ts = plan.fosc_times()
     norms = np.array([sobolev_norm(rs.F_osc(w0, t), plan.s) for t in ts])
     in_window = plan.fosc_window()
     warnings = ()
     if not np.all(in_window):
         warnings = (
-            f"t beyond length/2 = {plan.length / 2.0:.6g} no longer resolves the "
+            f"t beyond length/2 = {plan.grid.length / 2.0:.6g} no longer resolves the "
             f"sinc concentration; those rows are excluded from the fit",
         )
     return _growth_report(ts, norms, in_window, False, warnings)
@@ -594,11 +591,11 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
     norm and boundary-band share as it arrives, so the study never holds
     the whole trajectory.
     """
-    grid = plan.grid()
-    w0 = plan.initial_data.build(grid)
+    grid = plan.grid
+    w0 = plan.initial_data.build(grid, plan.s)
     band = np.abs(grid.modes) >= grid.n_max - max(grid.n_max // 64, 8)
     ts, norms, boundary = [], [], []
-    for snap in stream(_growth_spec(plan, grid), w0):
+    for snap in stream(_growth_spec(plan), w0):
         f = snap.state
         ts.append(snap.time)
         norms.append(sobolev_norm(f, plan.s))
@@ -629,10 +626,10 @@ def run_kernel_audit(plan: ExperimentPlan) -> list[AuditRow]:
     its errors (NaN if any is) is at most its tolerance.  The rows are
     computed in order, so each draws its random fields before the next.
     """
-    n = plan.n_max
+    n = plan.grid.n_max
     rng = default_rng(plan.initial_data.seed)
-    gt = make_grid(n, Domain.TORUS)
-    gb = make_grid(n, Domain.BIGBOX, 16.0 * np.pi)
+    gt = plan.grid
+    gb = FrequencyGrid(n, Domain.BIGBOX, 16.0 * np.pi)
 
     def fields(grid: FrequencyGrid, count: int, hardy: bool = False):
         return (random_field(grid, rng, hardy=hardy) for _ in range(count))
@@ -677,7 +674,7 @@ def run_kernel_audit(plan: ExperimentPlan) -> list[AuditRow]:
         # r2 via discrete time averaging of f'(W,t).F_osc(W,t)
         ("r2_time_average_oracle", 1e-8, [
             max_diff(oracles.r2_bruteforce(w).coeff, oracles.r2_time_average(w).coeff)
-            for w in fields(make_grid(6, Domain.TORUS), 1, hardy=True)
+            for w in fields(FrequencyGrid(6, Domain.TORUS), 1, hardy=True)
         ]),
     )
     rows = []

@@ -75,21 +75,22 @@ class Domain(enum.Enum):
 class FrequencyGrid:
     """Symmetric mode grid k = -n_max..n_max with frequencies freq(k).
 
-    On the torus the length is exactly 2*pi and freq(k) = k; on the big box
+    The one owner of the length: on the torus it is 2*pi whatever is given,
+    and freq(k) = k; the big box requires a positive length, and
     freq(k) = 2*pi*k/length.
     """
 
     n_max: int
     domain: Domain
-    length: float
+    length: float | None = None
 
     def __post_init__(self):
         if self.n_max < MIN_N_MAX:
             raise ValueError(f"n_max must be >= {MIN_N_MAX}, got {self.n_max}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if self.domain is Domain.TORUS and abs(self.length - TWO_PI) > 1e-12:
-            raise ValueError("torus grid must have length 2*pi")
+        if self.domain is Domain.TORUS:
+            object.__setattr__(self, "length", TWO_PI)
+        elif self.length is None or not self.length > 0:
+            raise ValueError(f"the big box requires a positive length, got length = {self.length}")
 
     @property
     def size(self) -> int:
@@ -128,16 +129,6 @@ def _grid_freqs(n_max: int, length: float) -> np.ndarray:
     f = np.arange(-n_max, n_max + 1) * (TWO_PI / length)
     f.setflags(write=False)
     return f
-
-
-def make_grid(n_max: int, domain: Domain, length: float | None = None) -> FrequencyGrid:
-    """Build a grid; a torus grid may omit the length (fixed to 2*pi)."""
-    if domain is Domain.TORUS:
-        if length is None:
-            length = TWO_PI
-    elif length is None:
-        raise ValueError("big-box grid requires an explicit length")
-    return FrequencyGrid(n_max=n_max, domain=domain, length=float(length))
 
 
 @dataclass(frozen=True)

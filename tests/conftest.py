@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from szego_rg.cli import main
-from szego_rg.spectral import Domain, make_grid, random_field
+from szego_rg.spectral import Domain, FrequencyGrid, random_field
 
 
 @pytest.fixture
@@ -17,17 +18,24 @@ def rng():
 
 @pytest.fixture
 def torus8():
-    return make_grid(8, Domain.TORUS)
+    return FrequencyGrid(8, Domain.TORUS)
 
 
 @pytest.fixture
 def box8():
-    return make_grid(8, Domain.BIGBOX, 16.0 * np.pi)
+    return FrequencyGrid(8, Domain.BIGBOX, 16.0 * np.pi)
 
 
 @pytest.fixture
 def rand_torus8(torus8, rng):
     return random_field(torus8, rng, decay=1.0)
+
+
+def replan(plan, **fields):
+    """dataclasses.replace(plan, **fields), where the keys n_max, domain and
+    length fill the fields of plan.grid, as the [grid] keys do."""
+    grid = {k: fields.pop(k) for k in ("n_max", "domain", "length") if k in fields}
+    return replace(plan, grid=replace(plan.grid, **grid), **fields)
 
 
 def max_coeff_diff(a, b):

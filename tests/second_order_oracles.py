@@ -1,7 +1,7 @@
 """Second-order oracles that only tests call: the directional derivative
-dF_osc of the oscillatory primitive, and the oscillatory corrector N2 of the
+dF_osc of the oscillatory primitive, the oscillatory corrector N2 of the
 second-order method through its phase decomposition and its defining
-right-hand side.
+right-hand side, and the Hamiltonian of the averaged flow.
 
 They are built on the package's brute-force sums (szego_rg.oracles), unlike
 reference_impl.py, which shares no code with the package.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from szego_rg.spectral import Domain, SpectralField
+from szego_rg.spectral import Domain, SpectralField, cubic_product, quartic_mean
 from szego_rg.oracles import (
     _bin,
     _check_quintic_size,
@@ -25,6 +25,21 @@ from szego_rg.oracles import (
     r2_bruteforce,
 )
 from szego_rg.resonance import f_res_closed_torus
+
+
+def h6(w_field: SpectralField) -> float:
+    """The quintic part of the averaged flow's Hamiltonian on the torus,
+    H6(W) = (1/4) sum_{k<0} |(|W|^2 W)^(k)|^2 / k.  For Hardy W the modes
+    k < 0 of |W|^2 W lie in -n_max..-1, so the grid holds them exactly."""
+    cube = cubic_product(w_field.coeff)
+    neg = w_field.grid.modes < 0
+    return 0.25 * float(np.sum(np.abs(cube[neg]) ** 2 / w_field.grid.modes[neg]))
+
+
+def averaged_hamiltonian(w_field: SpectralField, eps: float) -> float:
+    """H(W) = (1/4) mean |W|^4 + eps^2 H6(W), conserved by the averaged flow
+    dW/dtau = -i P+(|W|^2 W) + eps^2 r2(W)."""
+    return 0.25 * quartic_mean(w_field) + eps**2 * h6(w_field)
 
 
 def dF_osc(u: SpectralField, t: float, h: SpectralField) -> SpectralField:

@@ -10,11 +10,11 @@ the digest checks of ``test_reference.py`` read too.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import replan
 from routes import PINNED, workload_route
 from second_order_oracles import dF_osc, n2_from_coefficients, n2_phase_coefficients, n2_rhs
 from szego_rg import oracles
@@ -29,14 +29,12 @@ from szego_rg.experiments import (
 )
 from szego_rg.spectral import (
     Domain,
+    FrequencyGrid,
     field_from_modes,
-    make_grid,
     max_rel_drift,
     random_field,
     sobolev_norm,
 )
-
-TWO_PI = 2.0 * np.pi
 
 
 def report(num, name, ok, detail):
@@ -77,7 +75,7 @@ class Stopwatch:
 
 
 def test_01_kernel_audit():
-    plan = replace(default_plan(Experiment.KERNEL_AUDIT), n_max=8, audit_fields=20)
+    plan = replan(default_plan(Experiment.KERNEL_AUDIT), n_max=8, audit_fields=20)
     with Stopwatch() as sw:
         rows = {r.check: r for r in run_kernel_audit(plan)}
     wanted = {
@@ -98,7 +96,7 @@ def test_01_kernel_audit():
 
 def test_02_resonance_lemmas_exhaustive():
     n = 8
-    gt = make_grid(n, Domain.TORUS)
+    gt = FrequencyGrid(n, Domain.TORUS)
     disagreements = 0
     quadruples = 0
     for k in gt.modes:
@@ -193,7 +191,7 @@ def test_05_second_order_scaling_torus(cli_run):
 
 def test_06_first_order_scaling_box(cli_run):
     plan = default_plan(Experiment.SCALING1_BOX)
-    assert plan.length == pytest.approx(64.0 * np.pi)
+    assert plan.grid.length == pytest.approx(64.0 * np.pi)
     rep = read_run(cli_run, PINNED["scaling_first_order_box"], "scaling.csv")
     ok = (
         rep["slope"] >= 1.7
@@ -222,10 +220,9 @@ def test_07_y_vs_u(cli_run):
 
 
 def test_08_fosc_growth_dichotomy(cli_run):
-    torus_plan = replace(
+    torus_plan = replan(
         default_plan(Experiment.FOSC_GROWTH),
         domain=Domain.TORUS,
-        length=TWO_PI,
         n_max=32,
         initial_data=InitialDataSpec(),
         growth_t_max=1000.0,
@@ -250,7 +247,7 @@ def test_08_fosc_growth_dichotomy(cli_run):
 
 
 def test_09_single_mode_exact_solution():
-    grid = make_grid(16, Domain.TORUS)
+    grid = FrequencyGrid(16, Domain.TORUS)
     w0 = field_from_modes(grid, {1: 1.0})
     worst = 0.0
     for eps in (0.2, 0.1, 0.05):
@@ -288,7 +285,7 @@ def test_09_single_mode_exact_solution():
 
 def test_10_derivative_checks():
     rng = np.random.default_rng(2024)
-    grid = make_grid(6, Domain.TORUS)
+    grid = FrequencyGrid(6, Domain.TORUS)
     u = random_field(grid, rng)
     t, d = 0.3, 1e-5
     worst = 0.0
@@ -325,7 +322,7 @@ def test_11_sobolev_growth_qualitative(cli_run):
     # the benchmark's seed-1 run: its [run] seed draws nothing from the
     # rational data, so it is the default plan's run
     plan = default_plan(Experiment.SOBOLEV_GROWTH)
-    assert plan.length >= 256.0 * np.pi and plan.s == 1.0
+    assert plan.grid.length >= 256.0 * np.pi and plan.s == 1.0
     rep = read_run(cli_run, workload_route("sobolev_growth_box"), "growth.csv")
     target = 2.0 * plan.s - 1.0
     ok = abs(rep["exponent"] - target) <= 0.3 and rep["qualitative"]

@@ -33,6 +33,7 @@ from szego_rg.experiments import (
     run_scaling_second_order,
     run_y_vs_u,
 )
+from szego_rg.spectral import FrequencyGrid
 
 
 class TestConfig:
@@ -67,7 +68,7 @@ class TestConfig:
         [
             ("flow", FlowSpec),
             ("initial_data", InitialDataSpec),
-            ("grid", ExperimentPlan),
+            ("grid", FrequencyGrid),
             ("experiment", ExperimentPlan),
         ],
     )
@@ -89,7 +90,7 @@ class TestConfig:
         cfg = default_config().with_value("run", "experiment", "sobolev_growth")
         plan = plan_from_config(cfg)
         assert plan.experiment is Experiment.SOBOLEV_GROWTH
-        assert plan.n_max == 32768  # tuned experiment default survives
+        assert plan.grid.n_max == 32768  # tuned experiment default survives
 
     def test_plan_overrides(self):
         cfg = (
@@ -99,7 +100,7 @@ class TestConfig:
             .with_value("experiment", "eps_list", "0.3,0.2,0.1")
         )
         plan = plan_from_config(cfg)
-        assert plan.n_max == 16
+        assert plan.grid.n_max == 16
         assert plan.eps_list == (0.3, 0.2, 0.1)
 
     @pytest.mark.parametrize("experiment, section, key, expected", [
@@ -135,7 +136,7 @@ class TestConfig:
         plan = plan_from_config(cfg)
         echo = parse_config(emit_config(cfg))
         assert plan_from_config(echo) == plan
-        for section, owner in (("grid", plan), ("experiment", plan),
+        for section, owner in (("grid", plan.grid), ("experiment", plan),
                                ("initial_data", plan.initial_data)):
             for key, value in echo.section(section).items():
                 assert value is None or getattr(owner, key) == value, (section, key)
@@ -163,6 +164,7 @@ def write(tmp_path, name, text):
 # the failing quantity an initial-data error names (its message lists every data key)
 L2_ZERO, L2_INF = "its L2 norm to normalize is 0", "its L2 norm to normalize is inf"
 H_HALF_INF, SUP_INF = "its H^1/2 norm is inf", "its sup bound (sum |c(k)|)^4 is inf"
+H_S_INF = "its H^s bound 4 Q sum_k (1 + freq_k^2)^s at s = 170 is inf"
 
 # (command, configuration, key the error must name, or the key and the failing quantity)
 BAD_INPUTS = {
@@ -424,6 +426,27 @@ BAD_INPUTS = {
         "growth", "[run]\nexperiment = fosc_growth\n\n[experiment]\ns = 400\n", "s = 400",
     ),
     "overflowing_weight_simulate": ("simulate", "[flow]\nt_end = 1\ns = 400\n", "s = 400"),
+    # weights finite at the top mode, but their sum over the grid, the data's
+    # H^s bound, overflows: each state's H^s norm could be inf
+    "overflowing_h_s_bound_scaling": (
+        "scaling",
+        "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n"
+        "[experiment]\neps_list = 0.4,0.3,0.2\ns = 170\n\n"
+        "[initial_data]\nmodes = 8\namplitudes = 1\nscale = 1.5\n",
+        ("s = 170", H_S_INF),
+    ),
+    "overflowing_h_s_bound_simulate": (
+        "simulate",
+        "[grid]\nn_max = 8\n\n[flow]\nflow = first_order_rg\nt_end = 1\ns = 170\n\n"
+        "[initial_data]\nmodes = 8\namplitudes = 1\nscale = 1.5\n",
+        ("s = 170", H_S_INF),
+    ),
+    "second_order_on_box": (
+        "simulate",
+        "[grid]\ndomain = bigbox\nlength = 100\nn_max = 8\n\n"
+        "[flow]\nflow = second_order_averaged\nt_end = 1\n",
+        ("flow = second_order_averaged", "domain"),
+    ),
     "nonpositive_delta": ("scaling", "[experiment]\ndelta = -1\n", "delta"),
     "simulate_box_without_length": ("simulate", "[grid]\ndomain = bigbox\n", "length"),
     "nonpositive_box_length": ("simulate", "[grid]\ndomain = bigbox\nlength = -1\n", "length"),

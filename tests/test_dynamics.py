@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from second_order_oracles import dF_osc
+from second_order_oracles import averaged_hamiltonian, dF_osc
 from szego_rg import oracles
 from szego_rg import resonance as rs
 from szego_rg import spectral
@@ -19,16 +19,17 @@ from szego_rg.dynamics import (
 from szego_rg.experiments import InitialDataSpec
 from szego_rg.spectral import (
     Domain,
+    FrequencyGrid,
     SpectralField,
     conserved_series,
     cubic_product,
     field_from_modes,
     free_flow,
-    make_grid,
     mass,
     max_rel_drift,
     negative_mode_mass,
     project_plus,
+    quartic_mean,
     random_field,
     sobolev_norm,
 )
@@ -61,9 +62,16 @@ class TestFlowSpec:
         with pytest.raises(ValueError, match="snapshot_stride"):
             spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, snapshot_stride=stride)
 
-    def test_slow_rejected_for_full_flow(self, torus8):
-        with pytest.raises(ValueError, match="slow stepping"):
-            spec(Flow.FULL_NLW, torus8, eps=0.1, dt=0.1, t_end=1.0, slow=SLOW_DT)
+    def test_slow_leaves_full_flow_bitwise(self, torus8, rng):
+        # slow is the substep of a flow without a linear part: the full flow
+        # ignores it (applied, it would take one substep per gap, 6 in all, not 40)
+        v0 = 0.1 * random_field(torus8, rng)
+        kw = dict(snapshot_stride=0.35)
+        a = list(stream(spec(Flow.FULL_NLW, torus8, 0.1, 0.05, 2.0, **kw), v0))
+        b = list(stream(spec(Flow.FULL_NLW, torus8, 0.1, 0.05, 2.0, slow=SLOW_DT, **kw), v0))
+        assert [(x.time, x.steps) for x in a] == [(y.time, y.steps) for y in b]
+        assert a[-1].steps == 40
+        assert all(np.array_equal(x.state.coeff, y.state.coeff) for x, y in zip(a, b))
 
     @pytest.mark.parametrize("slow", [0.0, -SLOW_DT, np.nan, np.inf, True])
     def test_slow_substep_positive_and_finite(self, torus8, slow):
@@ -119,7 +127,7 @@ class TestRightHandSides:
         assert np.max(np.abs(a - b)) <= 1e-14
 
     def test_second_order_matches_bruteforce_quintic(self, rng):
-        g = make_grid(6, Domain.TORUS)
+        g = FrequencyGrid(6, Domain.TORUS)
         w = random_field(g, rng, hardy=True)
         eps = 0.3
         first = nonlinear(Flow.FIRST_ORDER_RG, g, eps)(w.coeff)
@@ -136,7 +144,7 @@ class TestRightHandSides:
         # P+(|W|^2 W) of Hardy W needs 2 next_fast_len(2048+1) = 4116 points,
         # half the general padding of next_fast_len(2*4097) = 8232, taken as
         # two rows of 2058 (even and odd samples)
-        grid = make_grid(2048, Domain.BIGBOX, 256.0 * np.pi)
+        grid = FrequencyGrid(2048, Domain.BIGBOX, 256.0 * np.pi)
         w = random_field(grid, rng, hardy=True)
         shapes = []
         for fn in ("fft", "ifft"):
@@ -224,7 +232,7 @@ class TestIntegrator:
         assert worst / 1e-9 <= 1e-13
 
     def test_fourth_order_convergence(self):
-        g = make_grid(16, Domain.TORUS)
+        g = FrequencyGrid(16, Domain.TORUS)
         v0 = 0.2 * field_from_modes(g, {1: 2.0, 2: 1.0})
         final = lambda dt: list(
             stream(spec(Flow.FULL_NLW, g, 0.2, dt, 5.0, snapshot_stride=5.0), v0)
@@ -247,7 +255,7 @@ class TestIntegrator:
             assert np.array_equal(x.state.coeff, y.state.coeff)
 
     def test_blow_up_guard_truncates(self):
-        g = make_grid(12, Domain.TORUS)
+        g = FrequencyGrid(12, Domain.TORUS)
         vbig = 80.0 * field_from_modes(g, {1: 1.0, 2: 1.0})
         snaps = list(stream(spec(Flow.FULL_NLW, g, 0.9, 0.4, 100.0, snapshot_stride=0.4), vbig))
         # the snapshot that tripped the guard is the last, and the only one flagged
@@ -272,7 +280,7 @@ class TestIntegrator:
         assert np.all(np.diff(times) > 0)
 
     def test_wrong_grid_rejected(self, torus8):
-        other = make_grid(6, Domain.TORUS)
+        other = FrequencyGrid(6, Domain.TORUS)
         with pytest.raises(ValueError):
             list(stream(spec(Flow.FULL_NLW, torus8, 0.1, 0.1, 1.0), field_from_modes(other, {})))
 
@@ -290,7 +298,7 @@ class TestIntegrator:
         assert max_rel_drift(m) <= 1e-8
 
     def test_time_reparametrization(self, rng):
-        g = make_grid(12, Domain.TORUS)
+        g = FrequencyGrid(12, Domain.TORUS)
         w = random_field(g, rng, hardy=True)
         eps = 0.3
         a = stream(spec(Flow.FIRST_ORDER_RG, g, eps, 0.1, 50.0, snapshot_stride=10.0), w)
@@ -333,7 +341,7 @@ class TestIntegrator:
 
     def test_slow_gap_takes_at_least_one_substep(self, torus8):
         # 20 fast steps span slow time 1e-16, far below SLOW_DT: one substep
-        w0 = InitialDataSpec().build(torus8)
+        w0 = InitialDataSpec().build(torus8, 1.0)
         snaps = list(stream(spec(Flow.FIRST_ORDER_RG, torus8, 1e-8, 0.05, 1.0, slow=SLOW_DT), w0))
         assert [s.time for s in snaps] == [0.0, 1.0]
         assert snaps[-1].steps == 1 and not snaps[-1].blown_up
@@ -342,7 +350,7 @@ class TestIntegrator:
     def test_slow_stepping_matches_fast_stepping(self, torus8):
         # the package's default data (unit mass) to slow time tau = 1: RK4
         # with slow-time steps <= SLOW_DT stays within 1e-8 of every fast step
-        w0 = InitialDataSpec().build(torus8)
+        w0 = InitialDataSpec().build(torus8, 1.0)
         eps = 0.2
         for flow in (Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED):
             fast = list(stream(spec(flow, torus8, eps, 0.05, 1.0 / eps**2), w0))
@@ -352,6 +360,33 @@ class TestIntegrator:
                 float(np.max(np.abs(x.state.coeff - y.state.coeff))) for x, y in zip(fast, slow)
             )
             assert worst <= 1e-8
+
+    def test_slow_clock_counts_the_mass(self, torus8):
+        # scale = 20 turns the cubic term 400 times faster; counted on eps^2 t
+        # alone, t_end = 1 took 2 substeps and tripped the blow-up guard.  On
+        # eps^2 max(1, Q0) t every fast step is taken; measured Q drift 4.8e-6
+        w0 = InitialDataSpec(modes=(8,), amplitudes=(1.0,), scale=20.0).build(torus8, 1.0)
+        snaps = list(stream(spec(Flow.FIRST_ORDER_RG, torus8, 0.1, 0.05, 1.0, slow=SLOW_DT), w0))
+        assert snaps[-1].time == 1.0 and snaps[-1].steps == 20 and not snaps[-1].blown_up
+        assert max_rel_drift(np.array([mass(s.state) for s in snaps])) <= 1e-5
+
+
+class TestAveragedHamiltonian:
+    def test_conserved_along_averaged_stream(self):
+        # H = (1/4) mean|W|^4 + eps^2 H6(W) from the default data at eps = 0.2
+        # to slow time 5.  Measured drifts: 7.2e-9 at SLOW_DT and 1.9e-10 at
+        # SLOW_DT / 4; (1/4) mean|W|^4 alone drifts 4.7e-3, and with r2's
+        # second coefficient -(i/2) changed to -i, H drifts 1.0e-2
+        eps = 0.2
+        grid = FrequencyGrid(32, Domain.TORUS)
+        w0 = InitialDataSpec().build(grid, 1.0)
+        drifts = []
+        for slow in (SLOW_DT, SLOW_DT / 4):
+            sp = spec(Flow.SECOND_ORDER_AVERAGED, grid, eps, 0.05, 5.0 / eps**2, slow=slow)
+            states = [snap.state for snap in stream(sp, w0)]
+            drifts.append(max_rel_drift(np.array([averaged_hamiltonian(w, eps) for w in states])))
+        assert drifts[0] <= 2e-8 and drifts[1] <= 1e-9 and drifts[1] <= drifts[0] / 10
+        assert max_rel_drift(np.array([quartic_mean(w) for w in states])) >= 1e-3
 
 
 class TestAnsatz:
@@ -444,7 +479,7 @@ class TestAnsatz:
 class TestResidual:
     def test_box_derivative_bound(self, rng):
         # |eps^4 dF_osc . f_res| <= C (sqrt(t) + |W|^5) on Hardy box data
-        g = make_grid(24, Domain.BIGBOX, 128.0 * np.pi)
+        g = FrequencyGrid(24, Domain.BIGBOX, 128.0 * np.pi)
         w = random_field(g, rng, hardy=True, decay=1.5)
         h = SpectralField(g, rs.f_res_closed_line(w.coeff))
         den = sobolev_norm(w, 1.0) ** 5
@@ -461,8 +496,8 @@ class TestBoxDegeneracy:
         # and on Hardy data both resonant closed forms reduce to the same
         # Szego term, so the flows coincide exactly
         n = 16
-        gt = make_grid(n, Domain.TORUS)
-        gb = make_grid(n, Domain.BIGBOX, 2.0 * np.pi)
+        gt = FrequencyGrid(n, Domain.TORUS)
+        gb = FrequencyGrid(n, Domain.BIGBOX, 2.0 * np.pi)
         c = random_field(gt, rng, hardy=True).coeff
         wt, wb = SpectralField(gt, c), SpectralField(gb, c)
         for flow, amp in ((Flow.FULL_NLW, 0.1), (Flow.FIRST_ORDER_RG, 1.0)):

@@ -25,38 +25,38 @@ from szego_rg.experiments import (
 )
 from szego_rg.spectral import (
     Domain,
+    FrequencyGrid,
     conserved_series,
-    make_grid,
     mass,
     max_rel_drift,
     negative_mode_mass,
 )
+from conftest import replan
 from dataclasses import replace
 
-TWO_PI = 2.0 * np.pi
 ZERO_DATA = InitialDataSpec(normalization=None, amplitudes=(0.0, 0.0, 0.0))
 
 
 class TestInitialData:
     def test_polynomial_placement_and_normalization(self, torus8):
         spec = InitialDataSpec(modes=(1, 3), amplitudes=(2.0, 1.0j), normalization=1.0)
-        f = spec.build(torus8)
+        f = spec.build(torus8, 1.0)
         assert mass(f) == pytest.approx(1.0)
         assert abs(f[1] / f[3]) == pytest.approx(2.0)
 
     def test_polynomial_raw_amplitudes(self, torus8):
         spec = InitialDataSpec(modes=(1, 2), amplitudes=(2.0, 1.0), normalization=None)
-        f = spec.build(torus8)
+        f = spec.build(torus8, 1.0)
         assert f[1] == pytest.approx(2.0)
         assert f[2] == pytest.approx(1.0)
 
     def test_polynomial_rejects_negative_modes(self, torus8):
         with pytest.raises(ValueError):
-            InitialDataSpec(modes=(-1,), amplitudes=(1.0,)).build(torus8)
+            InitialDataSpec(modes=(-1,), amplitudes=(1.0,)).build(torus8, 1.0)
 
     def test_rational_profile_values(self):
-        g = make_grid(64, Domain.BIGBOX, 64.0 * np.pi)
-        f = InitialDataSpec(kind=DataKind.RATIONAL_NONGENERIC, normalization=None).build(g)
+        g = FrequencyGrid(64, Domain.BIGBOX, 64.0 * np.pi)
+        f = InitialDataSpec(kind=DataKind.RATIONAL_NONGENERIC, normalization=None).build(g, 1.0)
         # coefficient (1/L) * (-2 pi i)(e^-xi - 2 e^-2xi); at xi = 0 that is
         # +2 pi i / L
         assert f[0] == pytest.approx(2j * np.pi / g.length)
@@ -66,9 +66,9 @@ class TestInitialData:
         assert negative_mode_mass(f) == 0.0
 
     def test_seeded_random_reproducible_and_hardy(self, torus8):
-        a = InitialDataSpec(kind=DataKind.SEEDED_RANDOM_HARDY, seed=7).build(torus8)
-        b = InitialDataSpec(kind=DataKind.SEEDED_RANDOM_HARDY, seed=7).build(torus8)
-        c = InitialDataSpec(kind=DataKind.SEEDED_RANDOM_HARDY, seed=8).build(torus8)
+        a = InitialDataSpec(kind=DataKind.SEEDED_RANDOM_HARDY, seed=7).build(torus8, 1.0)
+        b = InitialDataSpec(kind=DataKind.SEEDED_RANDOM_HARDY, seed=7).build(torus8, 1.0)
+        c = InitialDataSpec(kind=DataKind.SEEDED_RANDOM_HARDY, seed=8).build(torus8, 1.0)
         assert np.array_equal(a.coeff, b.coeff)
         assert not np.array_equal(a.coeff, c.coeff)
         assert negative_mode_mass(a) == 0.0
@@ -148,7 +148,7 @@ def _fast_torus_plan(**kw):
     kw.setdefault("snapshots_per_run", 40)
     kw.setdefault("slope_threshold", 2.0)
     kw.setdefault("residual_max", 0.5)
-    return replace(base, **kw)
+    return replan(base, **kw)
 
 
 class TestScalingRuns:
@@ -170,7 +170,7 @@ class TestScalingRuns:
 
     def test_floored_fit_carries_caveat(self):
         # zero data: every Y-U gap is 0, so the fit runs on floored errors alone
-        plan = replace(default_plan(Experiment.Y_VS_U), n_max=4, initial_data=ZERO_DATA)
+        plan = replan(default_plan(Experiment.Y_VS_U), n_max=4, initial_data=ZERO_DATA)
         report = run_y_vs_u(plan)
         assert all(r.sup_error == 0.0 for r in report.rows)
         assert any("floor" in c for c in report.caveats)
@@ -180,7 +180,7 @@ class TestScalingRuns:
         # traced peak is a few states, not one per snapshot (a collected
         # trajectory of 151 snapshots reads about 490 states here)
         n_max = 128
-        plan = replace(default_plan(Experiment.SCALING1_BOX), eps_list=(0.4, 0.3, 0.2), n_max=n_max)
+        plan = replan(default_plan(Experiment.SCALING1_BOX), eps_list=(0.4, 0.3, 0.2), n_max=n_max)
         tracemalloc.start()
         try:
             report = run_scaling_first_order(plan)
@@ -192,16 +192,16 @@ class TestScalingRuns:
 
     def test_box_plan_too_short_rejected(self):
         with pytest.raises(ValueError, match="64"):
-            replace(default_plan(Experiment.SCALING1_BOX), length=16.0 * np.pi)
+            replan(default_plan(Experiment.SCALING1_BOX), length=16.0 * np.pi)
 
     def test_box_experiment_needs_box_domain(self):
         with pytest.raises(ValueError, match="domain = bigbox"):
-            replace(default_plan(Experiment.SCALING1_BOX), domain=Domain.TORUS, length=TWO_PI)
+            replan(default_plan(Experiment.SCALING1_BOX), domain=Domain.TORUS)
 
     def test_box_residual_bound_applied(self):
         # an explicit residual_max must bind on the box as on the torus; no
         # rms residual is below -1, so the sweep cannot pass
-        plan = replace(
+        plan = replan(
             default_plan(Experiment.SCALING1_BOX),
             eps_list=(0.4, 0.3, 0.2),
             n_max=16,
@@ -221,7 +221,7 @@ class TestScalingRuns:
     ], ids=["scaling2", "y_vs_u"])
     def test_torus_residual_bound_applied(self, experiment, runner):
         # residual_max binds every scaling verdict, not only the first-order ones
-        plan = replace(
+        plan = replan(
             default_plan(experiment), eps_list=(0.4, 0.3, 0.2), n_max=8, snapshots_per_run=20,
             slope_threshold=0.0, residual_max=-1.0,
         )
@@ -236,7 +236,7 @@ class TestScalingRuns:
             assert r.horizon == plan.horizon(r.eps)
 
     def test_y_vs_u_smoke(self):
-        plan = replace(
+        plan = replan(
             default_plan(Experiment.Y_VS_U),
             eps_list=(0.2, 0.14, 0.1),
             n_max=16,
@@ -253,14 +253,13 @@ class TestScalingRuns:
         # between snapshots spans slow time at most 0.0066 and takes 2 RK4
         # substeps (1 for the last gap at eps = 0.2) instead of its 3, 13
         # or 53 fast steps (500, 2000 and 8000 fast steps in all)
-        plan = replace(default_plan(Experiment.Y_VS_U), n_max=4)
-        grid = plan.grid()
-        w0 = plan.initial_data.build(grid)
+        plan = replan(default_plan(Experiment.Y_VS_U), n_max=4)
+        w0 = plan.initial_data.build(plan.grid, plan.s)
         for eps, slow in ((0.2, 333), (0.1, 308), (0.05, 302)):
             for flow in (Flow.SECOND_ORDER_AVERAGED, Flow.FIRST_ORDER_RG):
-                sp = _flow_spec(plan, flow, grid, eps, plan.horizon(eps), slow=SLOW_DT)
+                sp = _flow_spec(plan, flow, eps, plan.horizon(eps), slow=SLOW_DT)
                 assert list(stream(sp, w0))[-1].steps == slow
-        fast = _flow_spec(plan, Flow.FIRST_ORDER_RG, grid, 0.2, plan.horizon(0.2))
+        fast = _flow_spec(plan, Flow.FIRST_ORDER_RG, 0.2, plan.horizon(0.2))
         assert list(stream(fast, w0))[-1].steps == 500
 
     def test_second_order_arms_step_in_slow_time(self, monkeypatch):
@@ -276,7 +275,7 @@ class TestScalingRuns:
             steps.setdefault(spec.flow, []).append(snap.steps)
 
         monkeypatch.setattr(experiments, "stream", recording)
-        run_scaling_second_order(replace(default_plan(Experiment.SCALING2_TORUS), n_max=4))
+        run_scaling_second_order(replan(default_plan(Experiment.SCALING2_TORUS), n_max=4))
         assert steps == {
             Flow.FULL_NLW: [81, 201, 461, 1086],
             Flow.SECOND_ORDER_AVERAGED: [81, 201, 307, 311],
@@ -288,7 +287,7 @@ class TestScalingRuns:
         # row agrees within the benchmark's 1e-6 relative bound (measured:
         # 1.5e-7, the second-order error at eps = 0.07); rows whose gaps
         # are one fast step are bitwise equal
-        plan = replace(default_plan(Experiment.SCALING2_TORUS), n_max=8)
+        plan = replan(default_plan(Experiment.SCALING2_TORUS), n_max=8)
         slow = run_scaling_second_order(plan)
         sweep = experiments._sweep
         monkeypatch.setattr(
@@ -306,7 +305,7 @@ class TestScalingRuns:
 def _conserved(flow, t_end, snapshots, data=InitialDataSpec(normalization=0.4)):
     """The invariants (E, Q, M) along one simulate stream at gate 3's eps
     and dt on the n_max = 16 torus, and the stream's states."""
-    spec = FlowSpec(flow, make_grid(16, Domain.TORUS), eps=0.1, dt=0.05, t_end=t_end,
+    spec = FlowSpec(flow, FrequencyGrid(16, Domain.TORUS), eps=0.1, dt=0.05, t_end=t_end,
                     snapshot_stride=t_end / snapshots)
     states = [snap.state for snap in simulate(spec, data)]
     return conserved_series(states), states
@@ -316,7 +315,7 @@ class TestConservationRun:
     def test_schedule_is_walked_lazily(self):
         # a full-flow simulate to t_end = 2e6 has 400,000 snapshot steps; its
         # first two snapshots need none of the later ones
-        spec = FlowSpec(Flow.FULL_NLW, make_grid(4, Domain.TORUS), eps=0.1, dt=0.05, t_end=2e6)
+        spec = FlowSpec(Flow.FULL_NLW, FrequencyGrid(4, Domain.TORUS), eps=0.1, dt=0.05, t_end=2e6)
         tracemalloc.start()
         try:
             snaps = simulate(spec, InitialDataSpec())
@@ -347,7 +346,7 @@ class TestConservationRun:
     def test_full_flow_starts_from_eps_w0(self):
         # the full flow's state is v = eps W, the effective flows' the bare W
         data = InitialDataSpec()
-        w0 = data.build(make_grid(16, Domain.TORUS))
+        w0 = data.build(FrequencyGrid(16, Domain.TORUS), 1.0)
         _, nlw = _conserved(Flow.FULL_NLW, 1.0, 1, data)
         _, rg = _conserved(Flow.FIRST_ORDER_RG, 1.0, 1, data)
         assert np.array_equal(nlw[0].coeff, 0.1 * w0.coeff)
@@ -367,10 +366,9 @@ class TestGrowthRuns:
         assert not report.qualitative
 
     def test_fosc_growth_torus_flat(self):
-        plan = replace(
+        plan = replan(
             default_plan(Experiment.FOSC_GROWTH),
             domain=Domain.TORUS,
-            length=TWO_PI,
             n_max=16,
             initial_data=InitialDataSpec(),
             growth_t_max=1000.0,
@@ -379,8 +377,8 @@ class TestGrowthRuns:
         assert abs(report.exponent) <= 0.05
 
     def test_floored_fit_warns(self):
-        plan = replace(
-            default_plan(Experiment.FOSC_GROWTH), domain=Domain.TORUS, length=TWO_PI, n_max=8,
+        plan = replan(
+            default_plan(Experiment.FOSC_GROWTH), domain=Domain.TORUS, n_max=8,
             initial_data=ZERO_DATA,
         )
         report = run_fosc_growth(plan)
@@ -391,13 +389,13 @@ class TestGrowthRuns:
         from szego_rg import resonance as rs
 
         plan = default_plan(Experiment.FOSC_GROWTH)
-        w0 = plan.initial_data.build(plan.grid())
+        w0 = plan.initial_data.build(plan.grid, plan.s)
         assert np.all(rs.F_osc(w0, 0.0).coeff == 0.0)
 
 
 class TestKernelAudit:
     def test_fast_audit_passes(self):
-        plan = replace(default_plan(Experiment.KERNEL_AUDIT), n_max=6, audit_fields=4)
+        plan = replan(default_plan(Experiment.KERNEL_AUDIT), n_max=6, audit_fields=4)
         rows = run_kernel_audit(plan)
         assert all(r.passed for r in rows)
         names = {r.check for r in rows}
@@ -409,7 +407,7 @@ class TestKernelAudit:
         # a closed form off by 1e-6 must fail its row
         closed = resonance.f_res_closed_torus
         monkeypatch.setattr(resonance, "f_res_closed_torus", lambda c: closed(c) + 1e-6)
-        plan = replace(default_plan(Experiment.KERNEL_AUDIT), n_max=6, audit_fields=2)
+        plan = replan(default_plan(Experiment.KERNEL_AUDIT), n_max=6, audit_fields=2)
         bad = [r for r in run_kernel_audit(plan) if not r.passed]
         assert bad and bad[0].check == "f_res_closed_torus_vs_bruteforce"
 
@@ -423,13 +421,13 @@ class TestKernelAudit:
             return closed(c) * (np.nan if len(calls) == 2 else 1.0)
 
         monkeypatch.setattr(resonance, "f_res_closed_torus", nan_on_second_call)
-        plan = replace(default_plan(Experiment.KERNEL_AUDIT), n_max=4, audit_fields=3)
+        plan = replan(default_plan(Experiment.KERNEL_AUDIT), n_max=4, audit_fields=3)
         first, *rest = run_kernel_audit(plan)
         assert np.isnan(first.max_error) and not first.passed
         assert all(r.passed for r in rest)
 
     def test_n_max_four_same_pass_set(self):
-        plan = replace(default_plan(Experiment.KERNEL_AUDIT), n_max=4, audit_fields=3)
+        plan = replan(default_plan(Experiment.KERNEL_AUDIT), n_max=4, audit_fields=3)
         assert all(r.passed for r in run_kernel_audit(plan))
 
 
@@ -437,7 +435,7 @@ class TestSecondOrderContrast:
     def test_monotone_improvement_rowwise(self):
         from szego_rg.experiments import run_scaling_second_order
 
-        plan = replace(
+        plan = replan(
             default_plan(Experiment.SCALING2_TORUS),
             eps_list=(0.2, 0.14, 0.1),
             n_max=16,
@@ -454,7 +452,7 @@ class TestSobolevGrowthHalf:
     def test_conserved_limit_exponent_near_zero(self):
         from szego_rg.experiments import run_sobolev_growth
 
-        plan = replace(default_plan(Experiment.SOBOLEV_GROWTH), s=0.5, n_max=4096)
+        plan = replan(default_plan(Experiment.SOBOLEV_GROWTH), s=0.5, n_max=4096)
         rep = run_sobolev_growth(plan)
         assert abs(rep.exponent) <= 0.05
         assert rep.qualitative
@@ -464,7 +462,7 @@ class TestSobolevGrowthHalf:
         # few states of RK4 stages, not one state per snapshot
         from szego_rg.experiments import run_sobolev_growth
 
-        plan = replace(default_plan(Experiment.SOBOLEV_GROWTH), n_max=2048)
+        plan = replan(default_plan(Experiment.SOBOLEV_GROWTH), n_max=2048)
         tracemalloc.start()
         try:
             rep = run_sobolev_growth(plan)
@@ -477,5 +475,5 @@ class TestSobolevGrowthHalf:
     def test_trajectory_ends_at_window_end(self):
         from szego_rg.experiments import run_sobolev_growth
 
-        plan = replace(default_plan(Experiment.SOBOLEV_GROWTH), n_max=256, growth_t_max=20.0)
+        plan = replan(default_plan(Experiment.SOBOLEV_GROWTH), n_max=256, growth_t_max=20.0)
         assert run_sobolev_growth(plan).times[-1] == 20.0

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from szego_rg import oracles
 from szego_rg import resonance as rs
 from szego_rg.dynamics import SLOW_DT, Flow, FlowSpec, stream
-from szego_rg.spectral import Domain, SpectralField, make_grid, random_field
+from szego_rg.spectral import Domain, FrequencyGrid, SpectralField, random_field
 
 REL = 1e-12
 
@@ -40,7 +40,7 @@ COEFF = st.floats(-2.0, 2.0, allow_subnormal=False)
 
 def _fields(n_max, seed):
     """A Hardy field w and two general fields u, h on the torus."""
-    grid = make_grid(n_max, Domain.TORUS)
+    grid = FrequencyGrid(n_max, Domain.TORUS)
     rng = np.random.default_rng(seed)
     return (
         random_field(grid, rng, hardy=True),
@@ -124,7 +124,7 @@ def test_fprime_dot_real_linear_in_direction(n_max, seed, a, b, t):
      (Flow.SECOND_ORDER_AVERAGED, Domain.TORUS)],
 )
 def test_effective_flows_keep_hardy_data_hardy(flow, domain):
-    grid = make_grid(16, domain, 32.0 * np.pi if domain is Domain.BIGBOX else None)
+    grid = FrequencyGrid(16, domain, 32.0 * np.pi if domain is Domain.BIGBOX else None)
     w0 = random_field(grid, np.random.default_rng(3), hardy=True)
     snaps = list(stream(FlowSpec(flow, grid, eps=0.3, dt=0.1, t_end=20.0, snapshot_stride=1.0), w0))
     assert len(snaps) == 21 and not snaps[-1].blown_up
@@ -134,7 +134,7 @@ def test_effective_flows_keep_hardy_data_hardy(flow, domain):
 
 @pytest.mark.parametrize("flow", [Flow.FIRST_ORDER_RG, Flow.SECOND_ORDER_AVERAGED])
 def test_effective_flows_amplitude_scaling(flow):
-    grid = make_grid(16, Domain.TORUS)
+    grid = FrequencyGrid(16, Domain.TORUS)
     w0 = random_field(grid, np.random.default_rng(5), hardy=True)
     lam = 0.5
     kw = dict(dt=0.05, t_end=2.0, snapshot_stride=0.25)
@@ -158,7 +158,7 @@ def test_snapshot_times_start_at_zero_and_increase(t_end, dt, stride, eps, slow)
     # the schedule's steps increase strictly and end at the last step, and
     # the stream's times start at 0.0 and increase strictly
     flow = Flow.FULL_NLW if slow is None else Flow.FIRST_ORDER_RG
-    grid = make_grid(4, Domain.TORUS)
+    grid = FrequencyGrid(4, Domain.TORUS)
     spec = FlowSpec(flow, grid, eps=eps, dt=dt, t_end=t_end, snapshot_stride=stride, slow=slow)
     h, steps = spec.schedule()
     steps = list(steps)

@@ -11,6 +11,7 @@ import szego_rg
 from szego_rg import spectral
 from szego_rg.spectral import (
     Domain,
+    FrequencyGrid,
     SpectralField,
     apply_inv_D_minus,
     conserved_series,
@@ -19,7 +20,6 @@ from szego_rg.spectral import (
     field_from_modes,
     free_flow,
     from_physical,
-    make_grid,
     mass,
     max_rel_drift,
     momentum,
@@ -36,34 +36,39 @@ TWO_PI = 2.0 * np.pi
 
 class TestGrid:
     def test_torus_frequencies_are_modes(self):
-        g = make_grid(8, Domain.TORUS)
+        g = FrequencyGrid(8, Domain.TORUS)
         assert g.freqs[g.index(3)] == 3.0
         assert g.length == pytest.approx(TWO_PI)
 
     def test_torus_frequencies_are_exactly_the_modes(self):
-        g = make_grid(32, Domain.TORUS)
+        g = FrequencyGrid(32, Domain.TORUS)
         assert np.array_equal(g.freqs, g.modes)
         assert all(g.freqs[g.index(int(k))] == k for k in g.modes)
 
     def test_bigbox_frequency_scaling(self):
-        g = make_grid(8, Domain.BIGBOX, 16.0 * np.pi)
+        g = FrequencyGrid(8, Domain.BIGBOX, 16.0 * np.pi)
         assert g.freqs[g.index(1)] == pytest.approx(1.0 / 8.0)
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
-            make_grid(2, Domain.TORUS)
+            FrequencyGrid(2, Domain.TORUS)
 
-    def test_torus_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            make_grid(8, Domain.TORUS, 4.0 * np.pi)
+    def test_torus_ignores_given_length(self):
+        # the grid alone fixes the torus length
+        g = FrequencyGrid(8, Domain.TORUS, 4.0 * np.pi)
+        assert g.length == TWO_PI and g == FrequencyGrid(8, Domain.TORUS)
+
+    def test_box_requires_length(self):
+        with pytest.raises(ValueError, match="length = None"):
+            FrequencyGrid(8, Domain.BIGBOX)
 
     def test_grid_symmetry(self):
-        g = make_grid(8, Domain.BIGBOX, 64.0 * np.pi)
+        g = FrequencyGrid(8, Domain.BIGBOX, 64.0 * np.pi)
         for k in range(1, 9):
             assert g.freqs[g.index(-k)] == -g.freqs[g.index(k)]
 
     def test_mode_out_of_range(self):
-        g = make_grid(4, Domain.TORUS)
+        g = FrequencyGrid(4, Domain.TORUS)
         with pytest.raises(ValueError):
             g.index(5)
 
@@ -109,7 +114,7 @@ class TestTransforms:
 
     @pytest.mark.parametrize("n_max", [8, 32, 384])
     def test_kernels_never_write_their_input(self, n_max, rng):
-        c = random_field(make_grid(n_max, Domain.TORUS), rng).coeff
+        c = random_field(FrequencyGrid(n_max, Domain.TORUS), rng).coeff
         c.setflags(write=False)  # already read-only; a write would raise
         u = to_physical(c)
         cube = cubic_product(c)
@@ -136,7 +141,7 @@ class TestTransforms:
 class TestSzegoRows:
     def test_threaded_rows_match_one_batch(self, rng, monkeypatch):
         # n_max 8192 gives rows of 8232 points, past ROW_THREAD_POINTS
-        grid = make_grid(8192, Domain.BIGBOX, 256.0 * np.pi)
+        grid = FrequencyGrid(8192, Domain.BIGBOX, 256.0 * np.pi)
         assert spectral.next_fast_len(grid.n_max + 1) >= spectral.ROW_THREAD_POINTS
         c = random_field(grid, rng, hardy=True).coeff
         before = spectral._row_thread.cache_info()
@@ -216,7 +221,7 @@ class TestMultipliers:
         assert np.all(apply_inv_D_minus(f.coeff, torus8.freqs) == 0.0)
 
     def test_inv_d_minus_bigbox_amplifies(self):
-        g = make_grid(8, Domain.BIGBOX, 16.0 * np.pi)
+        g = FrequencyGrid(8, Domain.BIGBOX, 16.0 * np.pi)
         f = field_from_modes(g, {-1: 1.0})
         assert apply_inv_D_minus(f.coeff, g.freqs)[g.index(-1)] == pytest.approx(-8.0)
 
@@ -325,7 +330,7 @@ class TestFieldValue:
         assert c[2] == pytest.approx(2.0)
 
     def test_mixed_grid_rejected(self, torus8):
-        other = make_grid(6, Domain.TORUS)
+        other = FrequencyGrid(6, Domain.TORUS)
         with pytest.raises(ValueError):
             field_from_modes(torus8, {1: 1.0}) + field_from_modes(other, {1: 1.0})
 
