@@ -24,9 +24,9 @@ keys outside the data kind's DATA_KEYS (the audit reads none).
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, replace as dc_replace
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -137,28 +137,20 @@ SCHEMA: dict[str, dict[str, Key]] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully-resolved configuration: every schema key has a value string."""
+    """Fully-resolved configuration: the read-only mapping from (section, key)
+    to the value string, with an entry for every schema key."""
 
-    values: tuple[tuple[str, str, str], ...]  # (section, key, value)
-
-    def get(self, section: str, key: str) -> str:
-        for s, k, v in self.values:
-            if s == section and k == key:
-                return v
-        raise KeyError(f"[{section}] {key}")
+    values: Mapping[tuple[str, str], str]
 
     def with_value(self, section: str, key: str, value: str) -> "RunConfig":
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"unknown key '{key}' in section [{section}]")
-        vals = tuple(
-            (s, k, value if (s, k) == (section, key) else v) for s, k, v in self.values
-        )
-        return RunConfig(vals)
+        return RunConfig(MappingProxyType({**self.values, (section, key): value}))
 
     def value(self, section: str, key: str) -> Any:
         """Typed value of one key; None for an empty key whose default is empty."""
         spec = SCHEMA[section][key]
-        raw = self.get(section, key).strip()
+        raw = self.values[section, key].strip()
         if not raw:
             if not spec.default:
                 return None
@@ -171,20 +163,20 @@ class RunConfig:
             ) from None
 
     def section(self, section: str) -> dict[str, Any]:
-        """Typed values of every key of one section."""
-        return {key: self.value(section, key) for key in SCHEMA[section]}
+        """Typed values of the set keys of one section; an empty key keeps its field's value."""
+        return {k: v for k in SCHEMA[section] if (v := self.value(section, k)) is not None}
 
 
 def default_config() -> RunConfig:
-    return RunConfig(
-        tuple((s, k, key.default) for s, keys in SCHEMA.items() for k, key in keys.items())
-    )
+    defaults = {(s, k): key.default for s, keys in SCHEMA.items() for k, key in keys.items()}
+    return RunConfig(MappingProxyType(defaults))
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate; unknown sections or keys raise ConfigError."""
+    """Parse and validate; unknown sections or keys raise ConfigError.  No
+    header is empty, so [DEFAULT] is an ordinary, and unknown, section."""
     parser = configparser.ConfigParser(
-        delimiters=("=",), interpolation=None, strict=True
+        delimiters=("=",), interpolation=None, strict=True, default_section=""
     )
     parser.optionxform = str
     try:
@@ -196,8 +188,6 @@ def parse_config(text: str) -> RunConfig:
         if section not in SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key, value in parser.items(section):
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
             cfg = cfg.with_value(section, key, value.strip())
     return cfg
 
@@ -209,28 +199,21 @@ def load_config(path: str) -> RunConfig:
 
 def emit_config(cfg: RunConfig) -> str:
     """Canonical serialization; parse(emit(cfg)) == cfg."""
-    out = io.StringIO()
-    for section in SCHEMA:
-        out.write(f"[{section}]\n")
-        for key in SCHEMA[section]:
-            out.write(f"{key} = {cfg.get(section, key)}\n")
-        out.write("\n")
-    return out.getvalue()
+    lines = []
+    for section, keys in SCHEMA.items():
+        lines += [f"[{section}]", *(f"{key} = {cfg.values[section, key]}" for key in keys), ""]
+    return "".join(f"{line}\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
 # builders
 
 
-def _set(values: dict[str, Any]) -> dict[str, Any]:
-    """The set entries of a section: an empty key keeps the field's value."""
-    return {k: v for k, v in values.items() if v is not None}
-
-
 def _unread(cfg: RunConfig, section: str, reads: tuple[str, ...], reader: str) -> None:
     """Reject the first key of section, in SCHEMA order, set off its default and not in reads."""
+    default = default_config()
     for key in SCHEMA[section]:
-        if key not in reads and cfg.value(section, key) != default_config().value(section, key):
+        if key not in reads and cfg.value(section, key) != default.value(section, key):
             raise ConfigError(f"key '{key}' in section [{section}] is not read by {reader}")
 
 
@@ -239,11 +222,11 @@ def flow_spec_from_config(cfg: RunConfig) -> tuple[FlowSpec, InitialDataSpec]:
     _unread(cfg, "experiment", (), "simulate")
     kind = cfg.value("initial_data", "kind") or InitialDataSpec.kind
     _unread(cfg, "initial_data", DATA_KEYS[kind], f"{kind.value} data")
-    grid = {"n_max": 32, "domain": Domain.TORUS, **_set(cfg.section("grid"))}
+    grid = {"n_max": 32, "domain": Domain.TORUS, **cfg.section("grid")}
     try:
         # the effective flows step in slow time, like the sweeps' first-order arms
-        spec = FlowSpec(grid=FrequencyGrid(**grid), slow=SLOW_DT, **_set(cfg.section("flow")))
-        data = InitialDataSpec(seed=cfg.value("run", "seed"), **_set(cfg.section("initial_data")))
+        spec = FlowSpec(grid=FrequencyGrid(**grid), slow=SLOW_DT, **cfg.section("flow"))
+        data = InitialDataSpec(seed=cfg.value("run", "seed"), **cfg.section("initial_data"))
         data.build(spec.grid, spec.s)  # the data's own check, before the run starts
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -264,10 +247,10 @@ def plan_from_config(cfg: RunConfig) -> ExperimentPlan:
         _unread(cfg, "initial_data", DATA_KEYS[kind], f"{kind.value} data")
     try:
         data = dc_replace(
-            plan.initial_data, seed=cfg.value("run", "seed"), **_set(cfg.section("initial_data"))
+            plan.initial_data, seed=cfg.value("run", "seed"), **cfg.section("initial_data")
         )
-        grid = dc_replace(plan.grid, **_set(cfg.section("grid")))
-        plan = dc_replace(plan, grid=grid, initial_data=data, **_set(cfg.section("experiment")))
+        grid = dc_replace(plan.grid, **cfg.section("grid"))
+        plan = dc_replace(plan, grid=grid, initial_data=data, **cfg.section("experiment"))
         data.build(plan.grid, plan.s)  # the data's own check, before the run starts
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

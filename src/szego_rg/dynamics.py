@@ -116,14 +116,14 @@ class FlowSpec:
             return self.snapshot_stride
         return 0.05 / self.eps**2 if self.eps**2 else math.inf
 
-    def schedule(self) -> tuple[float, Iterator[int]]:
+    def schedule(self) -> tuple[float, range, int]:
         """The fast step h = t_end/n_steps, n_steps = ceil(t_end/dt), and the
-        snapshot steps after t = 0, walked lazily: every round(stride/h)-th
-        step and the last.  The snapshot times are step * h."""
+        snapshot steps after t = 0: the range of every round(stride/h)-th
+        step below n_steps, then n_steps.  The snapshot times are step * h."""
         n_steps = max(1, int(np.ceil(self.t_end / self.dt - 1e-12)))
         h = self.t_end / n_steps
         snap_every = max(1, round(min(self.stride / h, n_steps)))
-        return h, chain(range(snap_every, n_steps, snap_every), [n_steps])
+        return h, range(snap_every, n_steps, snap_every), n_steps
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def stream(spec: FlowSpec, v0: SpectralField) -> Iterator[Snapshot]:
     if not np.all(np.isfinite(v0.coeff)):
         raise ValueError("initial field has non-finite coefficients")
 
-    h, snap_steps = spec.schedule()
+    h, strided, n_steps = spec.schedule()
     grid = spec.grid
     lawson = spec.flow is Flow.FULL_NLW
     slow = None if lawson else spec.slow
@@ -199,7 +199,7 @@ def stream(spec: FlowSpec, v0: SpectralField) -> Iterator[Snapshot]:
     done = 0
     yield Snapshot(0.0, v0, 0, False)
 
-    for step in snap_steps:
+    for step in chain(strided, [n_steps]):
         # the gap's n RK4 steps of size k, with the stages inline, where each
         # step's arrays are freed only as the next step replaces them
         g = step - done

@@ -15,6 +15,7 @@ run is read off the integrator's snapshot stream and reduced as it arrives.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
@@ -250,9 +251,10 @@ class ExperimentPlan:
         if self.experiment is Experiment.SOBOLEV_GROWTH:
             if not hi / self.dt < 2.0**53:
                 raise ValueError(f"growth_t_max/dt = {hi / self.dt:g} must be below 2^53 steps")
-            h, steps = _growth_spec(self).schedule()
-            ts = np.fromiter(steps, float) * h
-            n = np.count_nonzero((ts >= lo) & (ts <= hi))
+            # the snapshot times step * h in the window, counted without walking the schedule
+            h, strided, last = _growth_spec(self).schedule()
+            first = bisect_left(strided, lo, key=lambda step: step * h)
+            n = bisect_right(strided, hi, key=lambda step: step * h) - first + (lo <= last * h <= hi)
             where = f"snapshot times in {window}"
         else:
             try:

@@ -10,28 +10,39 @@ Every route of ``csv_digests.json`` (the benchmark's seed-1 workloads and
 a temporary directory.  A check prints each mismatch as route name, file, old
 and new digest, and exits 1 on any; it never writes the table.  Only
 --record writes it, and only the named routes' entries under this
-environment's key (numpy version and machine); every other entry keeps its
-bytes.
+environment's key (numpy version, machine and SIMD dispatch targets); every
+other entry keeps its bytes.  --record also copies the named routes' CSVs
+into csv_reference/, where tier-1 reads the numbers of a run in an
+environment the table does not name.
 """
 
 import argparse
 import contextlib
 import io
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from routes import DIGESTS_PATH, ENV_KEY, PINNED, csv_digests, wl, workload_route  # noqa: E402
+from routes import (  # noqa: E402
+    CSV_REFERENCE,
+    DIGESTS_PATH,
+    ENV_KEY,
+    PINNED,
+    csv_digests,
+    wl,
+    workload_route,
+)
 from szego_rg.cli import main  # noqa: E402
 
 ROUTES = sorted([*wl.WORKLOADS, *PINNED])
 
 
-def run_route(name: str, base: Path) -> dict[str, str]:
-    """The CSV digests of one run of the named route; a run that exits
+def run_route(name: str, base: Path) -> Path:
+    """The run directory of one run of the named route; a run that exits
     nonzero raises."""
     command, text = workload_route(name) if name in wl.WORKLOADS else PINNED[name]
     config = base / f"{name}.cfg"
@@ -41,7 +52,7 @@ def run_route(name: str, base: Path) -> dict[str, str]:
         code = main([command, "--config", str(config), "--out", str(out)])
     if code != 0:
         raise RuntimeError(f"{name}: szego-rg {command} exited {code}")
-    return csv_digests(out)
+    return out
 
 
 def main_digests(argv=None) -> int:
@@ -58,7 +69,8 @@ def main_digests(argv=None) -> int:
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
-            new = run_route(name, Path(tmp))
+            out = run_route(name, Path(tmp))
+            new = csv_digests(out)
             old = recorded.get(name, {})
             for file in sorted({*old, *new}):
                 if old.get(file) != new.get(file):
@@ -66,6 +78,10 @@ def main_digests(argv=None) -> int:
                     print(f"{name} {file} {old.get(file, '-')} {new.get(file, '-')}")
             if args.record:
                 recorded[name] = new
+                shutil.rmtree(CSV_REFERENCE / name, ignore_errors=True)
+                (CSV_REFERENCE / name).mkdir(parents=True)
+                for csv in out.glob("*.csv"):
+                    shutil.copy(csv, CSV_REFERENCE / name)
     if args.record:
         table[ENV_KEY] = recorded
         DIGESTS_PATH.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")

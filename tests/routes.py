@@ -3,12 +3,16 @@
 workload makes.  Tests run a route through the session fixture ``cli_run``
 (``conftest.py``), so a gate and the digest check of one route read one run.
 ``csv_digests.json`` holds the sha256 of every CSV of every route, per numpy
-version and machine (``ENV_KEY``); ``digests.py`` checks or records it.
+version, machine and SIMD dispatch targets (``ENV_KEY``), and ``csv_reference/``
+one copy of every such CSV, which checks the numbers where the table names
+no digest; ``digests.py`` checks or records both.
 """
 
 import hashlib
 import importlib.util
+import math
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -16,7 +20,11 @@ import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DIGESTS_PATH = Path(__file__).with_name("csv_digests.json")
-ENV_KEY = f"numpy {np.__version__} {platform.machine()}"
+CSV_REFERENCE = Path(__file__).with_name("csv_reference")
+# numpy picks its loops at run time among the SIMD targets the CPU has, and
+# some of them round transcendental functions differently
+SIMD = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+ENV_KEY = f"numpy {np.__version__} {platform.machine()} {' '.join(SIMD)}"
 
 
 def _load_workloads():
@@ -73,3 +81,19 @@ PINNED = {
 def csv_digests(out) -> dict[str, str]:
     """The sha256 of every CSV in the run directory out, by file name."""
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path(out).glob("*.csv")}
+
+
+def _cell(text: str):
+    """A CSV cell: a finite number as a float, anything else as its text."""
+    try:
+        x = float(text)
+    except ValueError:
+        return text
+    return x if math.isfinite(x) else text
+
+
+def csv_cells(path) -> list[list]:
+    """The cells of a CSV, line by line: its rows split at commas and its
+    footer (key=value pairs) at spaces and equals signs."""
+    lines = Path(path).read_text().splitlines()
+    return [[_cell(c) for c in re.split(r"[,= ]", line)] for line in lines]

@@ -401,6 +401,12 @@ BAD_INPUTS = {
         "key 'experiment' in section [run] is not read by simulate",
     ),
     "unparseable": ("simulate", "eps = 0.1\n", "unparseable"),
+    # configparser's special [DEFAULT] section is an ordinary, unknown one
+    "default_section_key": ("audit", "[DEFAULT]\nn_max = 4\n", "unknown section [DEFAULT]"),
+    "default_section_experiment": (
+        "scaling", "[DEFAULT]\nexperiment = y_vs_u\n\n[run]\nseed = 3\n",
+        "unknown section [DEFAULT]",
+    ),
     # the verdict thresholds are the default plans', not keys
     "slope_threshold_key": ("scaling", "[experiment]\nslope_threshold = 2.0\n", "slope_threshold"),
     # a finite H^1/2 norm, but a quartic mean (the E column) that overflows
@@ -782,7 +788,7 @@ class TestAudit:
         out = tmp_path / "r"
         assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
         echo = parse_config((out / "config_resolved.cfg").read_text())
-        assert echo.get("run", "experiment") == "kernel_audit"
+        assert echo.values["run", "experiment"] == "kernel_audit"
 
     def test_runs_at_quintic_cap(self, tmp_path, capsys):
         cfg = write(

@@ -116,6 +116,19 @@ class TestPlan:
         with pytest.raises(ValueError, match="eps_list"):
             replace(default_plan(experiment), eps_list=(0.2, 0.1))
 
+    def test_sobolev_window_counted_without_walking_the_schedule(self):
+        # 2e6 snapshot steps, 16 MB as an array of times: counting the
+        # window's snapshot times must allocate none of them
+        plan = default_plan(Experiment.SOBOLEV_GROWTH)
+        tracemalloc.start()
+        try:
+            plan = replan(plan, n_max=64, dt=1e-9, growth_points=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.growth_points == 10**6
+        assert peak < 2**20
+
 
 class TestFit:
     def test_exact_cubic(self):

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from szego_rg import oracles
 from szego_rg import resonance as rs
 from szego_rg.dynamics import SLOW_DT, Flow, FlowSpec, stream
-from szego_rg.spectral import Domain, FrequencyGrid, SpectralField, random_field
+from szego_rg.spectral import Domain, FrequencyGrid, SpectralField, random_field, szego_cubic
 
 REL = 1e-12
 
@@ -118,6 +118,26 @@ def test_fprime_dot_real_linear_in_direction(n_max, seed, a, b, t):
     _assert_close(oracles.fprime_dot(u, t, a * h + b * w), a * f1 + b * f2, scale)
 
 
+@PROPERTY
+@given(N_MAX, SEED)
+def test_kernel_derivatives_are_symmetric(n_max, seed):
+    # both terms of the averaged flow are Hamiltonian vector fields X, so
+    # h -> i DX(W)[h] is symmetric in Re<.,.>: Re<k, i DX[h]> = Re<h, i DX[k]>,
+    # with DX by central differences (delta 1e-6) on Hardy W, h and k.
+    # Measured over 300 seeds, relative to the Cauchy-Schwarz bound: at most
+    # 1.9e-10 for r2 and 2.5e-10 for the Szego term; with r2's second
+    # coefficient -(i/2) changed to -i, 3.3e-4 to 0.23
+    grid = FrequencyGrid(n_max, Domain.TORUS)
+    rng = np.random.default_rng(seed)
+    w, h, k = (random_field(grid, rng, hardy=True).coeff for _ in range(3))
+    delta = 1e-6
+    for kernel in (rs.r2_closed_hardy, lambda c: szego_cubic(c, -1j)):
+        dh, dk = ((kernel(w + delta * v) - kernel(w - delta * v)) / (2 * delta) for v in (h, k))
+        asymmetry = abs(np.real(np.vdot(k, 1j * dh)) - np.real(np.vdot(h, 1j * dk)))
+        bound = max(np.linalg.norm(k) * np.linalg.norm(dh), np.linalg.norm(h) * np.linalg.norm(dk))
+        assert asymmetry <= 1e-8 * bound
+
+
 @pytest.mark.parametrize(
     "flow, domain",
     [(Flow.FIRST_ORDER_RG, Domain.TORUS), (Flow.FIRST_ORDER_RG, Domain.BIGBOX),
@@ -160,8 +180,8 @@ def test_snapshot_times_start_at_zero_and_increase(t_end, dt, stride, eps, slow)
     flow = Flow.FULL_NLW if slow is None else Flow.FIRST_ORDER_RG
     grid = FrequencyGrid(4, Domain.TORUS)
     spec = FlowSpec(flow, grid, eps=eps, dt=dt, t_end=t_end, snapshot_stride=stride, slow=slow)
-    h, steps = spec.schedule()
-    steps = list(steps)
+    h, strided, last = spec.schedule()
+    steps = [*strided, last]
     assert 0.0 < h <= dt * (1.0 + 1e-12)
     assert steps[0] >= 1 and np.all(np.diff(steps) > 0)
     assert steps[-1] == round(t_end / h)
