@@ -127,7 +127,10 @@ def _growth(plan, out_dir: str) -> tuple[int, list[str]]:
         guards.append("the boundary-band guard left < 3 fit rows")
     if guards:
         print(f"numeric guard tripped: {'; '.join(guards)}; CSV retained")
-    return (EXIT_GUARD if guards else EXIT_OK), [f"warning = {w}" for w in report.warnings]
+    info = [f"warning = {w}" for w in report.warnings]
+    if report.rk4_steps is not None:  # the Sobolev study's stream; F_osc growth steps nothing
+        info.insert(0, f"rk4_steps = {report.rk4_steps}")
+    return (EXIT_GUARD if guards else EXIT_OK), info
 
 
 # each command: its help line and its run-and-write function

@@ -25,6 +25,7 @@ from numpy.random import default_rng  # load at start-up; numpy defers it to fir
 from . import oracles
 from . import resonance as rs
 from .dynamics import (
+    GROWTH_SLOW_DT,
     MAX_DT,
     SLOW_DT,
     Flow,
@@ -348,6 +349,7 @@ class GrowthReport:
     qualitative: bool
     warnings: tuple[str, ...] = ()
     blown_up: bool = False
+    rk4_steps: int | None = None  # the stream's RK4 steps; None where no flow is stepped
 
 
 class AuditRow(NamedTuple):
@@ -401,9 +403,18 @@ def _flow_spec(
 
 
 def _growth_spec(plan: ExperimentPlan) -> FlowSpec:
-    """The Sobolev growth study's trajectory: the eps = 1 resonant flow to growth_t_max."""
+    """The Sobolev growth study's trajectory: the eps = 1 resonant flow to
+    growth_t_max, in slow-time substeps of at most GROWTH_SLOW_DT.
+
+    The flow has no linear part, so plan.dt sets the snapshot grid (the fast
+    step h and the snapshot times step * h) and caps the step only where it
+    is coarser than the slow substep: the default plan's gaps of 0.8 take 6
+    RK4 substeps instead of 8 fast steps of 0.1.
+    """
     snapshots = max(plan.growth_points * 2, 40)
-    return _flow_spec(plan, Flow.FIRST_ORDER_RG, 1.0, plan.growth_t_max, snapshots)
+    return _flow_spec(
+        plan, Flow.FIRST_ORDER_RG, 1.0, plan.growth_t_max, snapshots, slow=GROWTH_SLOW_DT
+    )
 
 
 def _finish_scaling(rows, slope_min=0.0, residual_max=np.inf, caveats=()):
@@ -591,7 +602,8 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
 
     The trajectory is read as a stream and each snapshot is reduced to its
     norm and boundary-band share as it arrives, so the study never holds
-    the whole trajectory.
+    the whole trajectory.  The report's rk4_steps is the last snapshot's
+    step count.
     """
     grid = plan.grid
     w0 = plan.initial_data.build(grid, plan.s)
@@ -615,7 +627,8 @@ def run_sobolev_growth(plan: ExperimentPlan) -> GrowthReport:
     if blown_up:
         in_window[-1] = False  # the snapshot that tripped the guard is never fitted
         warnings.append(f"H^1/2 blow-up guard stopped the trajectory at t = {ts[-1]:.6g}")
-    return _growth_report(ts, norms, in_window, True, tuple(warnings), blown_up)
+    report = _growth_report(ts, norms, in_window, True, tuple(warnings), blown_up)
+    return replace(report, rk4_steps=snap.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ public call passes and an explicit out=: the same bits without the public
 wrapper's per-call argument handling, which outweighs the transform itself at
 the lengths of n_max = 32.  The gufuncs are private numpy API; a test
 pins them to the public calls bit for bit at every default-plan length.
+Where that module cannot be imported, fft and ifft are thin wrappers over
+numpy.fft.fft/ifft that map fct (1 or 1/n) to the public norm.
 """
 
 from __future__ import annotations
@@ -48,8 +50,17 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-# the pocketfft gufuncs behind numpy.fft.fft/ifft: (a, fct, out=) along the last axis
-from numpy.fft._pocketfft_umath import fft, ifft
+
+try:
+    # the pocketfft gufuncs behind numpy.fft.fft/ifft: (a, fct, out=) along the last axis
+    from numpy.fft._pocketfft_umath import fft, ifft
+except ImportError:  # a numpy without that private module: the public calls it ends in
+
+    def fft(a, fct, out):
+        return np.fft.fft(a, norm="backward" if fct == 1 else "forward", out=out)
+
+    def ifft(a, fct, out):
+        return np.fft.ifft(a, norm="forward" if fct == 1 else "backward", out=out)
 
 TWO_PI = 2.0 * np.pi
 

@@ -22,9 +22,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DIGESTS_PATH = Path(__file__).with_name("csv_digests.json")
 CSV_REFERENCE = Path(__file__).with_name("csv_reference")
 # numpy picks its loops at run time among the SIMD targets the CPU has, and
-# some of them round transcendental functions differently
-SIMD = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-ENV_KEY = f"numpy {np.__version__} {platform.machine()} {' '.join(SIMD)}"
+# some of them round transcendental functions differently; where numpy finds
+# no target above its baseline, it reports no "found" list at all
+SIMD = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+ENV_KEY = " ".join(["numpy", np.__version__, platform.machine(), *SIMD])
 
 
 def _load_workloads():

@@ -323,14 +323,17 @@ def test_11_sobolev_growth_qualitative(cli_run):
     # rational data, so it is the default plan's run
     plan = default_plan(Experiment.SOBOLEV_GROWTH)
     assert plan.grid.length >= 256.0 * np.pi and plan.s == 1.0
-    rep = read_run(cli_run, workload_route("sobolev_growth_box"), "growth.csv")
+    route = workload_route("sobolev_growth_box")
+    rep = read_run(cli_run, route, "growth.csv")
+    # 6 slow-time substeps over each of the 50 snapshot gaps
+    steps = int(run_info(cli_run, route)[1]["rk4_steps"])
     target = 2.0 * plan.s - 1.0
-    ok = abs(rep["exponent"] - target) <= 0.3 and rep["qualitative"]
+    ok = abs(rep["exponent"] - target) <= 0.3 and rep["qualitative"] and steps == 300
     report(
         11,
         "Sobolev growth study (QUALITATIVE, exponent within 0.3 of 2s-1 in the window)",
         ok,
         f"exponent={rep['exponent']:.3f} vs target {target:.1f}, "
         f"window=[{rep['window_lo']:.3g}, {rep['window_hi']:.3g}], "
-        f"runtime={rep['elapsed']:.0f}s",
+        f"rk4_steps={steps} == 300, runtime={rep['elapsed']:.0f}s",
     )

@@ -806,6 +806,8 @@ class TestGrowth:
         lines = (out / "growth.csv").read_text().splitlines()
         assert lines[0] == "t,norm,window_flag"
         assert lines[-1].startswith("exponent=")
+        # F_osc growth steps no flow, so its run_info counts no RK4 steps
+        assert "rk4_steps" not in (out / "run_info.txt").read_text()
 
     def test_sobolev_window_emptied_by_boundary_guard_exits_two(self, tmp_path, capsys):
         cfg = write(

@@ -485,6 +485,31 @@ class TestSobolevGrowthHalf:
         assert len(rep.times) >= 40
         assert peak < 20 * (2 * 2048 + 1) * 16
 
+    def test_growth_steps_six_substeps_per_gap(self):
+        # the count depends only on the schedule and max(1, Q0), so a reduced
+        # grid gives the default plan's: 6 substeps over each of 50 gaps,
+        # against the 8 fast steps of 0.1 of its fast-step twin
+        plan = replan(default_plan(Experiment.SOBOLEV_GROWTH), n_max=1024)
+        w0 = plan.initial_data.build(plan.grid, plan.s)
+        spec = experiments._growth_spec(plan)
+        assert len(spec.schedule()[1]) + 1 == 50 and mass(w0) < 1.0
+        assert list(stream(spec, w0))[-1].steps == 300
+        assert list(stream(replace(spec, slow=None), w0))[-1].steps == 400
+
+    def test_slow_growth_matches_fast_growth(self, monkeypatch):
+        # every norm cell of the slow-stepped study within 1e-6 relative of the
+        # fast-stepped one (measured 1.9e-7), with the same window
+        from szego_rg.experiments import run_sobolev_growth
+
+        plan = replan(default_plan(Experiment.SOBOLEV_GROWTH), n_max=2048)
+        slow = run_sobolev_growth(plan)
+        monkeypatch.setattr(experiments, "GROWTH_SLOW_DT", None)
+        fast = run_sobolev_growth(plan)
+        assert (slow.rk4_steps, fast.rk4_steps) == (300, 400)
+        assert np.array_equal(slow.times, fast.times)
+        assert np.array_equal(slow.in_window, fast.in_window) and slow.window == fast.window
+        assert np.all(np.abs(slow.norms - fast.norms) <= 1e-6 * np.abs(fast.norms))
+
     def test_trajectory_ends_at_window_end(self):
         from szego_rg.experiments import run_sobolev_growth
 

@@ -142,3 +142,15 @@ def test_numeric_fallback_without_avx512():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("byte identity went unchecked") == len(tests), proc.stdout
+
+
+def test_routes_import_where_numpy_finds_no_simd_target():
+    # with every dispatch target above the x86-64 baseline off, numpy's SIMD
+    # report has no "found" list; routes (so digests.py and three test
+    # modules) must still import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import routes"],
+        capture_output=True, text=True, cwd=Path(__file__).parent,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V3 " + AVX512_OFF},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -178,6 +178,32 @@ def test_gufuncs_match_public_transforms(n_pts, rng):
             assert np.array_equal(out, expected), (gufunc.__name__, fct, shape)
 
 
+def test_public_fft_fallback_gives_the_gufunc_bits(tmp_path):
+    # a numpy without the private gufunc module: spectral falls back to the
+    # public numpy.fft calls, and both kernels keep their bits at the lengths
+    # of n_max = 32, 384 and 32768 (32768 pipelines its rows on two threads)
+    sizes = (32, 384, 32768)
+    rng = np.random.default_rng(7)
+    fields = [rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1) for n in sizes]
+    np.savez(tmp_path / "in.npz", *fields)
+    code = (
+        "import sys, numpy as np, numpy.fft\n"
+        "sys.modules['numpy.fft._pocketfft_umath'] = None\n"
+        "from szego_rg import spectral\n"
+        "assert not isinstance(spectral.fft, np.ufunc), spectral.fft\n"
+        f"d = np.load({str(tmp_path / 'in.npz')!r})\n"
+        "cs = [d[f'arr_{i}'] for i in range(len(d.files))]\n"
+        f"np.savez({str(tmp_path / 'out.npz')!r},"
+        " *[spectral.cubic_product(c) for c in cs], *[spectral.szego_cubic(c, -1j) for c in cs])\n"
+    )
+    src = os.path.dirname(os.path.dirname(szego_rg.__file__))
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)
+    out = np.load(tmp_path / "out.npz")
+    expected = [cubic_product(c) for c in fields] + [spectral.szego_cubic(c, -1j) for c in fields]
+    for i, want in enumerate(expected):
+        assert np.array_equal(out[f"arr_{i}"], want), (i, sizes[i % len(sizes)])
+
+
 def test_cli_does_not_import_scipy():
     # the transforms are numpy.fft's; importing scipy.fft outweighs the rest of start-up
     src = os.path.dirname(os.path.dirname(szego_rg.__file__))
