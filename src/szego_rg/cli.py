@@ -6,7 +6,8 @@ looked up at each call), rejects an experiment that another command runs,
 echoes the configuration, calls the command's run-and-write function and
 writes run_info.txt.  A rejected run writes nothing.
 
-Exit codes: 0 success, 1 configuration error (also a configuration file or
+Exit codes: 0 success, 1 configuration error (also a command-line usage
+error, a configuration file that is not UTF-8 text, a configuration file or
 output directory the system cannot read or create, or memory the run cannot
 allocate), 2 numeric guard tripped (blow-up, or a growth window emptied by
 the boundary-band guard; CSV retained), 3 audit failure.
@@ -188,7 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its help (code 0) or a usage error (code 2, the
+        # guard's code here): a usage error is a configuration error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return run(args)
     except (ConfigError, OSError) as exc:

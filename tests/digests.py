@@ -1,25 +1,26 @@
-"""Check every route of the CSV digest table, or record named entries.
+"""Check every route's CSVs against their committed copies, or record named routes.
 
 Usage (from the root of a checkout):
 
     python3 tests/digests.py                   check every route
-    python3 tests/digests.py --record NAME...  record the named routes' digests
+    python3 tests/digests.py --record NAME...  record the named routes' copies
 
-Every route of ``csv_digests.json`` (the benchmark's seed-1 workloads and
-``routes.PINNED``) runs through ``cli.main`` from this checkout's ``src/`` in
-a temporary directory.  A check prints each mismatch as route name, file, old
-and new digest, and exits 1 on any; it never writes the table.  Only
---record writes it, and only the named routes' entries under this
-environment's key (numpy version, machine and SIMD dispatch targets); every
-other entry keeps its bytes.  --record also copies the named routes' CSVs
-into csv_reference/, where tier-1 reads the numbers of a run in an
-environment the table does not name.
+Every route (the benchmark's seed-1 workloads and ``routes.PINNED``) runs
+through ``cli.main`` from this checkout's ``src/`` in a temporary directory,
+and ``routes.compare_csvs`` compares its CSVs with its copies in
+``csv_reference/``.  A check prints each CSV that differs as route name, file
+and fault, and exits 1 on any fault: under the key the copies were recorded
+under (``csv_reference/env_key.txt``) a byte difference is one, under another
+key a cell outside ``matches_reference``'s rule.  It never writes.  Only
+--record writes: it rewrites the named routes' copies and the key file with
+this environment's key (numpy version, machine and SIMD dispatch targets).
+Where that key differs from the recorded one, it refuses to record only some
+routes, so that every copy comes from one environment.
 """
 
 import argparse
 import contextlib
 import io
-import json
 import shutil
 import sys
 import tempfile
@@ -27,15 +28,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from routes import (  # noqa: E402
-    CSV_REFERENCE,
-    DIGESTS_PATH,
-    ENV_KEY,
-    PINNED,
-    csv_digests,
-    wl,
-    workload_route,
-)
+import routes  # noqa: E402
+from routes import ENV_KEY, PINNED, compare_csvs, wl, workload_route  # noqa: E402
 from szego_rg.cli import main  # noqa: E402
 
 ROUTES = sorted([*wl.WORKLOADS, *PINNED])
@@ -63,32 +57,36 @@ def main_digests(argv=None) -> int:
     unknown = sorted(set(names) - set(ROUTES))
     if unknown:
         parser.error(f"unknown routes {unknown}; the routes are {ROUTES}")
+    recorded = routes.recorded_key()
+    if args.record and ENV_KEY != recorded and set(names) != set(ROUTES):
+        parser.error(
+            f"the copies are recorded under {recorded!r}, not {ENV_KEY!r}; "
+            "under a new key, record every route"
+        )
 
-    table = json.loads(DIGESTS_PATH.read_text())
-    recorded = table.get(ENV_KEY, {})
-    mismatches = 0
+    differ = faults = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             out = run_route(name, Path(tmp))
-            new = csv_digests(out)
-            old = recorded.get(name, {})
-            for file in sorted({*old, *new}):
-                if old.get(file) != new.get(file):
-                    mismatches += 1
-                    print(f"{name} {file} {old.get(file, '-')} {new.get(file, '-')}")
+            for file, fault in compare_csvs(name, out).items():
+                differ += 1
+                faults += fault is not None
+                print(f"{name} {file}: {fault or 'bytes differ, every cell within the rule'}")
             if args.record:
-                recorded[name] = new
-                shutil.rmtree(CSV_REFERENCE / name, ignore_errors=True)
-                (CSV_REFERENCE / name).mkdir(parents=True)
+                copies = routes.CSV_REFERENCE / name
+                shutil.rmtree(copies, ignore_errors=True)
+                copies.mkdir(parents=True)
                 for csv in out.glob("*.csv"):
-                    shutil.copy(csv, CSV_REFERENCE / name)
+                    shutil.copy(csv, copies)
     if args.record:
-        table[ENV_KEY] = recorded
-        DIGESTS_PATH.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-        print(f"recorded {len(names)} routes under {ENV_KEY!r}, {mismatches} digests changed")
+        (routes.CSV_REFERENCE / routes.KEY_NAME).write_text(ENV_KEY + "\n")
+        print(f"recorded {len(names)} routes under {ENV_KEY!r}, {differ} CSVs changed")
         return 0
-    print(f"{len(names)} routes checked under {ENV_KEY!r}: {mismatches} mismatches")
-    return 1 if mismatches else 0
+    print(
+        f"{len(names)} routes checked under {ENV_KEY!r} against copies recorded under "
+        f"{recorded!r}: {differ} CSVs differ, {faults} mismatches"
+    )
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

@@ -1,26 +1,27 @@
 """The default-plan CLI routes that tier-1 runs: the benchmark's workloads
 (``perfbench/workloads.py``, loaded by path) and the pinned runs that no
 workload makes.  Tests run a route through the session fixture ``cli_run``
-(``conftest.py``), so a gate and the digest check of one route read one run.
-``csv_digests.json`` holds the sha256 of every CSV of every route, per numpy
-version, machine and SIMD dispatch targets (``ENV_KEY``), and ``csv_reference/``
-one copy of every such CSV, which checks the numbers where the table names
-no digest; ``digests.py`` checks or records both.
+(``conftest.py``), so a gate and the CSV check of one route read one run.
+``csv_reference/`` holds a copy of every CSV of every route, and its
+``env_key.txt`` the ``ENV_KEY`` (numpy version, machine and SIMD dispatch
+targets) the copies were recorded under.  ``compare_csvs`` checks a run
+against its copies, for ``test_reference.py`` and ``digests.py``, which also
+records them.
 """
 
-import hashlib
 import importlib.util
 import math
 import platform
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-DIGESTS_PATH = Path(__file__).with_name("csv_digests.json")
 CSV_REFERENCE = Path(__file__).with_name("csv_reference")
+KEY_NAME = "env_key.txt"
 # numpy picks its loops at run time among the SIMD targets the CPU has, and
 # some of them round transcendental functions differently; where numpy finds
 # no target above its baseline, it reports no "found" list at all
@@ -52,7 +53,7 @@ GATE3 = (
     "[initial_data]\nnormalization = 0.4\n"
 )
 
-# the runs of the digest table that are no workload: name -> (command, configuration)
+# the pinned runs that are no workload: name -> (command, configuration)
 PINNED = {
     "simulate_first_order_rg_t200": ("simulate", "[flow]\nflow = first_order_rg\nt_end = 200\n"),
     "simulate_full_nlw_t200": ("simulate", "[flow]\nflow = full_nlw\nt_end = 200\n"),
@@ -79,11 +80,6 @@ PINNED = {
 }
 
 
-def csv_digests(out) -> dict[str, str]:
-    """The sha256 of every CSV in the run directory out, by file name."""
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path(out).glob("*.csv")}
-
-
 def _cell(text: str):
     """A CSV cell: a finite number as a float, anything else as its text."""
     try:
@@ -93,8 +89,52 @@ def _cell(text: str):
     return x if math.isfinite(x) else text
 
 
-def csv_cells(path) -> list[list]:
-    """The cells of a CSV, line by line: its rows split at commas and its
-    footer (key=value pairs) at spaces and equals signs."""
-    lines = Path(path).read_text().splitlines()
-    return [[_cell(c) for c in re.split(r"[,= ]", line)] for line in lines]
+def csv_cells(text: str) -> list[list]:
+    """The cells of a CSV's text, line by line: its rows split at commas and
+    its footer (key=value pairs) at spaces and equals signs."""
+    return [[_cell(c) for c in re.split(r"[,= ]", line)] for line in text.splitlines()]
+
+
+def _cell_fault(got: str, ref: str) -> str | None:
+    """Why the cells of the CSV text got miss those of ref under
+    ``matches_reference``'s rule, or None where every cell matches."""
+    got, ref = csv_cells(got), csv_cells(ref)
+    if [len(row) for row in got] != [len(row) for row in ref]:
+        return "shape differs from the copy"
+    moved = [
+        (line, a, b) for line, (row, ref_row) in enumerate(zip(got, ref), 1)
+        for a, b in zip(row, ref_row)
+        if type(a) is not type(b) or not wl.matches_reference(a, b)
+    ]
+    return f"cells (line, got, copy) out of bound: {moved[:5]}" if moved else None
+
+
+def recorded_key() -> str:
+    """The ENV_KEY the copies in csv_reference/ were recorded under."""
+    return (CSV_REFERENCE / KEY_NAME).read_text().strip()
+
+
+def compare_csvs(name, out, env_key=ENV_KEY) -> dict[str, str | None]:
+    """Each CSV file that differs between the run directory out and route
+    name's copies, mapped to its fault, or to None where it passes.  A file
+    that one side lacks never passes.  Under the recorded key a file passes
+    only byte for byte; under another key, after a warning, where every cell
+    matches its copy's under ``matches_reference``'s rule."""
+    got = {p.name: p.read_bytes() for p in Path(out).glob("*.csv")}
+    ref = {p.name: p.read_bytes() for p in (CSV_REFERENCE / name).glob("*.csv")}
+    recorded = recorded_key()
+    if env_key != recorded:
+        warnings.warn(
+            f"{name}: the copies in csv_reference/ are recorded under {recorded!r}, not "
+            f"{env_key!r}; byte identity went unchecked, every cell is checked against them"
+        )
+    faults = {}
+    for file in sorted(got.keys() | ref.keys()):
+        if file not in got or file not in ref:
+            faults[file] = "missing from the run" if file in ref else "not in csv_reference/"
+        elif got[file] != ref[file]:
+            faults[file] = (
+                "bytes differ from the copy" if env_key == recorded
+                else _cell_fault(got[file].decode(), ref[file].decode())
+            )
+    return faults

@@ -555,7 +555,9 @@ class TestBadInput:
         assert "Traceback" not in err
         assert not (out / "config_resolved.cfg").exists()
 
-    @pytest.mark.parametrize("case", ["out_is_file", "out_under_file", "config_is_dir"])
+    @pytest.mark.parametrize(
+        "case", ["out_is_file", "out_under_file", "config_is_dir", "config_not_utf8"]
+    )
     def test_os_error_is_config_error(self, case, tmp_path, capsys):
         cfg = write(tmp_path, "sim.cfg", "[grid]\nn_max = 4\n\n[flow]\nt_end = 1.0\n")
         afile = write(tmp_path, "afile", "")
@@ -564,14 +566,27 @@ class TestBadInput:
             out = path = afile
         elif case == "out_under_file":
             out = path = os.path.join(afile, "sub")
-        else:
+        elif case == "config_is_dir":
             cfg = path = str(tmp_path)
+        else:
+            (tmp_path / "latin1.cfg").write_bytes(b"[run]\nseed = \xff\n")
+            cfg = path = str(tmp_path / "latin1.cfg")
         assert main(["simulate", "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and path in err
         assert "Traceback" not in err
         assert not any(name == "config_resolved.cfg" for _, _, names in os.walk(tmp_path)
                        for name in names)
+
+    @pytest.mark.parametrize("argv, code, stream", [
+        (["scaling", "--seed", "1e3"], 1, "err"), ([], 1, "err"), (["--help"], 0, "out"),
+    ], ids=["seed_not_int", "no_command", "help"])
+    def test_usage_exit_code(self, argv, code, stream, capsys):
+        # argparse's message, and a usage error exits with the code of a
+        # configuration error, not the guard's 2
+        assert main(argv) == code
+        text = getattr(capsys.readouterr(), stream)
+        assert text.startswith("usage: szego-rg") and ("error:" in text) == bool(code)
 
     def test_memory_error_is_named(self, tmp_path, capsys, monkeypatch):
         # the backstop: a MemoryError from anywhere in the run exits 1, named
@@ -800,7 +815,7 @@ class TestAudit:
 
 class TestGrowth:
     def test_fosc_growth_csv(self, cli_run):
-        # the default plan's run, which gate 8 and the digest table also read
+        # the default plan's run, which gate 8 and the copies in csv_reference/ also read
         code, out = cli_run(*PINNED["fosc_growth"])
         assert code == 0
         lines = (out / "growth.csv").read_text().splitlines()

@@ -7,15 +7,15 @@ Each workload of ``perfbench/workloads.py`` runs its seed-1 plan through
 failure is a numerical change above that bound, to be fixed or reported;
 the reference is never re-recorded to make it pass.
 
-The same runs pin byte identity: the sha256 of every CSV a run writes must
-equal ``csv_digests.json``, recorded once per numpy version, machine and
-SIMD dispatch targets, because the bits come from numpy's loops.  In an
-environment the table does not name, the test warns that the bytes went
-unchecked and checks every cell of every CSV against the committed copy in
-``csv_reference/`` under ``matches_reference``'s rule instead.  A change
-that moves bits on purpose records the moved entries (``digests.py
---record``, which also rewrites their copies) and says which entries moved.
-The table also pins runs that no workload makes (``routes.PINNED``):
+The same runs pin byte identity: every CSV a run writes must equal its
+committed copy in ``csv_reference/`` byte for byte, because the bits come
+from numpy's loops, under the numpy version, machine and SIMD dispatch
+targets the copies were recorded under (``csv_reference/env_key.txt``).  In
+another environment the check (``routes.compare_csvs``) warns that the bytes
+went unchecked and checks every cell of every CSV against its copy under
+``matches_reference``'s rule instead.  A change that moves bits on purpose
+records the moved routes (``digests.py --record``) and says which CSVs moved.
+The copies also pin runs that no workload makes (``routes.PINNED``):
 ``simulate`` on all three flows, the default plans of the three
 scaling sweeps, Y-vs-U and the box F_osc growth study, gate 8's torus
 run, gate 3's two ``simulate`` runs, and seed 2 of three workloads.  Every
@@ -25,28 +25,18 @@ the same routes read too.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
-from routes import (
-    CSV_REFERENCE,
-    DIGESTS_PATH,
-    ENV_KEY,
-    PERFBENCH,
-    PINNED,
-    SIMD,
-    csv_cells,
-    csv_digests,
-    wl,
-    workload_route,
-)
+import digests
+import routes
+from routes import ENV_KEY, PERFBENCH, PINNED, SIMD, compare_csvs, recorded_key, wl, workload_route
 
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
-DIGESTS = json.loads(DIGESTS_PATH.read_text())
 
 
 def _drift(got, ref) -> tuple[float, float]:
@@ -74,37 +64,20 @@ def test_reference_values(name, cli_run):
     relative, share = _drift(got, ref)
     print(f"{name}: largest relative drift {relative:.3g}, {share:.3g} of the bound")
     assert wl.matches_reference(got, ref), f"{name}: {got} differs from the reference {ref}"
-    _check_digests(name, out)
+    _check_copies(name, out)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_csv_digests(name, cli_run):
     code, out = cli_run(*PINNED[name])
     assert code == 0
-    _check_digests(name, out)
+    _check_copies(name, out)
 
 
-def _check_digests(name, out, env_key=ENV_KEY):
-    """The sha256 of every CSV in out against the table's entry for name;
-    where the table names no env_key, every cell against the committed CSVs."""
-    digests = csv_digests(out)
-    if env_key in DIGESTS:
-        assert digests == DIGESTS[env_key][name], f"{name}: CSV bytes differ from {env_key}"
-        return
-    warnings.warn(
-        f"{name}: CSV digests are recorded for {sorted(DIGESTS)}, not for {env_key!r}; "
-        f"byte identity went unchecked, every number is checked against csv_reference/"
-    )
-    assert sorted(digests) == sorted(p.name for p in (CSV_REFERENCE / name).glob("*.csv"))
-    for file in digests:
-        got, ref = csv_cells(Path(out) / file), csv_cells(CSV_REFERENCE / name / file)
-        assert [len(row) for row in got] == [len(row) for row in ref], f"{name} {file}: shape"
-        moved = [
-            (line, a, b) for line, (row, ref_row) in enumerate(zip(got, ref), 1)
-            for a, b in zip(row, ref_row)
-            if type(a) is not type(b) or not wl.matches_reference(a, b)
-        ]
-        assert not moved, f"{name} {file}: cells (line, got, committed) out of bound: {moved[:5]}"
+def _check_copies(name, out, env_key=ENV_KEY):
+    """Every CSV in out against route name's copies (``routes.compare_csvs``)."""
+    faults = {file: fault for file, fault in compare_csvs(name, out, env_key).items() if fault}
+    assert not faults, f"{name}: {faults}"
 
 
 def test_numeric_fallback_bounds_every_cell(cli_run, tmp_path):
@@ -113,13 +86,51 @@ def test_numeric_fallback_bounds_every_cell(cli_run, tmp_path):
     code, out = cli_run(*PINNED["fosc_growth"])
     assert code == 0
     with pytest.warns(UserWarning, match="byte identity went unchecked"):
-        _check_digests("fosc_growth", out, env_key="unrecorded")
+        _check_copies("fosc_growth", out, env_key="unrecorded")
     lines = (out / "growth.csv").read_text().splitlines()
     t, norm, flag = lines[1].split(",")
     lines[1] = f"{t},{float(norm) * (1.0 + 1e-5)!r},{flag}"
     (tmp_path / "growth.csv").write_text("\n".join(lines) + "\n")
     with pytest.warns(UserWarning), pytest.raises(AssertionError, match="out of bound"):
-        _check_digests("fosc_growth", tmp_path, env_key="unrecorded")
+        _check_copies("fosc_growth", tmp_path, env_key="unrecorded")
+
+
+@pytest.mark.parametrize("change, file, fault", [
+    ("byte", "growth.csv", "bytes differ from the copy"),
+    ("missing", "growth.csv", "missing from the run"),
+    ("added", "extra.csv", "not in csv_reference/"),
+], ids=["byte", "missing", "added"])
+def test_byte_check_fails_on_any_change(change, file, fault, tmp_path):
+    # under the recorded key, a run directory that is fosc_growth's copies with
+    # one byte changed (the low bit of the first norm's last digit, about 1e-17
+    # relative), one CSV missing or one added fails
+    out = tmp_path / "out"
+    shutil.copytree(routes.CSV_REFERENCE / "fosc_growth", out)
+    assert compare_csvs("fosc_growth", out, recorded_key()) == {}
+    csv = out / "growth.csv"
+    if change == "byte":
+        data = csv.read_bytes()
+        i = data.index(b",true") - 1
+        csv.write_bytes(data[:i] + bytes([data[i] ^ 1]) + data[i + 1:])
+    elif change == "missing":
+        csv.unlink()
+    else:
+        shutil.copy(csv, out / file)
+    assert compare_csvs("fosc_growth", out, recorded_key()) == {file: fault}
+
+
+def test_record_refuses_some_routes_under_another_key(tmp_path, monkeypatch):
+    # on a temporary copy of csv_reference/ recorded under another key, the
+    # partial --record stops before any run and writes nothing
+    copies = tmp_path / "csv_reference"
+    shutil.copytree(routes.CSV_REFERENCE, copies)
+    (copies / routes.KEY_NAME).write_text("numpy 0 another-machine\n")
+    before = {p: p.read_bytes() for p in copies.rglob("*") if p.is_file()}
+    monkeypatch.setattr(routes, "CSV_REFERENCE", copies)
+    with pytest.raises(SystemExit) as exit_info:
+        digests.main_digests(["--record", "fosc_growth"])
+    assert exit_info.value.code == 2
+    assert {p: p.read_bytes() for p in copies.rglob("*") if p.is_file()} == before
 
 
 # numpy's AVX-512 loops round exp, log and non-integer powers differently
@@ -130,8 +141,8 @@ AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
 
 @pytest.mark.skipif("X86_V4" not in SIMD, reason="no AVX-512 dispatch (X86_V4) to turn off")
 def test_numeric_fallback_without_avx512():
-    # the child's key names X86_V3 alone, which the table lacks, so its
-    # digest checks fall back to the committed numbers
+    # the child's key names X86_V3 alone, not the copies' key, so its checks
+    # fall back to the cells of the copies
     tests = ["fosc_growth", "simulate_first_order_rg_t200"]
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
