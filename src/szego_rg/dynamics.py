@@ -23,12 +23,12 @@ raising.  Streams of one schedule share their snapshot times, and an ansatz
 maps a snapshot to its value at the snapshot's time.
 
 The effective flows have no fast linear part: they evolve on the slow time
-tau = eps^2 t.  With FlowSpec.slow set to a slow-time substep, the integrator
-covers each gap between two snapshots with a few equal RK4 substeps of
-slow-time size at most FlowSpec.slow instead of every fast step; the snapshot
-times stay those of the fast step, so the stream still lines up with a
-full-flow stream of the same spec.  The full flow ignores FlowSpec.slow: its
-linear part turns at the fast frequencies, so it always takes the fast step.
+tau = eps^2 t.  With FlowSpec.slow set, stream covers each snapshot gap with
+as few equal RK4 substeps as span at most slow on the clock eps^2 max(1, Q0) t,
+but never more than its fast steps (see stream); the snapshot times stay
+those of the fast step, so the stream still lines up with a full-flow
+stream of the same spec.  The full flow ignores FlowSpec.slow: its linear
+part turns at the fast frequencies, so it always takes the fast step.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ class FlowSpec:
     """Which evolution to integrate, with step size and horizon.
 
     snapshot_stride is in fast-time units; None selects the default of 0.05
-    slow-time units (0.05/eps^2).  slow is the largest slow-time substep of a
-    flow without a linear part: stream covers each gap between an effective
-    flow's snapshots by substeps of at most slow (None steps every fast step);
-    the full flow ignores it.
+    slow-time units (0.05/eps^2).  slow is the slow-time substep an effective
+    flow aims at: stream (which states the rule) steps each snapshot gap in
+    substeps of at most slow on the clock eps^2 max(1, Q0) t, but no finer
+    than the fast step (None steps every fast step); the full flow ignores it.
     """
 
     flow: Flow
@@ -98,7 +98,7 @@ class FlowSpec:
             raise ValueError("t_end must be positive")
         if not self.t_end / self.dt < 2.0**53:
             raise ValueError(f"t_end/dt = {self.t_end / self.dt:g} must be below 2^53 steps")
-        check_norm_index(self.s, self.grid)
+        check_norm_index(self.s)
         if not 0.0 < self.stride < math.inf:
             raise ValueError(
                 f"snapshot_stride must be positive and finite, got {self.stride:g} "
@@ -241,12 +241,9 @@ def stream(spec: FlowSpec, v0: SpectralField) -> Iterator[Snapshot]:
 # approximation ansatz constructors
 
 
-def first_order_ansatz(spec: FlowSpec) -> Callable[[Snapshot], SpectralField]:
+def first_order_ansatz(eps: float) -> Callable[[Snapshot], SpectralField]:
     """snap -> exp(-i|D|t) (eps * W(t)), t = snap.time, for the snapshots of a
-    FIRST_ORDER_RG stream of spec."""
-    if spec.flow is not Flow.FIRST_ORDER_RG:
-        raise ValueError("first_order_ansatz expects a FIRST_ORDER_RG flow")
-    eps = spec.eps
+    FIRST_ORDER_RG stream at eps."""
 
     def ansatz(snap: Snapshot) -> SpectralField:
         return free_flow(eps * snap.state, snap.time)
@@ -254,17 +251,14 @@ def first_order_ansatz(spec: FlowSpec) -> Callable[[Snapshot], SpectralField]:
     return ansatz
 
 
-def second_order_ansatz(spec: FlowSpec) -> Callable[[Snapshot], SpectralField]:
+def second_order_ansatz(eps: float) -> Callable[[Snapshot], SpectralField]:
     """snap -> exp(-i|D|t) (cal_W(t) + F_osc(cal_W(t), t)), t = snap.time,
-    cal_W = eps * W, for the snapshots of a SECOND_ORDER_AVERAGED stream of spec.
+    cal_W = eps * W, for the snapshots of a SECOND_ORDER_AVERAGED stream at eps.
 
     F_osc is evaluated on the eps-scaled state; with the zero-t-mean
     convention it does not vanish at t = 0, so comparisons must start the
     reference flow from the matching corrected data (see experiments).
     """
-    if spec.flow is not Flow.SECOND_ORDER_AVERAGED:
-        raise ValueError("second_order_ansatz expects a SECOND_ORDER_AVERAGED flow")
-    eps = spec.eps
 
     def ansatz(snap: Snapshot) -> SpectralField:
         scaled, t = eps * snap.state, snap.time

@@ -232,7 +232,7 @@ class ExperimentPlan:
         required = _DEFAULTS[self.experiment].get("grid", ExperimentPlan.grid).domain
         if self.experiment is not Experiment.FOSC_GROWTH and self.grid.domain is not required:
             raise ValueError(f"{self.experiment.value} requires domain = {required.value}")
-        check_norm_index(self.s, self.grid)
+        check_norm_index(self.s)
         command = COMMAND[self.experiment]
         if command == "scaling" and len(self.eps_list) < 3:
             raise ValueError(
@@ -407,9 +407,9 @@ def _growth_spec(plan: ExperimentPlan) -> FlowSpec:
     growth_t_max, in slow-time substeps of at most GROWTH_SLOW_DT.
 
     The flow has no linear part, so plan.dt sets the snapshot grid (the fast
-    step h and the snapshot times step * h) and caps the step only where it
-    is coarser than the slow substep: the default plan's gaps of 0.8 take 6
-    RK4 substeps instead of 8 fast steps of 0.1.
+    step h and the snapshot times step * h) and the finest step: the default
+    plan's gaps of 0.8 take 6 RK4 substeps instead of 8 fast steps of 0.1, and
+    data with max(1, Q0) h > GROWTH_SLOW_DT take every fast step.
     """
     snapshots = max(plan.growth_points * 2, 40)
     return _flow_spec(
@@ -437,7 +437,7 @@ def _finish_scaling(rows, slope_min=0.0, residual_max=np.inf, caveats=()):
 def _sweep(plan: ExperimentPlan, truth: Flow, start, arms, slow: float | None):
     """One error-scaling sweep: for each eps, stream the truth flow from
     start(eps, W0) and the flow of each arm (flow, ansatz_of) from W0, and
-    record sup_t ||truth(t) - ansatz_of(spec)(snapshot at t)||_{H^s}.
+    record sup_t ||truth(t) - ansatz_of(eps)(snapshot at t)||_{H^s}.
     The effective flows take slow-time substeps of at most slow.
 
     The row's streams share one schedule, so zipping them pairs snapshots of
@@ -454,9 +454,8 @@ def _sweep(plan: ExperimentPlan, truth: Flow, start, arms, slow: float | None):
     def row(eps):
         t_end = plan.horizon(eps)
         sp = lambda flow: _flow_spec(plan, flow, eps, t_end, slow=slow)
-        specs = [sp(flow) for flow, _ in arms]
-        ansatzes = [ansatz_of(spec) for spec, (_, ansatz_of) in zip(specs, arms)]
-        streams = [stream(sp(truth), start(eps, w0)), *(stream(spec, w0) for spec in specs)]
+        ansatzes = [ansatz_of(eps) for _, ansatz_of in arms]
+        streams = [stream(sp(truth), start(eps, w0)), *(stream(sp(flow), w0) for flow, _ in arms)]
         sups = None
         for ref, *snaps in zip(*streams, strict=True):
             if ref.blown_up or any(snap.blown_up for snap in snaps):
@@ -533,7 +532,7 @@ def run_y_vs_u(plan: ExperimentPlan) -> ScalingReport:
     bare resonant flow from the same data; the gap scales like eps^2."""
     (rows,) = _sweep(
         plan, Flow.SECOND_ORDER_AVERAGED, lambda eps, w0: w0,
-        [(Flow.FIRST_ORDER_RG, lambda spec: lambda snap: snap.state)], SLOW_DT,
+        [(Flow.FIRST_ORDER_RG, lambda eps: lambda snap: snap.state)], SLOW_DT,
     )
     return _finish_scaling(rows, plan.slope_threshold, plan.residual_max)
 

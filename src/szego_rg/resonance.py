@@ -20,10 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import (
-    TWO_PI,
     Domain,
     SpectralField,
-    _grid_freqs,
     apply_inv_D_minus,
     cubic_product,
     from_physical,
@@ -178,7 +176,7 @@ def r2_closed_hardy(c: np.ndarray, szego: float = 0.0) -> np.ndarray:
     W = to_physical(c)
     sq = np.abs(W) ** 2
     cube = from_physical(sq * W, c.size)
-    G = to_physical(apply_inv_D_minus(cube, _grid_freqs(n, TWO_PI)))
+    G = to_physical(apply_inv_D_minus(cube))
     out = from_physical(np.conj(G) * W * W * 0.5 + sq * G, c.size)
     out[:n] = 0.0
     out[n:] += szego * cube[n:]

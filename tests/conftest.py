@@ -1,14 +1,27 @@
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from szego_rg.cli import main
-from szego_rg.spectral import Domain, FrequencyGrid, random_field
+from routes import run_cli
+from szego_rg.spectral import (
+    Domain,
+    FrequencyGrid,
+    SpectralField,
+    energy,
+    mass,
+    momentum,
+    random_field,
+)
+
+# Floor used in relative-drift denominators so identically-zero invariants
+# do not divide by zero.
+DRIFT_FLOOR = 1e-30
 
 
 @pytest.fixture
@@ -43,6 +56,20 @@ def max_coeff_diff(a, b):
     return float(np.max(np.abs(getattr(a, "coeff", a) - getattr(b, "coeff", b))))
 
 
+def conserved_series(states: Sequence[SpectralField]) -> tuple[np.ndarray, ...]:
+    """The invariants E, Q and M along a trajectory, one array each."""
+    e = np.array([energy(f) for f in states])
+    q = np.array([mass(f) for f in states])
+    m = np.array([momentum(f) for f in states])
+    return e, q, m
+
+
+def max_rel_drift(series: np.ndarray) -> float:
+    """max_t |q(t) - q(0)| / max(|q(0)|, DRIFT_FLOOR) of one invariant's series."""
+    q0 = series[0]
+    return float(np.max(np.abs(series - q0)) / max(abs(q0), DRIFT_FLOOR))
+
+
 @pytest.fixture
 def coeff_diff():
     return max_coeff_diff
@@ -50,17 +77,13 @@ def coeff_diff():
 
 @pytest.fixture(scope="session")
 def cli_run(tmp_path_factory):
-    """Run cli.main once per distinct command and configuration text in a
-    session; returns (exit code, run directory).  Tests only read the run."""
+    """Run routes.run_cli once per distinct command and configuration text in
+    a session; returns (exit code, run directory).  Tests only read the run."""
     runs = {}
 
     def run(command, text):
         if (command, text) not in runs:
-            base = tmp_path_factory.mktemp(command)
-            config = base / "run.cfg"
-            config.write_text(text)
-            out = base / "out"
-            runs[command, text] = main([command, "--config", str(config), "--out", str(out)]), out
+            runs[command, text] = run_cli(command, text, tmp_path_factory.mktemp(command))
         return runs[command, text]
 
     return run

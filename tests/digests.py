@@ -6,7 +6,7 @@ Usage (from the root of a checkout):
     python3 tests/digests.py --record NAME...  record the named routes' copies
 
 Every route (the benchmark's seed-1 workloads and ``routes.PINNED``) runs
-through ``cli.main`` from this checkout's ``src/`` in a temporary directory,
+through ``routes.run_cli`` from this checkout's ``src/`` in a temporary directory,
 and ``routes.compare_csvs`` compares its CSVs with its copies in
 ``csv_reference/``.  A check prints each CSV that differs as route name, file
 and fault, and exits 1 on any fault: under the key the copies were recorded
@@ -29,8 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import routes  # noqa: E402
-from routes import ENV_KEY, PINNED, compare_csvs, wl, workload_route  # noqa: E402
-from szego_rg.cli import main  # noqa: E402
+from routes import ENV_KEY, PINNED, compare_csvs, run_cli, wl, workload_route  # noqa: E402
 
 ROUTES = sorted([*wl.WORKLOADS, *PINNED])
 
@@ -39,11 +38,9 @@ def run_route(name: str, base: Path) -> Path:
     """The run directory of one run of the named route; a run that exits
     nonzero raises."""
     command, text = workload_route(name) if name in wl.WORKLOADS else PINNED[name]
-    config = base / f"{name}.cfg"
-    config.write_text(text)
-    out = base / name
+    (base / name).mkdir()
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main([command, "--config", str(config), "--out", str(out)])
+        code, out = run_cli(command, text, base / name)
     if code != 0:
         raise RuntimeError(f"{name}: szego-rg {command} exited {code}")
     return out

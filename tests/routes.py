@@ -1,7 +1,8 @@
 """The default-plan CLI routes that tier-1 runs: the benchmark's workloads
 (``perfbench/workloads.py``, loaded by path) and the pinned runs that no
-workload makes.  Tests run a route through the session fixture ``cli_run``
-(``conftest.py``), so a gate and the CSV check of one route read one run.
+workload makes.  ``run_cli`` runs one command on a configuration text, for
+``digests.py`` and the session fixture ``cli_run`` (``conftest.py``), through
+which tests run a route, so a gate and the CSV check of one route read one run.
 ``csv_reference/`` holds a copy of every CSV of every route, and its
 ``env_key.txt`` the ``ENV_KEY`` (numpy version, machine and SIMD dispatch
 targets) the copies were recorded under.  ``compare_csvs`` checks a run
@@ -78,6 +79,17 @@ PINNED = {
         for name in ("y_vs_u_torus", "scaling2_torus", "kernel_audit")
     },
 }
+
+
+def run_cli(command: str, text: str, base: Path) -> tuple[int, Path]:
+    """Write text to base/run.cfg and run ``szego-rg command`` on it into
+    base/out; returns (exit code, run directory)."""
+    from szego_rg.cli import main  # here, so routes imports without the package on the path
+
+    config = base / "run.cfg"
+    config.write_text(text)
+    out = base / "out"
+    return main([command, "--config", str(config), "--out", str(out)]), out
 
 
 def _cell(text: str):

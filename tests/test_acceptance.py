@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import replan
+from conftest import max_rel_drift, replan
 from routes import PINNED, workload_route
 from second_order_oracles import dF_osc, n2_from_coefficients, n2_phase_coefficients, n2_rhs
 from szego_rg import oracles
@@ -31,7 +31,6 @@ from szego_rg.spectral import (
     Domain,
     FrequencyGrid,
     field_from_modes,
-    max_rel_drift,
     random_field,
     sobolev_norm,
 )
@@ -257,7 +256,7 @@ def test_09_single_mode_exact_solution():
         w_spec = FlowSpec(Flow.FIRST_ORDER_RG, **kw)
         v_snaps = list(stream(FlowSpec(Flow.FULL_NLW, **kw), eps * w0))
         w_snaps = list(stream(w_spec, w0))
-        ansatz = first_order_ansatz(w_spec)
+        ansatz = first_order_ansatz(eps)
         sup = max(
             sobolev_norm(v.state - ansatz(w), 1.0)
             for v, w in zip(v_snaps, w_snaps, strict=True)

@@ -164,7 +164,7 @@ def write(tmp_path, name, text):
 # the failing quantity an initial-data error names (its message lists every data key)
 L2_ZERO, L2_INF = "its L2 norm to normalize is 0", "its L2 norm to normalize is inf"
 H_HALF_INF, SUP_INF = "its H^1/2 norm is inf", "its sup bound (sum |c(k)|)^4 is inf"
-H_S_INF = "its H^s bound 4 Q sum_k (1 + freq_k^2)^s at s = 170 is inf"
+H_S_INF = "its H^s bound 4 Q sum_k (1 + freq_k^2)^s at s = {:g} is inf"
 
 # (command, configuration, key the error must name, or the key and the failing quantity)
 BAD_INPUTS = {
@@ -423,15 +423,19 @@ BAD_INPUTS = {
         "simulate", "[flow]\nt_end = 1\n\n[initial_data]\namplitudes = 1e-200,1e-200,1e-200\n",
         ("normalization", L2_ZERO),
     ),
-    # norm indices whose H^s weight (1 + freq^2)^s overflows at the top mode
+    # norm indices whose H^s weight (1 + freq^2)^s overflows at the top mode:
+    # the data's H^s bound, the one overflow rule for s, rejects them
     "overflowing_weight_scaling": (
         "scaling", "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n[experiment]\ns = 400\n",
-        "s = 400",
+        ("s = 400", H_S_INF.format(400)),
     ),
     "overflowing_weight_growth": (
-        "growth", "[run]\nexperiment = fosc_growth\n\n[experiment]\ns = 400\n", "s = 400",
+        "growth", "[run]\nexperiment = fosc_growth\n\n[experiment]\ns = 400\n",
+        ("s = 400", H_S_INF.format(400)),
     ),
-    "overflowing_weight_simulate": ("simulate", "[flow]\nt_end = 1\ns = 400\n", "s = 400"),
+    "overflowing_weight_simulate": (
+        "simulate", "[flow]\nt_end = 1\ns = 400\n", ("s = 400", H_S_INF.format(400)),
+    ),
     # weights finite at the top mode, but their sum over the grid, the data's
     # H^s bound, overflows: each state's H^s norm could be inf
     "overflowing_h_s_bound_scaling": (
@@ -439,13 +443,13 @@ BAD_INPUTS = {
         "[run]\nexperiment = y_vs_u\n\n[grid]\nn_max = 8\n\n"
         "[experiment]\neps_list = 0.4,0.3,0.2\ns = 170\n\n"
         "[initial_data]\nmodes = 8\namplitudes = 1\nscale = 1.5\n",
-        ("s = 170", H_S_INF),
+        ("s = 170", H_S_INF.format(170)),
     ),
     "overflowing_h_s_bound_simulate": (
         "simulate",
         "[grid]\nn_max = 8\n\n[flow]\nflow = first_order_rg\nt_end = 1\ns = 170\n\n"
         "[initial_data]\nmodes = 8\namplitudes = 1\nscale = 1.5\n",
-        ("s = 170", H_S_INF),
+        ("s = 170", H_S_INF.format(170)),
     ),
     "second_order_on_box": (
         "simulate",
@@ -553,7 +557,7 @@ class TestBadInput:
         assert "config error" in err
         assert all(part in err for part in ((key,) if isinstance(key, str) else key))
         assert "Traceback" not in err
-        assert not (out / "config_resolved.cfg").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "case", ["out_is_file", "out_under_file", "config_is_dir", "config_not_utf8"]

@@ -26,12 +26,10 @@ from szego_rg.experiments import (
 from szego_rg.spectral import (
     Domain,
     FrequencyGrid,
-    conserved_series,
     mass,
-    max_rel_drift,
     negative_mode_mass,
 )
-from conftest import replan
+from conftest import conserved_series, max_rel_drift, replan
 from dataclasses import replace
 
 ZERO_DATA = InitialDataSpec(normalization=None, amplitudes=(0.0, 0.0, 0.0))

@@ -646,6 +646,29 @@ class TestOracleSplit:
         assert self._uses(self._tree(oracles), "resonance") == 0
 
 
+class TestNoTestOnlyCode:
+    """Code that only tests call lives in tests/: every public module-level
+    function of the package is named by package code outside its own
+    definition.  The check parses src/, so an import alone does not count."""
+
+    @staticmethod
+    def _names(tree, name):
+        return sum(
+            getattr(node, "id", getattr(node, "attr", None)) == name
+            for node in ast.walk(tree) if isinstance(node, ast.Name | ast.Attribute)
+        )
+
+    def test_every_public_function_is_named_in_src(self):
+        package = Path(spectral.__file__).parent
+        trees = [ast.parse(p.read_text(), str(p)) for p in package.glob("*.py")]
+        unnamed = [
+            fn.name for tree in trees for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and sum(self._names(t, fn.name) for t in trees) == self._names(fn, fn.name)
+        ]
+        assert not unnamed, unnamed
+
+
 class TestPackageRoot:
     """The package root is no import path: every public name is imported
     from the module that defines it.  The checks parse every file under src/
